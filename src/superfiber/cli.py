@@ -58,12 +58,6 @@ def _alphas(args) -> XCoordinates:
     return XCoordinates(tuple(_rational_list(args.alphas)), args.r)
 
 
-def _search_config(args, mode: str) -> SearchConfig:
-    workers = getattr(args, "workers", 1) or 1
-    partition = (getattr(args, "worker_index", 0), workers) if workers > 1 else None
-    return SearchConfig(args.height, mode, partition)
-
-
 def _read_input(args) -> dict:
     if args.input == "-":
         raw = sys.stdin.buffer.read()
@@ -84,8 +78,7 @@ def _cmd_fiber_eqs(args):
     eqs = fiber_equations(a_n, args.s)
     c, pairs = fiber_equation_triples(a_n, args.s)
     payload = {
-        "alphas": [str(a) for a in a_n.alphas],
-        "r": args.r,
+        **a_n.to_obj(),
         "s": args.s,
         "equations": [eq.to_obj() for eq in eqs],
         "solved_form": {"c": str(c), "pairs": [[str(A), str(B)] for A, B in pairs]},
@@ -98,8 +91,7 @@ def _cmd_verify_point(args):
     point = normalize_projective(_rational_list(args.point))
     on_fiber = fiber_contains(a_n, args.s, point.coords)
     payload = {
-        "alphas": [str(a) for a in a_n.alphas],
-        "r": args.r,
+        **a_n.to_obj(),
         "s": args.s,
         "point": point.to_obj(),
         "on_fiber": on_fiber,
@@ -122,8 +114,7 @@ def _cmd_map(args):
     cwp = CurveWithPoints.from_obj(_read_input(args))
     a_n, image = phi_forward(cwp)
     payload = {
-        "alphas": [str(a) for a in a_n.alphas],
-        "r": cwp.curve.params.r,
+        **a_n.to_obj(),
         "s": cwp.curve.params.s,
         "fiber_point": image.to_obj(),
     }
@@ -150,19 +141,15 @@ def _cmd_cubic_to_weierstrass(args):
 
 
 def _cmd_search(args):
-    a_n = _alphas(args)
-    cfg = _search_config(args, args.mode)
-    if args.mode == "curve-box":
-        entries = curve_census_entries(a_n, args.s, cfg)
-    else:
-        entries = fiber_census_entries(a_n, args.s, cfg)
+    # looked up per call, so a rebinding of the module names (perfbench/tracer.py) applies
+    census ={"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
+    cfg = SearchConfig(args.height, (args.worker_index, args.workers))
+    entries = census(_alphas(args), args.s, cfg)
     return [e.to_obj() for e in entries], 0, "jsonl"
 
 
 def _cmd_cross_check(args):
-    a_n = _alphas(args)
-    cfg = _search_config(args, "curve-box")
-    report = cross_check(a_n, args.s, cfg)
+    report = cross_check(_alphas(args), args.s, SearchConfig(args.height))
     return report.to_obj(), 0, "json"
 
 

@@ -96,17 +96,19 @@ ELKIES = ElkiesDataset(
 )
 
 
+def _points_off_curve(dataset: ElkiesDataset) -> list[tuple[int, tuple[int, int]]]:
+    """(index, point) for each point not on y^2 = x^3 + b0."""
+    return [(i, (x, y)) for i, (x, y) in enumerate(dataset.points)
+            if y * y != x**3 + dataset.b0]
+
+
 def dataset_self_check(dataset: ElkiesDataset = ELKIES) -> None:
     """Cheap structural invariants, run before any CLI command: every
     point on the curve, x-coordinates pairwise distinct, table sizes."""
     xs = [x for x, _ in dataset.points]
     if len(set(xs)) != len(xs):
         raise MismatchReport(["x-coordinates are not pairwise distinct"])
-    bad = [
-        f"point {i} is not on y^2 = x^3 + b0"
-        for i, (x, y) in enumerate(dataset.points)
-        if y * y != x**3 + dataset.b0
-    ]
+    bad = [f"point {i} is not on y^2 = x^3 + b0" for i, _ in _points_off_curve(dataset)]
     if bad:
         raise MismatchReport(bad)
     if len(dataset.points) != 17 or len(dataset.expected_equations) != 15:
@@ -148,11 +150,8 @@ def verify_reproduction(dataset: ElkiesDataset = ELKIES) -> ReproReport:
     """
     checks = []
 
-    failures = [
-        f"point {i}: ({x}, {y}) not on y^2 = x^3 + b0"
-        for i, (x, y) in enumerate(dataset.points)
-        if y * y != x**3 + dataset.b0
-    ]
+    failures = [f"point {i}: ({x}, {y}) not on y^2 = x^3 + b0"
+                for i, (x, y) in _points_off_curve(dataset)]
     checks.append(CheckResult("points_on_curve", not failures, tuple(failures)))
 
     a_n = dataset.x_coordinates()

@@ -21,10 +21,11 @@ a deterministic sorted union.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import TrivialPoint
 from .exact import Rational, _floor_nth_root, rational_str, sth_root_exact
@@ -32,27 +33,22 @@ from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
 from .maps import phi_forward, phi_inverse
 
-MODES = ("curve-box", "fiber-pairs")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Height bound, mode, and optional (worker_index, worker_count) slice."""
+    """Height bound, (worker_index, worker_count) slice of the candidate
+    stream, and whether the curve box runs over rationals."""
 
     height_bound: int
-    mode: str = "curve-box"
-    partition: Optional[tuple[int, int]] = None
+    partition: tuple[int, int] = (0, 1)
     rational_box: bool = False
 
     def __post_init__(self):
         if self.height_bound < 1:
             raise ValueError("height bound must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.partition is not None:
-            index, count = self.partition
-            if not (count >= 1 and 0 <= index < count):
-                raise ValueError("need 0 <= worker_index < worker_count")
+        index, count = self.partition
+        if not (count >= 1 and 0 <= index < count):
+            raise ValueError("need 0 <= worker_index < worker_count")
 
 
 @dataclass(frozen=True)
@@ -61,22 +57,14 @@ class CensusEntry:
 
     curve: Curve
     fiber_point: FiberPoint
-    distinct_x_count: int
 
     def to_obj(self) -> dict:
+        # one point per alpha, and CurveWithPoints enforces distinct x
         return {
             "curve": self.curve.to_obj(),
             "fiber_point": self.fiber_point.to_obj(),
-            "distinct_x_count": self.distinct_x_count,
+            "distinct_x_count": len(self.fiber_point),
         }
-
-
-def count_distinct_x(points: Sequence[AffinePoint], s: int) -> int:
-    """Number of distinct x-coordinates; on a degree-s member this is at
-    least ceil(#points / s) since each x carries at most s y-values."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    return len({p.x for p in points})
 
 
 def rationals_up_to_height(height: int) -> list[Fraction]:
@@ -89,11 +77,9 @@ def rationals_up_to_height(height: int) -> list[Fraction]:
     return sorted(values)
 
 
-def _slice(items: list, partition: Optional[tuple[int, int]]) -> list:
-    if partition is None:
-        return items
+def _slice(stream: Iterable, partition: tuple[int, int]) -> Iterator:
     index, count = partition
-    return items[index::count]
+    return itertools.islice(stream, index, None, count)
 
 
 def curve_roots_over(a_n: XCoordinates, s: int, a: Rational, b: Rational,
@@ -134,27 +120,24 @@ def census_points(a_n: XCoordinates, s: int, curve: Curve,
 
 
 def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
-    """All census curves with coefficients in the (a, b) box of height H."""
+    """All census curves with coefficients in the (a, b) box of height H,
+    in (a, b) order: the box is the product of a sorted value list."""
     if s < 2:
         raise ValueError("s must be >= 2")
     H = cfg.height_bound
     if cfg.rational_box:
-        candidates = [v for v in rationals_up_to_height(H) if v != 0]
+        values = [v for v in rationals_up_to_height(H) if v != 0]
     else:
-        candidates = [Fraction(v) for v in range(-H, H + 1) if v != 0]
-    pairs = [(a, b) for a in candidates for b in candidates]
-    found = []
-    for a, b in _slice(pairs, cfg.partition):
-        if curve_in_census(a_n, s, a, b):
-            found.append(Curve(FamilyParams(a_n.r, s), a, b))
-    found.sort(key=lambda c: (c.a, c.b))
-    return found
+        values = [Fraction(v) for v in range(-H, H + 1) if v != 0]
+    params = FamilyParams(a_n.r, s)
+    return [Curve(params, a, b)
+            for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
+            if curve_in_census(a_n, s, a, b)]
 
 
-def _leading_pairs(height: int, s: int) -> list[tuple[int, int]]:
+def _leading_pairs(height: int, s: int) -> Iterator[tuple[int, int]]:
     # coprime (Y_0, Y_1) up to the bound; for even s signs never matter,
     # for odd s the pair is normalized only by the global sign
-    pairs = []
     for p in range(0, height + 1):
         if s % 2 == 0:
             qs = range(0, height + 1)
@@ -162,8 +145,7 @@ def _leading_pairs(height: int, s: int) -> list[tuple[int, int]]:
             qs = range(-height, height + 1) if p > 0 else (1,)
         for q in qs:
             if math.gcd(p, abs(q)) == 1:
-                pairs.append((p, q))
-    return pairs
+                yield (p, q)
 
 
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
@@ -297,10 +279,8 @@ def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[C
     """Curve-box census with canonical fiber-point images."""
     entries = []
     for curve in enumerate_curves(a_n, s, cfg):
-        cwp = census_points(a_n, s, curve)
-        _, image = phi_forward(cwp)
-        entries.append(CensusEntry(curve, canonical_fiber_point(image.coords, s),
-                                   count_distinct_x(cwp.points, s)))
+        _, image = phi_forward(census_points(a_n, s, curve))
+        entries.append(CensusEntry(curve, canonical_fiber_point(image.coords, s)))
     return entries
 
 
@@ -315,7 +295,7 @@ def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[C
             cwp = phi_inverse(a_n, P.coords, s)
         except TrivialPoint:
             continue
-        entries.append(CensusEntry(cwp.curve, P, count_distinct_x(cwp.points, s)))
+        entries.append(CensusEntry(cwp.curve, P))
     return entries
 
 
@@ -328,18 +308,13 @@ def cross_check(a_n: XCoordinates, s: int, cfg: SearchConfig) -> CrossCheckRepor
     representative (matched) or is explained by the height cutoff.
     """
     H = cfg.height_bound
-    curves = enumerate_curves(a_n, s, SearchConfig(H, "curve-box", None, cfg.rational_box))
-
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = H
-    for curve in curves:
-        cwp = census_points(a_n, s, curve)
-        _, image = phi_forward(cwp)
-        canonical = canonical_fiber_point(image.coords, s)
-        groups.setdefault(canonical.coords, []).append(curve)
-        fiber_bound = max(fiber_bound, pair_height(canonical))
+    for entry in curve_census_entries(a_n, s, SearchConfig(H, rational_box=cfg.rational_box)):
+        groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
+        fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
 
-    points = search_fiber_points(a_n, s, SearchConfig(fiber_bound, "fiber-pairs"))
+    points = search_fiber_points(a_n, s, SearchConfig(fiber_bound))
 
     matched: list[MatchedClass] = []
     trivial: list[FiberPoint] = []

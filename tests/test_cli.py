@@ -172,9 +172,15 @@ def test_usage_errors_exit_64():
     assert run_cli("genus", "--n", "x", "--s", "2").returncode == 64
     assert run_cli("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0").returncode == 64
     assert run_cli("param-conic", "--alpha", "0", "--beta", "1", "--u", "0").returncode == 64
-    out = run_cli("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2",
-                  "--height", "5", "--workers", "3", "--worker-index", "3")
-    assert out.returncode == 64
+    search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
+    for workers in (("--workers", "3", "--worker-index", "3"),
+                    ("--workers", "0"),
+                    ("--workers", "-3"),
+                    ("--workers", "1", "--worker-index", "7")):
+        out = run_cli(*search, *workers)
+        assert out.returncode == 64
+        assert out.stderr == "error: need 0 <= worker_index < worker_count\n"
+        assert "Traceback" not in out.stderr
 
 
 def test_map_inverse_off_fiber_is_domain_error():

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from superfiber import (
     SearchConfig,
     canonical_fiber_point,
     census_points,
-    count_distinct_x,
     cross_check,
     curve_in_census,
     enumerate_curves,
@@ -36,10 +34,9 @@ from helpers_roundtrip import random_admissible_alphas
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(0)
-    with pytest.raises(ValueError):
-        SearchConfig(5, "bogus")
-    with pytest.raises(ValueError):
-        SearchConfig(5, "curve-box", (3, 3))
+    for partition in ((3, 3), (0, 0), (0, -3), (-1, 2), (7, 1)):
+        with pytest.raises(ValueError, match="worker_index < worker_count"):
+            SearchConfig(5, partition)
 
 
 def test_rationals_up_to_height():
@@ -94,7 +91,7 @@ def test_census_points_membership_verified():
 
 def test_search_fiber_points_contains_unit_and_example():
     a_2 = x_coordinates([0, 2, -1], 3)
-    pts = search_fiber_points(a_2, 2, SearchConfig(5, "fiber-pairs"))
+    pts = search_fiber_points(a_2, 2, SearchConfig(5))
     coords = {P.coords for P in pts}
     assert (1, 1, 1) in coords
     assert (1, 3, 0) in coords
@@ -107,13 +104,13 @@ def test_search_fiber_points_trivial_always_found():
     for _ in range(10):
         a_n = random_admissible_alphas(rng, rng.randint(2, 4), rng.randint(3, 5))
         s = rng.randint(2, 4)
-        pts = search_fiber_points(a_n, s, SearchConfig(1, "fiber-pairs"))
+        pts = search_fiber_points(a_n, s, SearchConfig(1))
         assert any(P.coords == tuple([1] * (a_n.n + 1)) for P in pts)
 
 
 def test_even_s_sign_closure_before_canonicalization():
     a_2 = x_coordinates([0, 2, -1], 3)
-    pts = search_fiber_points(a_2, 2, SearchConfig(5, "fiber-pairs"))
+    pts = search_fiber_points(a_2, 2, SearchConfig(5))
     rng = random.Random(3)
     for P in pts:
         signs = [rng.choice((1, -1)) * c for c in P.coords]
@@ -125,8 +122,8 @@ def test_search_monotone_in_height():
     rng = random.Random(55)
     for _ in range(5):
         a_n = random_admissible_alphas(rng, 3, 3)
-        small = set(P.coords for P in search_fiber_points(a_n, 2, SearchConfig(3, "fiber-pairs")))
-        large = set(P.coords for P in search_fiber_points(a_n, 2, SearchConfig(6, "fiber-pairs")))
+        small = set(P.coords for P in search_fiber_points(a_n, 2, SearchConfig(3)))
+        large = set(P.coords for P in search_fiber_points(a_n, 2, SearchConfig(6)))
         assert small <= large
         boxed_small = {(c.a, c.b) for c in enumerate_curves(a_n, 2, SearchConfig(3))}
         boxed_large = {(c.a, c.b) for c in enumerate_curves(a_n, 2, SearchConfig(9))}
@@ -135,31 +132,27 @@ def test_search_monotone_in_height():
 
 def test_partition_union_equals_full_search():
     a_2 = x_coordinates([0, 2, -1], 3)
-    for mode, runner in (
-        ("curve-box", enumerate_curves),
-        ("fiber-pairs", search_fiber_points),
+    a_3 = x_coordinates([0, 2, 3], 3)
+
+    def by_curve(c):
+        return (c.a, c.b)
+
+    def by_point(P):
+        return P.coords
+
+    # integer and rational curve boxes; even s and odd (signed pairs) fiber side
+    for runner, a_n, s, height, rational_box, key in (
+        (enumerate_curves, a_2, 2, 6, False, by_curve),
+        (enumerate_curves, a_2, 2, 4, True, by_curve),
+        (search_fiber_points, a_2, 2, 6, False, by_point),
+        (search_fiber_points, a_3, 3, 12, False, by_point),
     ):
-        full = runner(a_2, 2, SearchConfig(6, mode))
+        full = runner(a_n, s, SearchConfig(height, rational_box=rational_box))
+        assert full
         merged = []
         for index in range(3):
-            merged.extend(runner(a_2, 2, SearchConfig(6, mode, (index, 3))))
-        if mode == "curve-box":
-            assert sorted(merged, key=lambda c: (c.a, c.b)) == full
-        else:
-            assert sorted(merged, key=lambda P: P.coords) == full
-
-
-def test_count_distinct_x_examples():
-    pts = [point(0, 1), point(0, -1), point(2, 3)]
-    assert count_distinct_x(pts, 2) == 2
-    assert count_distinct_x([point(*p) for p in ELKIES.points], 2) == 17
-    assert count_distinct_x([], 2) == 0
-
-
-def test_count_distinct_x_bound_on_curve_points():
-    pts = [point(0, 1), point(0, -1), point(2, 3), point(2, -3)]
-    count = count_distinct_x(pts, 2)
-    assert count >= math.ceil(len(pts) / 2)
+            merged.extend(runner(a_n, s, SearchConfig(height, (index, 3), rational_box)))
+        assert sorted(merged, key=key) == full
 
 
 def test_integer_class_representatives():
@@ -186,13 +179,13 @@ def test_census_entries_hold_images():
     entry = entries[0]
     assert (entry.curve.a, entry.curve.b) == (1, 1)
     assert entry.fiber_point.coords == (1, 3, 0)
-    assert entry.distinct_x_count == 3
+    assert entry.to_obj()["distinct_x_count"] == 3
     assert fiber_contains(a_2, 2, entry.fiber_point.coords)
     cwp = census_points(a_2, 2, entry.curve)
     _, image = phi_forward(cwp)
     assert canonical_fiber_point(image.coords, 2) == entry.fiber_point
 
-    fiber_entries = fiber_census_entries(a_2, 2, SearchConfig(5, "fiber-pairs"))
+    fiber_entries = fiber_census_entries(a_2, 2, SearchConfig(5))
     assert [(e.curve.a, e.curve.b) for e in fiber_entries] == [(1, 1)]
 
 
@@ -237,12 +230,12 @@ def test_census_stability_observed_above_threshold():
     for a_4, label in ((empty_fiber, "empty"), (rich_fiber, "rich")):
         sizes = {}
         for H in (17, 30, 45):
-            entries = fiber_census_entries(a_4, 2, SearchConfig(H, "fiber-pairs"))
+            entries = fiber_census_entries(a_4, 2, SearchConfig(H))
             sizes[H] = len(entries)
         assert sizes[17] <= sizes[30] <= sizes[45]
         assert sizes[30] == sizes[45]
         print(f"census sizes on {label} n=4 fiber as H grows: {sizes} (observed stable)")
-    entries = fiber_census_entries(rich_fiber, 2, SearchConfig(17, "fiber-pairs"))
+    entries = fiber_census_entries(rich_fiber, 2, SearchConfig(17))
     assert [(e.curve.a, e.curve.b) for e in entries] == [(1, 225)]
     assert entries[0].fiber_point.coords == (15, 17, 10, 3, 21)
 
