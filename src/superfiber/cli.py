@@ -100,18 +100,34 @@ def _cmd_verify_point(args):
 
 
 def _cmd_genus(args):
-    return geometry_report(args.n, args.s).to_obj(), 0, "json"
+    # refuse what cannot print before computing it (a disabled limit counts as the
+    # default, so work stays bounded); genus >= s^(n-1) >= 16^limit past the first test
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    too_long = ValueError(f"genus report for n={args.n}, s={args.s} exceeds {limit} digits")
+    if (args.n - 1) * (args.s.bit_length() - 1) > 4 * limit:
+        raise too_long
+    report = geometry_report(args.n, args.s).to_obj()
+    if any(abs(value) >= 10 ** limit for value in report.values()):
+        raise too_long
+    return report, 0, "json"
+
+
+def _read_cwp(args) -> CurveWithPoints:
+    try:
+        return CurveWithPoints.from_obj(_read_input(args))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 
 
 def _cmd_twist(args):
-    cwp = CurveWithPoints.from_obj(_read_input(args))
+    cwp = _read_cwp(args)
     tc = twist_curve(cwp)
     images = twist_points(cwp)
     return {"twist": tc.to_obj(), "points": [p.to_obj() for p in images]}, 0, "json"
 
 
 def _cmd_map(args):
-    cwp = CurveWithPoints.from_obj(_read_input(args))
+    cwp = _read_cwp(args)
     a_n, image = phi_forward(cwp)
     payload = {
         **a_n.to_obj(),
@@ -149,7 +165,7 @@ def _cmd_search(args):
 
 
 def _cmd_cross_check(args):
-    report = cross_check(_alphas(args), args.s, SearchConfig(args.height))
+    report = cross_check(_alphas(args), args.s, args.height)
     return report.to_obj(), 0, "json"
 
 

@@ -20,6 +20,10 @@ class BasePointVanishing(DomainError):
     """The designated base point has y = 0, so it cannot define a twist."""
 
 
+class PointNotOnCurve(DomainError):
+    """Point does not satisfy y^s = a*x^r + b."""
+
+
 class PointNotOnTwist(DomainError):
     """Point does not satisfy the twisted curve equation."""
 

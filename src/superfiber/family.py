@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BasePointVanishing, PointNotOnTwist
+from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
 from .exact import Rational, RationalLike, rational, rational_str
 
 
@@ -113,7 +113,7 @@ class CurveWithPoints:
             raise ValueError("x-coordinates must be mutually distinct")
         for i, p in enumerate(self.points):
             if not contains_point(self.curve, p):
-                raise ValueError(f"point {i} ({p.x}, {p.y}) is not on the curve")
+                raise PointNotOnCurve(f"point {i} ({p.x}, {p.y}) is not on the curve")
 
     @property
     def base(self) -> AffinePoint:

@@ -8,9 +8,9 @@ nothing beyond H; reports therefore speak of "none found up to H".
 Two enumerations realize the two sides of the curve <-> fiber-point
 correspondence:
 
-  * curve-box: coefficient pairs (a, b) in an integer box (optionally a
-    rational box) such that a*alpha_i^r + b is an exact s-th power for
-    every i and nonzero at the base index;
+  * curve-box: coefficient pairs (a, b) in an integer box such that
+    a*alpha_i^r + b is an exact s-th power for every i and nonzero at
+    alpha_0;
   * fiber-pairs: coprime leading pairs (Y_0, Y_1) up to H, solving each
     remaining equation for Y_i^s and keeping exact roots.
 
@@ -36,12 +36,11 @@ from .maps import phi_forward, phi_inverse
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Height bound, (worker_index, worker_count) slice of the candidate
-    stream, and whether the curve box runs over rationals."""
+    """Height bound and (worker_index, worker_count) slice of the
+    candidate stream."""
 
     height_bound: int
     partition: tuple[int, int] = (0, 1)
-    rational_box: bool = False
 
     def __post_init__(self):
         if self.height_bound < 1:
@@ -67,23 +66,13 @@ class CensusEntry:
         }
 
 
-def rationals_up_to_height(height: int) -> list[Fraction]:
-    """All rationals p/q in lowest terms with max(|p|, q) <= height, sorted."""
-    values = set()
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            if math.gcd(abs(p), q) == 1:
-                values.add(Fraction(p, q))
-    return sorted(values)
-
-
 def _slice(stream: Iterable, partition: tuple[int, int]) -> Iterator:
     index, count = partition
     return itertools.islice(stream, index, None, count)
 
 
-def curve_roots_over(a_n: XCoordinates, s: int, a: Rational, b: Rational,
-                     base_index: int = 0) -> Optional[list[Rational]]:
+def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
+                     b: Rational) -> Optional[list[Rational]]:
     """s-th roots of a*alpha_i^r + b at every alpha_i, canonical sign.
 
     None when some value is not an exact s-th power or the base root
@@ -95,28 +84,26 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Rational, b: Rational,
         if root is None:
             return None
         roots.append(root)
-    if roots[base_index] == 0:
+    if roots[0] == 0:
         return None
     return roots
 
 
-def curve_in_census(a_n: XCoordinates, s: int, a: Rational, b: Rational,
-                    base_index: int = 0) -> bool:
+def curve_in_census(a_n: XCoordinates, s: int, a: Rational, b: Rational) -> bool:
     """Membership predicate of the curve-box census: smooth and passing
     the s-th-power test at every alpha_i with nonzero base root."""
     if a == 0 or b == 0:
         return False
-    return curve_roots_over(a_n, s, a, b, base_index) is not None
+    return curve_roots_over(a_n, s, a, b) is not None
 
 
-def census_points(a_n: XCoordinates, s: int, curve: Curve,
-                  base_index: int = 0) -> CurveWithPoints:
+def census_points(a_n: XCoordinates, s: int, curve: Curve) -> CurveWithPoints:
     """The curve's canonical point list over the alphas."""
-    roots = curve_roots_over(a_n, s, curve.a, curve.b, base_index)
+    roots = curve_roots_over(a_n, s, curve.a, curve.b)
     if roots is None:
         raise ValueError("curve does not pass the census membership test")
     pts = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, roots))
-    return CurveWithPoints(curve, pts, base_index)
+    return CurveWithPoints(curve, pts)
 
 
 def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
@@ -125,10 +112,7 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     if s < 2:
         raise ValueError("s must be >= 2")
     H = cfg.height_bound
-    if cfg.rational_box:
-        values = [v for v in rationals_up_to_height(H) if v != 0]
-    else:
-        values = [Fraction(v) for v in range(-H, H + 1) if v != 0]
+    values = [Fraction(v) for v in range(-H, H + 1) if v != 0]
     params = FamilyParams(a_n.r, s)
     return [Curve(params, a, b)
             for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
@@ -299,7 +283,7 @@ def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[C
     return entries
 
 
-def cross_check(a_n: XCoordinates, s: int, cfg: SearchConfig) -> CrossCheckReport:
+def cross_check(a_n: XCoordinates, s: int, height: int) -> CrossCheckReport:
     """Run both enumerations at compatible bounds and match them up.
 
     The fiber bound is raised to cover the images of every box curve, so
@@ -307,10 +291,9 @@ def cross_check(a_n: XCoordinates, s: int, cfg: SearchConfig) -> CrossCheckRepor
     nontrivial fiber point either recovers a curve class with a box
     representative (matched) or is explained by the height cutoff.
     """
-    H = cfg.height_bound
     groups: dict[tuple[int, ...], list[Curve]] = {}
-    fiber_bound = H
-    for entry in curve_census_entries(a_n, s, SearchConfig(H, rational_box=cfg.rational_box)):
+    fiber_bound = height
+    for entry in curve_census_entries(a_n, s, SearchConfig(height)):
         groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
         fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
 
@@ -336,12 +319,7 @@ def cross_check(a_n: XCoordinates, s: int, cfg: SearchConfig) -> CrossCheckRepor
             matched.append(MatchedClass(P, tuple(groups[P.coords]),
                                         cwp.curve.a, cwp.curve.b))
             seen_groups.add(P.coords)
-        elif cfg.rational_box:
-            # rational box is complete for heights <= H directly
-            height = max(abs(cwp.curve.a.numerator), cwp.curve.a.denominator,
-                         abs(cwp.curve.b.numerator), cwp.curve.b.denominator)
-            (cutoff if height > H else unmatched_points).append(P)
-        elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, H):
+        elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):
             unmatched_points.append(P)
         else:
             cutoff.append(P)
@@ -352,7 +330,7 @@ def cross_check(a_n: XCoordinates, s: int, cfg: SearchConfig) -> CrossCheckRepor
     return CrossCheckReport(
         alphas=a_n,
         s=s,
-        curve_height=H,
+        curve_height=height,
         fiber_height=fiber_bound,
         matched=tuple(matched),
         trivial_points=tuple(trivial),

@@ -12,7 +12,6 @@ from superfiber import (
     ConicSpec,
     CubicSpec,
     ELKIES,
-    SearchConfig,
     canonical_fiber_point,
     conic_param,
     cross_check,
@@ -134,7 +133,7 @@ def test_criterion_4_dual_enumeration_equivalence():
     started = time.perf_counter()
 
     a_2 = x_coordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, SearchConfig(2))
+    report = cross_check(a_2, 2, 2)
     assert report.ok
     assert len(report.matched) == 1
     assert report.matched[0].fiber_point.coords == (1, 3, 0)
@@ -143,7 +142,7 @@ def test_criterion_4_dual_enumeration_equivalence():
     rng = random.Random(41)
     for _ in range(10):
         a_4 = random_admissible_alphas(rng, 3, 5, height=5)
-        outcome = cross_check(a_4, 2, SearchConfig(20))
+        outcome = cross_check(a_4, 2, 20)
         assert outcome.unmatched_curves == ()
         assert outcome.unmatched_fiber_points == ()
     _report(4, "exact bijection at H=2 plus 10 random a_4 cross-checks at H=20",

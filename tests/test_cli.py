@@ -1,9 +1,28 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superfiber.cli import main
 
 CMD = [sys.executable, "-m", "superfiber"]
+VALID_CWP = {
+    "curve": {"r": 3, "s": 2, "a": "1", "b": "1"},
+    "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "3"}, {"x": "-1", "y": "0"}],
+    "base_index": 0,
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
 
 
 def run_cli(*args, stdin=None):
@@ -86,6 +105,69 @@ def test_map_and_twist_from_input_file(tmp_path):
 
     via_stdin = run_cli("map", "--input", "-", stdin=json.dumps(cwp))
     assert via_stdin.stdout == mapped.stdout
+
+
+def run_main(*argv):
+    """main() in process: (exit code, stdout, stderr); any escaping exception fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_with_input(command, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(value, handle)
+        return run_main(command, "--input", path)
+
+
+@settings(deadline=None, max_examples=50)
+@given(command=st.sampled_from(("map", "twist")), value=JSON_VALUES)
+def test_any_json_input_ends_in_a_documented_exit(command, value):
+    code, _, err = run_with_input(command, value)
+    assert code in (0, 2, 64, 74)
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+def test_malformed_input_exits_64_in_one_line():
+    for value in ({"points": []}, [3], {"curve": 5, "points": []},
+                  {**VALID_CWP, "points": 7}, {**VALID_CWP, "base_index": float("inf")}):
+        for command in ("map", "twist"):
+            code, out, err = run_with_input(command, value)
+            assert (code, out) == (64, ""), (command, value)
+            assert err.startswith("error: malformed --input JSON: ")
+            assert err.count("\n") == 1
+
+
+def test_point_off_curve_exits_2():
+    off = {**VALID_CWP, "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "4"}]}
+    for command in ("map", "twist"):
+        code, out, err = run_with_input(command, off)
+        assert (code, out) == (2, "")
+        assert err == "error: PointNotOnCurve: point 1 (2, 4) is not on the curve\n"
+
+
+def test_genus_refuses_values_too_long_to_print():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+    def genus(n):  # s = 2; increasing in n
+        return 1 + 2 ** (n - 1) * (n - 3) // 2
+
+    lo, hi = 3, 4 * limit + 2  # genus(lo) prints, genus(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if genus(mid) < 10 ** limit else (lo, mid)
+    code, out, _ = run_main("genus", "--n", str(lo), "--s", "2")
+    assert code == 0 and json.loads(out)["genus"] == genus(lo)
+    code, out, _ = run_main("genus", "--n", "2000", "--s", "2")
+    assert code == 0 and json.loads(out)["genus"] == genus(2000)
+    for n, s in ((hi, 2), (20000, 2), (10 ** 7, 9), (10 ** 100, 10 ** 100)):
+        code, out, err = run_main("genus", "--n", str(n), "--s", str(s))
+        assert (code, out) == (64, "")
+        assert err == f"error: genus report for n={n}, s={s} exceeds {limit} digits\n"
 
 
 def test_map_inverse_round_trip():

@@ -9,6 +9,7 @@ from superfiber import (
     Curve,
     CurveWithPoints,
     FamilyParams,
+    PointNotOnCurve,
     PointNotOnTwist,
     contains_point,
     curve_genus,
@@ -71,8 +72,8 @@ def test_curve_genus_monotone_nondecreasing():
 
 def test_curve_with_points_validation():
     curve = make_curve(3, 2, 1, 1)
-    with pytest.raises(ValueError):
-        CurveWithPoints(curve, (point(1, 1),))  # not on the curve
+    with pytest.raises(PointNotOnCurve):
+        CurveWithPoints(curve, (point(1, 1),))
     with pytest.raises(ValueError):
         CurveWithPoints(curve, (point(0, 1), point(0, -1)))  # duplicate x
     with pytest.raises(ValueError):

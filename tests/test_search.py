@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superfiber import (
     ELKIES,
@@ -13,11 +15,11 @@ from superfiber import (
     enumerate_curves,
     fiber_contains,
     integer_class_representatives,
+    is_admissible,
     make_curve,
     normalize_projective,
     phi_forward,
     point,
-    rationals_up_to_height,
     search_fiber_points,
     sth_root_exact,
     x_coordinates,
@@ -39,13 +41,6 @@ def test_search_config_validation():
             SearchConfig(5, partition)
 
 
-def test_rationals_up_to_height():
-    values = rationals_up_to_height(2)
-    assert values == sorted(
-        [Fraction(0), 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
-    )
-
-
 def test_enumerate_curves_small_box():
     a_2 = x_coordinates([0, 2, -1], 3)
     found = enumerate_curves(a_2, 2, SearchConfig(2))
@@ -64,21 +59,6 @@ def test_curve_membership_predicate_on_elkies_data():
     # consecutive integers are never both squares above 0
     assert not curve_in_census(a_16, 2, Fraction(1), Fraction(ELKIES.b0 + 1))
     assert not curve_in_census(a_16, 2, Fraction(0), Fraction(ELKIES.b0))
-
-
-def test_enumerate_rational_box_superset_of_integer_box():
-    a_2 = x_coordinates([0, 2, -1], 3)
-    integer = enumerate_curves(a_2, 2, SearchConfig(2))
-    rational_box = enumerate_curves(a_2, 2, SearchConfig(2, rational_box=True))
-    assert set((c.a, c.b) for c in integer) <= set((c.a, c.b) for c in rational_box)
-    assert (Fraction(1, 2), Fraction(1, 2)) not in set((c.a, c.b) for c in rational_box)
-    # (1/4, 1/4) has values (1/4, 9/4, 0): all squares, height 4 > 2
-
-
-def test_enumerate_rational_box_finds_scaled_class_members():
-    a_2 = x_coordinates([0, 2, -1], 3)
-    found = enumerate_curves(a_2, 2, SearchConfig(4, rational_box=True))
-    assert (Fraction(1, 4), Fraction(1, 4)) in {(c.a, c.b) for c in found}
 
 
 def test_census_points_membership_verified():
@@ -140,18 +120,33 @@ def test_partition_union_equals_full_search():
     def by_point(P):
         return P.coords
 
-    # integer and rational curve boxes; even s and odd (signed pairs) fiber side
-    for runner, a_n, s, height, rational_box, key in (
-        (enumerate_curves, a_2, 2, 6, False, by_curve),
-        (enumerate_curves, a_2, 2, 4, True, by_curve),
-        (search_fiber_points, a_2, 2, 6, False, by_point),
-        (search_fiber_points, a_3, 3, 12, False, by_point),
+    # the curve box; even s and odd (signed pairs) fiber side
+    for runner, a_n, s, height, key in (
+        (enumerate_curves, a_2, 2, 6, by_curve),
+        (search_fiber_points, a_2, 2, 6, by_point),
+        (search_fiber_points, a_3, 3, 12, by_point),
     ):
-        full = runner(a_n, s, SearchConfig(height, rational_box=rational_box))
+        full = runner(a_n, s, SearchConfig(height))
         assert full
         merged = []
         for index in range(3):
-            merged.extend(runner(a_n, s, SearchConfig(height, (index, 3), rational_box)))
+            merged.extend(runner(a_n, s, SearchConfig(height, (index, 3))))
+        assert sorted(merged, key=key) == full
+
+
+@settings(deadline=None)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)),
+       height=st.integers(1, 8), count=st.integers(1, 5))
+def test_worker_slices_union_to_full_result(alphas, r, s, height, count):
+    assume(is_admissible(alphas, r))
+    a_n = x_coordinates(alphas, r)
+    for runner, key in ((enumerate_curves, lambda c: (c.a, c.b)),
+                        (search_fiber_points, lambda P: P.coords)):
+        full = runner(a_n, s, SearchConfig(height))
+        merged = [item for index in range(count)
+                  for item in runner(a_n, s, SearchConfig(height, (index, count)))]
         assert sorted(merged, key=key) == full
 
 
@@ -191,7 +186,7 @@ def test_census_entries_hold_images():
 
 def test_cross_check_exact_bijection():
     a_2 = x_coordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, SearchConfig(2))
+    report = cross_check(a_2, 2, 2)
     assert report.ok
     assert len(report.matched) == 1
     match = report.matched[0]
@@ -206,7 +201,7 @@ def test_cross_check_exact_bijection():
 
 def test_cross_check_trivial_only_fiber():
     a_2 = x_coordinates([1, 2, 3], 3)
-    report = cross_check(a_2, 2, SearchConfig(1))
+    report = cross_check(a_2, 2, 1)
     assert report.matched == ()
     assert [P.coords for P in report.trivial_points] == [(1, 1, 1)]
     assert report.ok
@@ -215,7 +210,7 @@ def test_cross_check_trivial_only_fiber():
 def test_cross_check_groups_equivalent_curves():
     # (1, 1) and (4, 4) are the same class; both sit in an H = 4 box
     a_2 = x_coordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, SearchConfig(4))
+    report = cross_check(a_2, 2, 4)
     classes = {m.fiber_point.coords: [(c.a, c.b) for c in m.curves] for m in report.matched}
     assert classes[(1, 3, 0)] == [(1, 1), (4, 4)]
     assert report.ok
@@ -240,25 +235,13 @@ def test_census_stability_observed_above_threshold():
     assert entries[0].fiber_point.coords == (15, 17, 10, 3, 21)
 
 
-def test_cross_check_rational_box():
-    a_2 = x_coordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, SearchConfig(2, rational_box=True))
-    assert report.ok
-    assert [(c.a, c.b) for c in report.matched[0].curves] == [(1, 1)]
-    # a taller rational box pulls in more members of the same class
-    report = cross_check(a_2, 2, SearchConfig(4, rational_box=True))
-    assert report.ok
-    classes = {m.fiber_point.coords: [(c.a, c.b) for c in m.curves] for m in report.matched}
-    assert classes[(1, 3, 0)] == [(Fraction(1, 4), Fraction(1, 4)), (1, 1), (4, 4)]
-
-
 def test_cross_check_cutoff_reconciliation_on_rich_fiber():
     # y^2 = x^3 + 225 passes through five of these x's; its minimal
     # integer representative (1, 225) sits outside an H = 20 box while
     # the fiber point (pair height 17) is inside the pair search, so the
     # point must be explained as cutoff, not left unmatched
     a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
-    report = cross_check(a_4, 2, SearchConfig(20))
+    report = cross_check(a_4, 2, 20)
     assert report.ok
     assert report.matched == ()
     assert [P.coords for P in report.cutoff_fiber_points] == [(15, 17, 10, 3, 21)]
@@ -267,7 +250,7 @@ def test_cross_check_cutoff_reconciliation_on_rich_fiber():
 
 def test_cross_check_matches_rich_fiber_once_box_reaches_curve():
     a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
-    report = cross_check(a_4, 2, SearchConfig(225))
+    report = cross_check(a_4, 2, 225)
     assert report.ok
     assert len(report.matched) == 1
     match = report.matched[0]
@@ -280,7 +263,7 @@ def test_cross_check_nontrivial_points_recover_census_curves():
     rng = random.Random(999)
     for _ in range(5):
         a_n = random_admissible_alphas(rng, 3, 3)
-        report = cross_check(a_n, 2, SearchConfig(8))
+        report = cross_check(a_n, 2, 8)
         assert report.ok
         for m in report.matched:
             for curve in m.curves:
