@@ -81,10 +81,9 @@ from .search import (
     CensusEntry,
     CrossCheckReport,
     SearchConfig,
-    census_points,
     cross_check,
     curve_census_entries,
-    curve_in_census,
+    curve_roots_over,
     enumerate_curves,
     fiber_census_entries,
     integer_class_representatives,

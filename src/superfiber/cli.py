@@ -14,13 +14,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
 from .exact import normalize_projective, rational
-from .family import CurveWithPoints, twist_curve, twist_points
+from .family import AffinePoint, Curve, CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
     fiber_contains,
@@ -99,10 +98,20 @@ def _cmd_verify_point(args):
     return payload, 0, "json"
 
 
+def _digit_limit() -> int:
+    # the digits an int may print with; a disabled limit counts as the default,
+    # so the work bounds derived from it stay finite
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _bits(q: Fraction) -> int:
+    return max(abs(q.numerator), q.denominator).bit_length()
+
+
 def _cmd_genus(args):
-    # refuse what cannot print before computing it (a disabled limit counts as the
-    # default, so work stays bounded); genus >= s^(n-1) >= 16^limit past the first test
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # refuse what cannot print before computing it;
+    # genus >= s^(n-1) >= 16^limit past the first test
+    limit = _digit_limit()
     too_long = ValueError(f"genus report for n={args.n}, s={args.s} exceeds {limit} digits")
     if (args.n - 1) * (args.s.bit_length() - 1) > 4 * limit:
         raise too_long
@@ -114,7 +123,16 @@ def _cmd_genus(args):
 
 def _read_cwp(args) -> CurveWithPoints:
     try:
-        return CurveWithPoints.from_obj(_read_input(args))
+        obj = _read_input(args)
+        # refuse before CurveWithPoints raises any coordinate to the power r or s:
+        # past 4*limit bits a power has more than `limit` digits
+        params = Curve.from_obj(obj["curve"]).params
+        limit = _digit_limit()
+        for i, raw in enumerate(obj["points"]):
+            p = AffinePoint.from_obj(raw)
+            if max(params.r * (_bits(p.x) - 1), params.s * (_bits(p.y) - 1)) > 4 * limit:
+                raise ValueError(f"point {i}: x^r or y^s exceeds {limit} digits")
+        return CurveWithPoints.from_obj(obj)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 
@@ -198,28 +216,9 @@ def _render(command: str, payload, kind: str, fmt: str) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _write_manifest(args, output: bytes) -> None:
     """Reproducibility record for one invocation; digests are stable
     across reruns with identical inputs."""
-
-    command: str
-    input_digest: str
-    parameters: dict
-    tool_version: str
-    output_digest: str
-
-    def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "output_digest": self.output_digest,
-        }
-
-
-def build_manifest(args, output: bytes) -> RunManifest:
     params = {
         key: value
         for key, value in vars(args).items()
@@ -228,19 +227,15 @@ def build_manifest(args, output: bytes) -> RunManifest:
     raw_input = getattr(args, "_input_bytes", None)
     if raw_input is None:
         raw_input = json.dumps(params, sort_keys=True).encode("utf-8")
-    return RunManifest(
-        command=args.command,
-        input_digest=hashlib.sha256(raw_input).hexdigest(),
-        parameters={key: str(value) for key, value in sorted(params.items())},
-        tool_version=__version__,
-        output_digest=hashlib.sha256(output).hexdigest(),
-    )
-
-
-def _write_manifest(args, output: bytes) -> None:
-    manifest = build_manifest(args, output)
+    manifest = {
+        "command": args.command,
+        "input_digest": hashlib.sha256(raw_input).hexdigest(),
+        "parameters": {key: str(value) for key, value in sorted(params.items())},
+        "tool_version": __version__,
+        "output_digest": hashlib.sha256(output).hexdigest(),
+    }
     with open(args.manifest, "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_obj(), handle, sort_keys=True, separators=(",", ":"))
+        json.dump(manifest, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
 
 

@@ -23,15 +23,27 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rational(value: RationalLike) -> Fraction:
-    """Parse a rational from an int, Fraction, or a "p/q" / "p" string."""
+    """Parse a rational from an int, Fraction, or a "p/q" / "p" / decimal
+    string.  Exponent notation is refused: "1e300000000" would expand to
+    an integer of 300 million digits before anything could check it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
         # tolerate unicode minus from copied sources
         return Fraction(value.strip().replace("−", "-"))
     raise ValueError(f"not a rational: {value!r}")
+
+
+def integer(value: object, name: str) -> int:
+    """An integer field of JSON input: a Python int that is not a bool,
+    so 3.9 and true are refused rather than read as 3 and 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def rational_str(q: RationalLike) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, RationalLike, rational, rational_str
+from .exact import Rational, RationalLike, integer, rational, rational_str
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Curve:
     @staticmethod
     def from_obj(obj: dict) -> "Curve":
         return Curve(
-            FamilyParams(int(obj["r"]), int(obj["s"])),
+            FamilyParams(integer(obj["r"], "r"), integer(obj["s"], "s")),
             rational(obj["a"]),
             rational(obj["b"]),
         )
@@ -131,7 +131,7 @@ class CurveWithPoints:
         return CurveWithPoints(
             Curve.from_obj(obj["curve"]),
             tuple(AffinePoint.from_obj(p) for p in obj["points"]),
-            int(obj.get("base_index", 0)),
+            integer(obj.get("base_index", 0), "base_index"),
         )
 
 

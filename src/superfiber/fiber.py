@@ -19,9 +19,7 @@ and gonality at least (s-1) * s^(n-2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAdmissible
@@ -29,6 +27,7 @@ from .exact import (
     ProjectivePoint,
     Rational,
     RationalLike,
+    integer,
     normalize_projective,
     rational,
     rational_str,
@@ -60,8 +59,6 @@ class XCoordinates:
         object.__setattr__(self, "alphas", tuple(rational(a) for a in self.alphas))
         if len(self.alphas) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
-        if self.r < 2:
-            raise ValueError("r must be >= 2")
         if not is_admissible(self.alphas, self.r):
             raise NotAdmissible(
                 "x-coordinates must have pairwise distinct r-th powers"
@@ -79,7 +76,7 @@ class XCoordinates:
 
     @staticmethod
     def from_obj(obj: dict) -> "XCoordinates":
-        return XCoordinates(tuple(rational(a) for a in obj["alphas"]), int(obj["r"]))
+        return XCoordinates(tuple(rational(a) for a in obj["alphas"]), integer(obj["r"], "r"))
 
 
 def x_coordinates(alphas: Sequence[RationalLike], r: int) -> XCoordinates:
@@ -112,28 +109,6 @@ class FiberEquation:
         }
 
 
-def _canonical_triple(c0: Fraction, c1: Fraction, ci: Fraction) -> tuple[int, int, int]:
-    scale = math.lcm(c0.denominator, c1.denominator, ci.denominator)
-    ints = [int(c0 * scale), int(c1 * scale), int(ci * scale)]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    if ints[2] < 0:
-        ints = [-v for v in ints]
-    return ints[0], ints[1], ints[2]
-
-
-def fiber_equations(a_n: XCoordinates, s: int) -> list[FiberEquation]:
-    """The n-1 defining equations of the fiber, for i = 2..n."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    w = a_n.rth_powers()
-    equations = []
-    for i in range(2, a_n.n + 1):
-        c0, c1, ci = _canonical_triple(w[i] - w[1], w[0] - w[i], w[1] - w[0])
-        equations.append(FiberEquation(i, c0, c1, ci))
-    return equations
-
-
 def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Rational, list[tuple[Rational, Rational]]]:
     """Equations rewritten as c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s.
 
@@ -147,6 +122,18 @@ def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Rational, list[tu
     c = w[1] - w[0]
     pairs = [(w[i] - w[0], w[i] - w[1]) for i in range(2, a_n.n + 1)]
     return c, pairs
+
+
+def fiber_equations(a_n: XCoordinates, s: int) -> list[FiberEquation]:
+    """The n-1 defining equations of the fiber, for i = 2..n: the solved
+    form's (B_i, -A_i, c) in canonical integer form."""
+    c, pairs = fiber_equation_triples(a_n, s)
+    equations = []
+    for i, (A, B) in enumerate(pairs, start=2):
+        # c = w_1 - w_0 != 0 leads, so the normalization leaves ci > 0
+        ci, c0, c1 = normalize_projective([c, B, -A]).coords
+        equations.append(FiberEquation(i, c0, c1, ci))
+    return equations
 
 
 def fiber_equation_determinant(
@@ -222,7 +209,7 @@ def gonality_lower_bound(n: int, s: int) -> int:
     """Gonality lower bound (s-1) * s^(n-2) for the fiber in P^n."""
     if n < 2 or s < 2:
         raise ValueError("need n >= 2 and s >= 2")
-    return lazarsfeld_bound([s] * (n - 1))
+    return (s - 1) * s ** (n - 2)
 
 
 def n0_threshold(s: int) -> int:

@@ -155,17 +155,30 @@ class ConicSpec:
         return -(self.alpha + self.beta)
 
 
-def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
-    """Point [X : Y : Z] on the conic for parameter u.
-
-    X = alpha*u^2 + 2*beta*u - beta, Y = -alpha*u^2 + 2*alpha*u + beta,
-    Z = alpha*u^2 + beta; u = 1 gives the distinguished point [1 : 1 : 1].
-    """
-    uu = rational(u)
+def _conic_coordinate_polys(spec: ConicSpec) -> tuple[list[Fraction], ...]:
+    # ascending coefficient lists of X(u) = alpha*u^2 + 2*beta*u - beta,
+    # Y(u) = -alpha*u^2 + 2*alpha*u + beta and Z(u) = alpha*u^2 + beta
     al, be = spec.alpha, spec.beta
-    X = al * uu * uu + 2 * be * uu - be
-    Y = -al * uu * uu + 2 * al * uu + be
-    Z = al * uu * uu + be
+    X = [-be, 2 * be, al]
+    Y = [be, 2 * al, -al]
+    Z = [be, Fraction(0), al]
+    return X, Y, Z
+
+
+def quartic_value(coeffs: Sequence[Rational], u: RationalLike) -> Rational:
+    """Value at u of the polynomial with ascending coefficients `coeffs`."""
+    uu = rational(u)
+    value = Fraction(0)
+    for c in reversed(list(coeffs)):
+        value = value * uu + c
+    return value
+
+
+def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
+    """Point [X(u) : Y(u) : Z(u)] on the conic for parameter u; u = 1
+    gives the distinguished point [1 : 1 : 1]."""
+    uu = rational(u)
+    X, Y, Z = (quartic_value(poly, uu) for poly in _conic_coordinate_polys(spec))
     if X == 0 and Y == 0 and Z == 0:
         raise DegenerateParameter(f"parameter u={uu} collapses to the zero vector")
     return normalize_projective([X, Y, Z])
@@ -289,39 +302,22 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _conic_coordinate_polys(spec: ConicSpec) -> tuple[list[Fraction], ...]:
-    # ascending coefficient lists of X(u), Y(u), Z(u)
-    al, be = spec.alpha, spec.beta
-    X = [-be, 2 * be, al]
-    Y = [be, 2 * al, -al]
-    Z = [be, Fraction(0), al]
-    return X, Y, Z
-
-
-def quadrics_to_quartic(a_3: XCoordinates, s: int = 2) -> tuple[Rational, ...]:
+def quadrics_to_quartic(a_3: XCoordinates) -> tuple[Rational, ...]:
     """Coefficients (q_0, ..., q_4) of the quartic model of an n = 3 fiber.
 
     The first quadric is parameterized by u; substituting into the
     second leaves v^2 = q(u), so (u, v) with q(u) a rational square lift
     to fiber points [X(u) : Y(u) : Z(u) : v].
     """
-    if a_3.n != 3 or s != 2:
+    if a_3.n != 3:
         raise WrongShape("quartic model needs n = 3 and s = 2")
-    eq2, eq3 = fiber_equations(a_3, s)
+    eq2, eq3 = fiber_equations(a_3, 2)
     spec = ConicSpec(Fraction(eq2.c0), Fraction(eq2.c1))
     X, Y, _ = _conic_coordinate_polys(spec)
     x2 = _poly_mul(X, X)
     y2 = _poly_mul(Y, Y)
     q = [(-eq3.c0 * a - eq3.c1 * b) / Fraction(eq3.ci) for a, b in zip(x2, y2)]
     return tuple(q)
-
-
-def quartic_value(coeffs: Sequence[Rational], u: RationalLike) -> Rational:
-    uu = rational(u)
-    value = Fraction(0)
-    for c in reversed(list(coeffs)):
-        value = value * uu + c
-    return value
 
 
 def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> Optional[FiberPoint]:

@@ -29,9 +29,9 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import TrivialPoint
 from .exact import Rational, _floor_nth_root, rational_str, sth_root_exact
-from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
+from .family import Curve, FamilyParams
 from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
-from .maps import phi_forward, phi_inverse
+from .maps import phi_inverse
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,12 @@ def _slice(stream: Iterable, partition: tuple[int, int]) -> Iterator:
 
 def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
                      b: Rational) -> Optional[list[Rational]]:
-    """s-th roots of a*alpha_i^r + b at every alpha_i, canonical sign.
-
-    None when some value is not an exact s-th power or the base root
-    vanishes.  For even s the non-negative root is taken.
-    """
+    """Membership test of the curve-box census with its witness: the s-th
+    roots of a*alpha_i^r + b, non-negative for even s, which are the
+    curve's fiber point [y_0 : ... : y_n].  None when a*b = 0, some value
+    is not an exact s-th power, or the base root vanishes."""
+    if a == 0 or b == 0:
+        return None
     roots = []
     for w in a_n.rth_powers():
         root = sth_root_exact(a * w + b, s)
@@ -87,23 +88,6 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
     if roots[0] == 0:
         return None
     return roots
-
-
-def curve_in_census(a_n: XCoordinates, s: int, a: Rational, b: Rational) -> bool:
-    """Membership predicate of the curve-box census: smooth and passing
-    the s-th-power test at every alpha_i with nonzero base root."""
-    if a == 0 or b == 0:
-        return False
-    return curve_roots_over(a_n, s, a, b) is not None
-
-
-def census_points(a_n: XCoordinates, s: int, curve: Curve) -> CurveWithPoints:
-    """The curve's canonical point list over the alphas."""
-    roots = curve_roots_over(a_n, s, curve.a, curve.b)
-    if roots is None:
-        raise ValueError("curve does not pass the census membership test")
-    pts = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, roots))
-    return CurveWithPoints(curve, pts)
 
 
 def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
@@ -116,7 +100,7 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     params = FamilyParams(a_n.r, s)
     return [Curve(params, a, b)
             for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
-            if curve_in_census(a_n, s, a, b)]
+            if curve_roots_over(a_n, s, a, b) is not None]
 
 
 def _leading_pairs(height: int, s: int) -> Iterator[tuple[int, int]]:
@@ -260,11 +244,12 @@ class CrossCheckReport:
 
 
 def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CensusEntry]:
-    """Curve-box census with canonical fiber-point images."""
+    """Curve-box census with canonical fiber-point images; the roots that
+    admit a curve are phi_forward's image [y_i * y_0^(s-1)] ~ [y_i]."""
     entries = []
     for curve in enumerate_curves(a_n, s, cfg):
-        _, image = phi_forward(census_points(a_n, s, curve))
-        entries.append(CensusEntry(curve, canonical_fiber_point(image.coords, s)))
+        roots = curve_roots_over(a_n, s, curve.a, curve.b)
+        entries.append(CensusEntry(curve, canonical_fiber_point(roots, s)))
     return entries
 
 

@@ -142,6 +142,38 @@ def test_malformed_input_exits_64_in_one_line():
             assert err.count("\n") == 1
 
 
+def test_non_integer_fields_exit_64_in_one_line():
+    curve = VALID_CWP["curve"]
+    for value, name, bad in (({**VALID_CWP, "curve": {**curve, "r": 3.9, "s": 2.5},
+                               "base_index": 0.7}, "r", 3.9),
+                             ({**VALID_CWP, "curve": {**curve, "r": True}}, "r", True),
+                             ({**VALID_CWP, "curve": {**curve, "s": "2"}}, "s", "2"),
+                             ({**VALID_CWP, "base_index": 0.7}, "base_index", 0.7),
+                             ({**VALID_CWP, "base_index": False}, "base_index", False)):
+        for command in ("map", "twist"):
+            code, out, err = run_with_input(command, value)
+            assert (code, out) == (64, ""), (command, value)
+            assert err == ("error: malformed --input JSON: TypeError: "
+                           f"{name} must be an integer, got {bad!r}\n")
+
+
+def test_unbounded_input_work_exits_64_in_one_line():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    at_two = [{"x": "2", "y": "3"}]
+    cases = (
+        ({**VALID_CWP, "curve": {**VALID_CWP["curve"], "a": "1e300000000"}},
+         "error: not a rational: '1e300000000' (exponent notation is not accepted)\n"),
+        ({"curve": {"r": 10 ** 9, "s": 2, "a": "1", "b": "1"}, "points": at_two},
+         f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
+        ({"curve": {"r": 3, "s": 10 ** 9, "a": "1", "b": "1"}, "points": at_two},
+         f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
+    )
+    for value, message in cases:
+        for command in ("map", "twist"):
+            code, out, err = run_with_input(command, value)
+            assert (code, out, err) == (64, "", message), (command, value)
+
+
 def test_point_off_curve_exits_2():
     off = {**VALID_CWP, "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "4"}]}
     for command in ("map", "twist"):

@@ -197,6 +197,13 @@ def test_gonality_values():
         lazarsfeld_bound([1, 3])
 
 
+def test_gonality_closed_form_is_lazarsfeld_bound():
+    # n-1 hypersurfaces of degree s
+    for n in range(2, 13):
+        for s in range(2, 7):
+            assert gonality_lower_bound(n, s) == lazarsfeld_bound([s] * (n - 1))
+
+
 def test_gonality_strictly_increasing_and_unbounded():
     for s in (2, 3, 4):
         previous = 0

@@ -299,8 +299,6 @@ def test_quartic_trivial_point_consistency():
 def test_quartic_wrong_shape():
     with pytest.raises(WrongShape):
         quadrics_to_quartic(x_coordinates([0, 1, 2], 2))
-    with pytest.raises(WrongShape):
-        quadrics_to_quartic(x_coordinates([0, 1, 2, 3], 2), s=3)
 
 
 def test_quartic_lift_round_trip():

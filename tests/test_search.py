@@ -2,21 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from superfiber import (
     ELKIES,
+    CurveWithPoints,
     SearchConfig,
     canonical_fiber_point,
-    census_points,
     cross_check,
-    curve_in_census,
+    curve_roots_over,
     enumerate_curves,
     fiber_contains,
     integer_class_representatives,
     is_admissible,
-    make_curve,
     normalize_projective,
     phi_forward,
     point,
@@ -55,18 +54,17 @@ def test_enumerate_curves_empty_box():
 
 def test_curve_membership_predicate_on_elkies_data():
     a_16 = ELKIES.x_coordinates()
-    assert curve_in_census(a_16, 2, Fraction(1), Fraction(ELKIES.b0))
+    assert curve_roots_over(a_16, 2, Fraction(1), Fraction(ELKIES.b0)) is not None
     # consecutive integers are never both squares above 0
-    assert not curve_in_census(a_16, 2, Fraction(1), Fraction(ELKIES.b0 + 1))
-    assert not curve_in_census(a_16, 2, Fraction(0), Fraction(ELKIES.b0))
+    assert curve_roots_over(a_16, 2, Fraction(1), Fraction(ELKIES.b0 + 1)) is None
+    assert curve_roots_over(a_16, 2, Fraction(0), Fraction(ELKIES.b0)) is None
 
 
 def test_census_points_membership_verified():
     a_2 = x_coordinates([0, 2, -1], 3)
-    cwp = census_points(a_2, 2, make_curve(3, 2, 1, 1))
-    assert cwp.points == (point(0, 1), point(2, 3), point(-1, 0))
-    with pytest.raises(ValueError):
-        census_points(a_2, 2, make_curve(3, 2, 1, 2))
+    # 1*x^3 + 1 is 1, 9, 0 at the three alphas
+    assert curve_roots_over(a_2, 2, Fraction(1), Fraction(1)) == [1, 3, 0]
+    assert curve_roots_over(a_2, 2, Fraction(1), Fraction(2)) is None
 
 
 def test_search_fiber_points_contains_unit_and_example():
@@ -176,12 +174,33 @@ def test_census_entries_hold_images():
     assert entry.fiber_point.coords == (1, 3, 0)
     assert entry.to_obj()["distinct_x_count"] == 3
     assert fiber_contains(a_2, 2, entry.fiber_point.coords)
-    cwp = census_points(a_2, 2, entry.curve)
+    roots = curve_roots_over(a_2, 2, entry.curve.a, entry.curve.b)
+    cwp = CurveWithPoints(entry.curve, tuple(map(point, a_2.alphas, roots)))
+    assert cwp.points == (point(0, 1), point(2, 3), point(-1, 0))
     _, image = phi_forward(cwp)
     assert canonical_fiber_point(image.coords, 2) == entry.fiber_point
 
     fiber_entries = fiber_census_entries(a_2, 2, SearchConfig(5))
     assert [(e.curve.a, e.curve.b) for e in fiber_entries] == [(1, 1)]
+
+
+@settings(deadline=None)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 8))
+# random small boxes are mostly empty; these hold 1 to 6 curves each at H = 8
+@example(alphas=[Fraction(-4), Fraction(-3, 2), Fraction(-1, 2)], r=2, s=2, height=8)
+@example(alphas=[Fraction(-3), Fraction(-1), Fraction(0)], r=2, s=3, height=8)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(1)], r=3, s=2, height=8)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8)
+def test_census_images_are_forward_map_images(alphas, r, s, height):
+    assume(is_admissible(alphas, r))
+    a_n = x_coordinates(alphas, r)
+    for entry in curve_census_entries(a_n, s, SearchConfig(height)):
+        ys = [sth_root_exact(entry.curve.rhs(x), s) for x in a_n.alphas]
+        cwp = CurveWithPoints(entry.curve, tuple(map(point, a_n.alphas, ys)))
+        _, image = phi_forward(cwp)
+        assert entry.fiber_point == canonical_fiber_point(image.coords, s)
 
 
 def test_cross_check_exact_bijection():
