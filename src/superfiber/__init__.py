@@ -6,7 +6,6 @@ from .errors import (
     AllZero,
     BasePointVanishing,
     CoordinateVanishing,
-    DegenerateBase,
     DegenerateParameter,
     DimensionMismatch,
     DomainError,
@@ -46,7 +45,6 @@ from .family import (
 from .fiber import (
     FiberEquation,
     FiberPoint,
-    GeometryReport,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .exact import normalize_projective, rational
+from .exact import ProjectivePoint, normalize_projective, rational
 from .family import AffinePoint, Curve, CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
@@ -53,8 +53,30 @@ def _rational_list(text: str) -> list[Fraction]:
     return [rational(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _digit_limit() -> int:
+    # the digits an int may print with; a disabled limit counts as the default,
+    # so the work bounds derived from it stay finite
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _too_big(values, exponent: int) -> bool:
+    # True when some rational value^exponent passes 4*L bits: more than L digits
+    return any(exponent * (max(abs(q.numerator), q.denominator).bit_length() - 1)
+               > 4 * _digit_limit() for q in values)
+
+
 def _alphas(args) -> XCoordinates:
-    return XCoordinates(tuple(_rational_list(args.alphas)), args.r)
+    alphas = _rational_list(args.alphas)
+    if _too_big(alphas, args.r):
+        raise ValueError(f"alpha^r exceeds {_digit_limit()} digits")
+    return XCoordinates(tuple(alphas), args.r)
+
+
+def _point(args) -> ProjectivePoint:
+    point = normalize_projective(_rational_list(args.point))
+    if _too_big(point.coords, args.s):
+        raise ValueError(f"Y^s exceeds {_digit_limit()} digits")
+    return point
 
 
 def _read_input(args) -> dict:
@@ -87,7 +109,7 @@ def _cmd_fiber_eqs(args):
 
 def _cmd_verify_point(args):
     a_n = _alphas(args)
-    point = normalize_projective(_rational_list(args.point))
+    point = _point(args)
     on_fiber = fiber_contains(a_n, args.s, point.coords)
     payload = {
         **a_n.to_obj(),
@@ -98,24 +120,14 @@ def _cmd_verify_point(args):
     return payload, 0, "json"
 
 
-def _digit_limit() -> int:
-    # the digits an int may print with; a disabled limit counts as the default,
-    # so the work bounds derived from it stay finite
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def _bits(q: Fraction) -> int:
-    return max(abs(q.numerator), q.denominator).bit_length()
-
-
 def _cmd_genus(args):
     # refuse what cannot print before computing it;
     # genus >= s^(n-1) >= 16^limit past the first test
     limit = _digit_limit()
     too_long = ValueError(f"genus report for n={args.n}, s={args.s} exceeds {limit} digits")
-    if (args.n - 1) * (args.s.bit_length() - 1) > 4 * limit:
+    if _too_big([args.s], args.n - 1):
         raise too_long
-    report = geometry_report(args.n, args.s).to_obj()
+    report = geometry_report(args.n, args.s)
     if any(abs(value) >= 10 ** limit for value in report.values()):
         raise too_long
     return report, 0, "json"
@@ -124,14 +136,12 @@ def _cmd_genus(args):
 def _read_cwp(args) -> CurveWithPoints:
     try:
         obj = _read_input(args)
-        # refuse before CurveWithPoints raises any coordinate to the power r or s:
-        # past 4*limit bits a power has more than `limit` digits
+        # refuse before CurveWithPoints raises any coordinate to the power r or s
         params = Curve.from_obj(obj["curve"]).params
-        limit = _digit_limit()
         for i, raw in enumerate(obj["points"]):
             p = AffinePoint.from_obj(raw)
-            if max(params.r * (_bits(p.x) - 1), params.s * (_bits(p.y) - 1)) > 4 * limit:
-                raise ValueError(f"point {i}: x^r or y^s exceeds {limit} digits")
+            if _too_big([p.x], params.r) or _too_big([p.y], params.s):
+                raise ValueError(f"point {i}: x^r or y^s exceeds {_digit_limit()} digits")
         return CurveWithPoints.from_obj(obj)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
@@ -157,8 +167,7 @@ def _cmd_map(args):
 
 def _cmd_map_inverse(args):
     a_n = _alphas(args)
-    point = normalize_projective(_rational_list(args.point))
-    cwp = phi_inverse(a_n, point.coords, args.s)
+    cwp = phi_inverse(a_n, _point(args).coords, args.s)
     return cwp.to_obj(), 0, "json"
 
 
@@ -178,12 +187,19 @@ def _cmd_search(args):
     # looked up per call, so a rebinding of the module names (perfbench/tracer.py) applies
     census ={"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
     cfg = SearchConfig(args.height, (args.worker_index, args.workers))
-    entries = census(_alphas(args), args.s, cfg)
+    a_n = _alphas(args)
+    # the pair search raises every leading coordinate up to the height to the s
+    if args.mode == "fiber-pairs" and _too_big([args.height], args.s):
+        raise ValueError(f"height^s exceeds {_digit_limit()} digits")
+    entries = census(a_n, args.s, cfg)
     return [e.to_obj() for e in entries], 0, "jsonl"
 
 
 def _cmd_cross_check(args):
-    report = cross_check(_alphas(args), args.s, args.height)
+    a_n = _alphas(args)
+    if _too_big([args.height], args.s):
+        raise ValueError(f"height^s exceeds {_digit_limit()} digits")
+    report = cross_check(a_n, args.s, args.height)
     return report.to_obj(), 0, "json"
 
 

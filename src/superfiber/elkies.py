@@ -167,6 +167,9 @@ def verify_reproduction(dataset: ElkiesDataset = ELKIES) -> ReproReport:
     checks.append(CheckResult("shared_coefficient_c", not failures, tuple(failures)))
 
     failures = []
+    if len(pairs) != len(dataset.expected_equations):
+        failures.append(f"computed {len(pairs)} equations, "
+                        f"expected {len(dataset.expected_equations)}")
     for i, ((A, B), (eA, eB)) in enumerate(zip(pairs, dataset.expected_equations)):
         if (A, B) != (eA, eB):
             failures.append(

@@ -36,10 +36,6 @@ class DimensionMismatch(DomainError):
     """Projective point length does not match the fiber dimension."""
 
 
-class DegenerateBase(DomainError):
-    """alpha_0 and alpha_1 have equal r-th powers; the inverse map is undefined."""
-
-
 class NotOnFiber(DomainError):
     """Point does not satisfy every fiber equation."""
 

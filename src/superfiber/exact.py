@@ -57,6 +57,9 @@ def _floor_nth_root(n: int, s: int) -> int:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
+    if n.bit_length() <= s:
+        # 1 <= n < 2^s; this also spares the Newton step an x^(s-1) of s bits
+        return 1
     if s == 1:
         return n
     if s == 2:

@@ -97,9 +97,6 @@ class FiberEquation:
     c1: int
     ci: int
 
-    def evaluate(self, y0s: Rational, y1s: Rational, yis: Rational) -> Rational:
-        return self.c0 * y0s + self.c1 * y1s + self.ci * yis
-
     def to_obj(self) -> dict:
         return {
             "i": self.i,
@@ -157,17 +154,15 @@ def fiber_equation_determinant(
 
 
 def fiber_contains(a_n: XCoordinates, s: int, Y: Sequence[RationalLike]) -> bool:
-    """True iff every fiber equation vanishes at Y."""
+    """True iff c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s for every i = 2..n."""
     coords = [rational(c) for c in Y]
     if len(coords) != a_n.n + 1:
         raise DimensionMismatch(
             f"expected {a_n.n + 1} coordinates, got {len(coords)}"
         )
-    powers = [c ** s for c in coords]
-    for eq in fiber_equations(a_n, s):
-        if eq.evaluate(powers[0], powers[1], powers[eq.i]) != 0:
-            return False
-    return True
+    c, pairs = fiber_equation_triples(a_n, s)
+    z = [y ** s for y in coords]
+    return all(c * z[i] == A * z[1] - B * z[0] for i, (A, B) in enumerate(pairs, start=2))
 
 
 def canonical_fiber_point(Y: Sequence[RationalLike], s: int) -> FiberPoint:
@@ -220,19 +215,7 @@ def n0_threshold(s: int) -> int:
     return 4 if s == 2 else 3
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    genus: int
-    gonality_lower_bound: int
-    n0: int
-
-    def to_obj(self) -> dict:
-        return {
-            "genus": self.genus,
-            "gonality_lower_bound": self.gonality_lower_bound,
-            "n0": self.n0,
-        }
-
-
-def geometry_report(n: int, s: int) -> GeometryReport:
-    return GeometryReport(fiber_genus(n, s), gonality_lower_bound(n, s), n0_threshold(s))
+def geometry_report(n: int, s: int) -> dict:
+    """Genus, gonality lower bound and finiteness threshold of the fiber."""
+    return {"genus": fiber_genus(n, s), "gonality_lower_bound": gonality_lower_bound(n, s),
+            "n0": n0_threshold(s)}

@@ -34,11 +34,11 @@ from typing import Optional, Sequence
 from .errors import (
     BasePointVanishing,
     CoordinateVanishing,
-    DegenerateBase,
     DegenerateParameter,
     DimensionMismatch,
     NotOnCubic,
     NotOnFiber,
+    PointNotOnCurve,
     TrivialPoint,
     WrongShape,
 )
@@ -52,7 +52,7 @@ from .exact import (
     sth_root_exact,
 )
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberPoint, XCoordinates, fiber_contains, fiber_equations
+from .fiber import FiberPoint, XCoordinates, fiber_equations
 
 
 def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
@@ -77,21 +77,21 @@ def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWi
     coords = [rational(c) for c in Y]
     if len(coords) != a_n.n + 1:
         raise DimensionMismatch(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
+    params = FamilyParams(a_n.r, s)
     w = a_n.rth_powers()
-    if w[1] == w[0]:
-        raise DegenerateBase("alpha_1^r = alpha_0^r")
-    if not fiber_contains(a_n, s, coords):
-        raise NotOnFiber("point does not satisfy the fiber equations")
     z0, z1 = coords[0] ** s, coords[1] ** s
-    denom = w[1] - w[0]
+    denom = w[1] - w[0]  # nonzero: the tuple is admissible
     a = (z1 - z0) / denom
     b = (w[1] * z0 - w[0] * z1) / denom
+    points = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, coords))
+    try:
+        # the per-point check a*alpha_i^r + b = Y_i^s is the fiber equation set
+        cwp = CurveWithPoints(Curve(params, a, b), points, base_index=0)
+    except PointNotOnCurve:
+        raise NotOnFiber("point does not satisfy the fiber equations") from None
     if a == 0 or b == 0:
         raise TrivialPoint(a, b)
-    curve = Curve(FamilyParams(a_n.r, s), a, b)
-    points = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, coords))
-    # CurveWithPoints verifies a*alpha_i^r + b = Y_i^s for every i
-    return CurveWithPoints(curve, points, base_index=0)
+    return cwp
 
 
 def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
@@ -302,6 +302,19 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def _quartic_model(a_3: XCoordinates) -> tuple[tuple[list[Fraction], ...], tuple[Rational, ...]]:
+    # the conic coordinate polynomials (X, Y, Z) of the first quadric and
+    # the coefficients of q, from substituting X(u), Y(u) into the second
+    if a_3.n != 3:
+        raise WrongShape("quartic model needs n = 3 and s = 2")
+    eq2, eq3 = fiber_equations(a_3, 2)
+    polys = _conic_coordinate_polys(ConicSpec(Fraction(eq2.c0), Fraction(eq2.c1)))
+    x2 = _poly_mul(polys[0], polys[0])
+    y2 = _poly_mul(polys[1], polys[1])
+    q = tuple((-eq3.c0 * a - eq3.c1 * b) / Fraction(eq3.ci) for a, b in zip(x2, y2))
+    return polys, q
+
+
 def quadrics_to_quartic(a_3: XCoordinates) -> tuple[Rational, ...]:
     """Coefficients (q_0, ..., q_4) of the quartic model of an n = 3 fiber.
 
@@ -309,26 +322,15 @@ def quadrics_to_quartic(a_3: XCoordinates) -> tuple[Rational, ...]:
     second leaves v^2 = q(u), so (u, v) with q(u) a rational square lift
     to fiber points [X(u) : Y(u) : Z(u) : v].
     """
-    if a_3.n != 3:
-        raise WrongShape("quartic model needs n = 3 and s = 2")
-    eq2, eq3 = fiber_equations(a_3, 2)
-    spec = ConicSpec(Fraction(eq2.c0), Fraction(eq2.c1))
-    X, Y, _ = _conic_coordinate_polys(spec)
-    x2 = _poly_mul(X, X)
-    y2 = _poly_mul(Y, Y)
-    q = [(-eq3.c0 * a - eq3.c1 * b) / Fraction(eq3.ci) for a, b in zip(x2, y2)]
-    return tuple(q)
+    return _quartic_model(a_3)[1]
 
 
 def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> Optional[FiberPoint]:
     """Fiber point [X(u) : Y(u) : Z(u) : v] when q(u) = v^2 is a rational
     square; None otherwise."""
-    coeffs = quadrics_to_quartic(a_3)
-    v = sth_root_exact(quartic_value(coeffs, u), 2)
+    polys, q = _quartic_model(a_3)
+    uu = rational(u)
+    v = sth_root_exact(quartic_value(q, uu), 2)
     if v is None:
         return None
-    eq2, _ = fiber_equations(a_3, 2)
-    spec = ConicSpec(Fraction(eq2.c0), Fraction(eq2.c1))
-    uu = rational(u)
-    X, Y, Z = (quartic_value(poly, uu) for poly in _conic_coordinate_polys(spec))
-    return normalize_projective([X, Y, Z, v])
+    return normalize_projective([*(quartic_value(poly, uu) for poly in polys), v])

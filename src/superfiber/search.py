@@ -93,11 +93,9 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
 def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
     """All census curves with coefficients in the (a, b) box of height H,
     in (a, b) order: the box is the product of a sorted value list."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
     values = [Fraction(v) for v in range(-H, H + 1) if v != 0]
-    params = FamilyParams(a_n.r, s)
     return [Curve(params, a, b)
             for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
             if curve_roots_over(a_n, s, a, b) is not None]
@@ -119,8 +117,6 @@ def _leading_pairs(height: int, s: int) -> Iterator[tuple[int, int]]:
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
     equations = fiber_equations(a_n, s)
     found = set()
     for p, q in _slice(_leading_pairs(cfg.height_bound, s), cfg.partition):

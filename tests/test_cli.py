@@ -174,6 +174,35 @@ def test_unbounded_input_work_exits_64_in_one_line():
             assert (code, out, err) == (64, "", message), (command, value)
 
 
+def test_huge_exponent_flags_end_at_once():
+    # each argv used to raise alpha^r, Y^s or a height to the s-th power first
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    huge = ("--s", "100000000")
+    box = ("--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "3")
+    cases = (
+        (("fiber-eqs", "--alphas=2,3,5", "--r", "100000000", "--s", "2"), "alpha^r"),
+        (("verify-point", "--alphas=0,1,2", "--r", "2", *huge, "--point=2,3,5"), "Y^s"),
+        (("map-inverse", "--alphas=0,1,2", "--r", "2", *huge, "--point=2,3,5"), "Y^s"),
+        (("search", *box, "--mode", "curve-box"), None),
+        (("search", *box, "--mode", "fiber-pairs"), "height^s"),
+        (("cross-check", "--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "2"), "height^s"),
+    )
+    for argv, power in cases:
+        code, out, err = run_main(*argv)
+        if power is None:
+            assert (code, err) == (0, ""), argv
+        else:
+            assert (code, out, err) == (64, "", f"error: {power} exceeds {limit} digits\n"), argv
+
+
+def test_negative_s_exits_64_in_one_line():
+    # a zero coordinate to a negative power used to escape as ZeroDivisionError
+    for command, message in (("verify-point", "s must be >= 2"),
+                             ("map-inverse", "exponents must be >= 2, got r=2, s=-1")):
+        code, out, err = run_main(command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1")
+        assert (code, out, err) == (64, "", f"error: {message}\n"), command
+
+
 def test_point_off_curve_exits_2():
     off = {**VALID_CWP, "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "4"}]}
     for command in ("map", "twist"):

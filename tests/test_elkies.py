@@ -84,6 +84,18 @@ def test_perturbed_golden_pair_fails_equation_check():
     assert any(f.startswith("equation 2:") for f in check.failures)
 
 
+def test_golden_table_of_the_wrong_length_fails_equation_check():
+    table = ELKIES.expected_equations
+    extra = (ELKIES.expected_c + 1, 1)  # A - B = c, so only the row count is wrong
+    for expected in (table[:14], table + (extra,)):
+        bad = dataclasses.replace(ELKIES, expected_equations=expected)
+        report = verify_reproduction(bad)
+        assert not report.ok
+        assert {c.name for c in report.checks if not c.passed} == {"equation_pairs"}
+        check = next(c for c in report.checks if c.name == "equation_pairs")
+        assert check.failures[0] == f"computed 15 equations, expected {len(expected)}"
+
+
 def test_perturbed_c_fails_coefficient_check():
     bad = dataclasses.replace(ELKIES, expected_c=ELKIES.expected_c + 1)
     report = verify_reproduction(bad)

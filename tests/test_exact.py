@@ -100,6 +100,12 @@ def test_int_nth_root_edges_and_large_values():
         assert int_nth_root(big ** s - 1, s) is None
 
 
+def test_int_nth_root_of_huge_order_is_immediate():
+    # n < 2^s has floor root 1; no Newton step with an s-bit power runs
+    assert int_nth_root(5, 10 ** 9) is None
+    assert int_nth_root(1, 10 ** 9) == 1
+
+
 def test_exact_field_arithmetic_identity():
     # (p/q + r/t) * q * t re-reduced equals p*t + r*q
     rng = random.Random(5)
