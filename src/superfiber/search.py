@@ -28,10 +28,16 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import TrivialPoint
-from .exact import Rational, _floor_nth_root, rational_str, sth_root_exact
+from .exact import Rational, normalize_projective, rational_str, sth_root_exact
 from .family import Curve, FamilyParams
 from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
 from .maps import phi_inverse
+
+
+# (2H + 1)^2 bounds the candidates of either stream at height H: the
+# curve box has (2H)^2, the leading pairs at most (H + 1)(2H + 1).  The cap
+# is on the whole stream, since each worker's slice walks all of it.
+MAX_CANDIDATES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.height_bound < 1:
             raise ValueError("height bound must be >= 1")
+        if (2 * self.height_bound + 1) ** 2 > MAX_CANDIDATES:
+            raise ValueError(f"height bound {self.height_bound} exceeds the candidate cap:"
+                             f" (2H+1)^2 > {MAX_CANDIDATES}")
         index, count = self.partition
         if not (count >= 1 and 0 <= index < count):
             raise ValueError("need 0 <= worker_index < worker_count")
@@ -133,51 +142,29 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     return sorted(found, key=lambda P: P.coords)
 
 
-def reduced_leading_pair(P: FiberPoint) -> tuple[int, int]:
-    """(Y_0, Y_1) of a canonical point in lowest terms; its height is the
-    bound at which the pair enumeration reaches the point."""
-    p, q = P[0], P[1]
-    g = math.gcd(abs(p), abs(q))
-    return (p // g, q // g)
-
-
 def pair_height(P: FiberPoint) -> int:
-    p, q = reduced_leading_pair(P)
-    return max(abs(p), abs(q))
-
-
-def _ceil_root(n: int, s: int) -> int:
-    if n <= 0:
-        return 0
-    r = _floor_nth_root(n, s)
-    return r if r ** s == n else r + 1
+    """Height of (Y_0, Y_1) in lowest terms: the bound at which the pair
+    enumeration reaches the point."""
+    return max(abs(c) for c in normalize_projective(P.coords[:2]))
 
 
 def integer_class_representatives(a: Rational, b: Rational, s: int,
                                   height: int) -> list[tuple[int, int]]:
     """All integer pairs (t*a, t*b) with t a nonzero s-th power in Q
-    (negative allowed when s is odd) and max(|.|, |.|) <= height.
+    (negative allowed when s is odd) and max(|.|, |.|) <= height, sorted.
 
-    Exhaustive: an integer pair (A, B) = ((u/v)^s a, ...) forces
-    u^s <= |A| * den(a) and v^s <= |num(a)|, so scanning u, v up to those
-    bounds finds every representative.
+    Exhaustive: with (p, q) the primitive integer pair of [a : b] and
+    (a, b) = lam*(p, q), the integer pairs on the line are m*(p, q), and
+    m*(p, q) is in the class exactly when m/lam is an s-th power.
     """
-    ucap = max(_ceil_root(height * a.denominator, s),
-               _ceil_root(height * b.denominator, s))
-    vcap = max(_ceil_root(abs(a.numerator), s), _ceil_root(abs(b.numerator), s))
-    reps = set()
-    signs = (1, -1) if s % 2 else (1,)
-    for v in range(1, vcap + 1):
-        for u in range(1, ucap + 1):
-            if math.gcd(u, v) != 1:
-                continue
-            t = Fraction(u ** s, v ** s)
-            for sign in signs:
-                A, B = sign * t * a, sign * t * b
-                if A.denominator == 1 and B.denominator == 1:
-                    if max(abs(A), abs(B)) <= height:
-                        reps.add((int(A), int(B)))
-    return sorted(reps)
+    if a == 0 and b == 0:
+        return []
+    p, q = normalize_projective([a, b])
+    lam = Fraction(a, p) if p else Fraction(b, q)
+    bound = height // max(abs(p), abs(q))
+    # p >= 0, and q > 0 when p = 0, so the pairs come out in increasing m
+    return [(m * p, m * q) for m in range(-bound, bound + 1)
+            if m and sth_root_exact(m / lam, s) is not None]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,6 +194,35 @@ def test_huge_exponent_flags_end_at_once():
             assert (code, err) == (0, ""), argv
         else:
             assert (code, out, err) == (64, "", f"error: {power} exceeds {limit} digits\n"), argv
+
+
+def test_cross_check_of_scaled_alphas_is_bounded_by_the_height():
+    # the fiber is Y_2^2 = 4*Y_1^2 - 3*Y_0^2 for every scale of 0,1,2; the
+    # representative scan used to grow with the coefficients, not with H
+    flags = ("--r", "2", "--s", "2", "--height", "20")
+    start = time.perf_counter()
+    code, out, err = run_main("cross-check", "--alphas=0,100000,200000", *flags)
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    cutoff = json.loads(out)["cutoff_fiber_points"]
+    _, small, _ = run_main("cross-check", "--alphas=0,10,20", *flags)
+    assert cutoff == json.loads(small)["cutoff_fiber_points"]
+    assert len(cutoff) == 8 and cutoff[0] == ["3", "7", "13"]
+
+
+def test_heights_past_the_candidate_cap_exit_64_in_one_line():
+    cap = "exceeds the candidate cap: (2H+1)^2 > 100000000"
+    box = ("--alphas=0,4,-5,-6,6", "--r", "3", "--s", "2", "--height", "100000000000")
+    cases = (
+        (("search", *box, "--mode", "curve-box"), 100000000000),
+        (("search", *box, "--mode", "fiber-pairs"), 100000000000),
+        # the box curve y^2 = 2x^2 + 1 raises the fiber bound to its pair height
+        (("cross-check", "--alphas=80782,470832,2744210", "--r", "2", "--s", "2",
+          "--height", "2"), 665857),
+    )
+    for argv, height in cases:
+        code, out, err = run_main(*argv)
+        assert (code, out, err) == (64, "", f"error: height bound {height} {cap}\n"), argv
 
 
 def test_negative_s_exits_64_in_one_line():

@@ -1,0 +1,66 @@
+"""Byte-for-byte stdout of fixed CLI invocations against tests/golden/.
+
+A change that means to alter output regenerates the files with
+`PYTHONPATH=src python tests/test_golden.py` and shows the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from superfiber import ELKIES
+from superfiber.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ELKIES_FLAGS = ["--alphas=" + ",".join(ELKIES.x_coordinates().to_obj()["alphas"]),
+                "--r", "3", "--s", "2"]
+A4 = ["--alphas=0,4,-5,-6,6", "--r", "3", "--s", "2"]
+README = ["--alphas=0,2,-1", "--r", "3", "--s", "2"]
+CWP = ["--input", str(GOLDEN / "cwp.json")]
+
+CASES = {
+    "repro-elkies.json": ["repro-elkies"],
+    "repro-elkies.table": ["repro-elkies", "--format", "table"],
+    "fiber-eqs-elkies.json": ["fiber-eqs", *ELKIES_FLAGS],
+    "fiber-eqs-elkies.table": ["fiber-eqs", *ELKIES_FLAGS, "--format", "table"],
+    "verify-point-on.json": ["verify-point", *README, "--point", "1,3,0"],
+    "verify-point-off.json": ["verify-point", *README, "--point", "1,1,2"],
+    "genus-16-2.json": ["genus", "--n", "16", "--s", "2"],
+    "map.json": ["map", *CWP],
+    "twist.json": ["twist", *CWP],
+    "map-inverse.json": ["map-inverse", *README, "--point", "1,3,0"],
+    "param-conic.json": ["param-conic", "--alpha", "3", "--beta", "-1", "--u", "2"],
+    "cubic-to-weierstrass.json": ["cubic-to-weierstrass", "--alpha", "1", "--beta", "2",
+                                  "--point", "1,1,1"],
+    "search-curve-box-a4-h30.jsonl": ["search", *A4, "--height", "30"],
+    "search-curve-box-readme-h30.jsonl": ["search", *README, "--height", "30"],
+    "search-fiber-pairs-a4-h60-w0.jsonl": ["search", *A4, "--height", "60",
+                                           "--mode", "fiber-pairs", "--workers", "2"],
+    "search-fiber-pairs-a4-h60-w1.jsonl": ["search", *A4, "--height", "60",
+                                           "--mode", "fiber-pairs", "--workers", "2",
+                                           "--worker-index", "1"],
+    "search-fiber-pairs-s3-h12.jsonl": ["search", "--alphas=0,2,3", "--r", "3", "--s", "3",
+                                        "--height", "12", "--mode", "fiber-pairs"],
+    "cross-check-a4-h20.json": ["cross-check", *A4, "--height", "20"],
+    "cross-check-a4-h20.table": ["cross-check", *A4, "--height", "20", "--format", "table"],
+}
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name):
+    assert stdout_of(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_text(stdout_of(argv), encoding="utf-8")

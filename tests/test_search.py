@@ -24,10 +24,10 @@ from superfiber import (
     x_coordinates,
 )
 from superfiber.search import (
+    MAX_CANDIDATES,
     curve_census_entries,
     fiber_census_entries,
     pair_height,
-    reduced_leading_pair,
 )
 from helpers_roundtrip import random_admissible_alphas
 
@@ -159,10 +159,45 @@ def test_integer_class_representatives():
     assert integer_class_representatives(Fraction(1, 7), Fraction(1), 2, 10) == []
 
 
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=SMALL_RATIONALS, b=SMALL_RATIONALS, s=st.integers(2, 5), height=st.integers(1, 200))
+def test_class_representatives_are_in_the_class_and_the_box(a, b, s, height):
+    for A, B in integer_class_representatives(a, b, s, height):
+        assert isinstance(A, int) and isinstance(B, int)
+        assert max(abs(A), abs(B)) <= height
+        assert A * b == B * a
+        t = Fraction(A) / a if a else Fraction(B) / b
+        assert t != 0 and sth_root_exact(t, s) is not None
+
+
+@settings(deadline=None, max_examples=300)
+@given(A0=st.integers(-80, 80), B0=st.integers(-80, 80), s=st.integers(2, 5),
+       u=st.integers(-6, 6), v=st.integers(1, 6), slack=st.integers(0, 40))
+def test_class_representatives_find_every_pair_in_the_box(A0, B0, s, u, v, slack):
+    # t = u/v rescales an integer pair of the box to a rational pair of its class
+    assume((A0, B0) != (0, 0) and u != 0 and (u > 0 or s % 2 == 1))
+    t = Fraction(u, v) ** s
+    height = max(abs(A0), abs(B0)) + slack
+    assert (A0, B0) in integer_class_representatives(A0 / t, B0 / t, s, height)
+
+
+def test_class_representatives_of_the_zero_pair_are_empty():
+    assert integer_class_representatives(Fraction(0), Fraction(0), 3, 10) == []
+
+
 def test_reduced_pair_and_height():
-    P = normalize_projective([2, 6, 1])
-    assert reduced_leading_pair(P) == (1, 3)
-    assert pair_height(P) == 3
+    assert pair_height(normalize_projective([2, 6, 1])) == 3
+
+
+def test_search_config_refuses_heights_past_the_candidate_cap():
+    # (2*4999 + 1)^2 = 9999^2 < 10^8 < 10001^2
+    assert MAX_CANDIDATES == 10 ** 8
+    assert SearchConfig(4999).height_bound == 4999
+    with pytest.raises(ValueError, match="exceeds the candidate cap"):
+        SearchConfig(5000)
 
 
 def test_census_entries_hold_images():
