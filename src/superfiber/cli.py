@@ -11,7 +11,6 @@ of its input and output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -235,6 +234,10 @@ def _render(command: str, payload, kind: str, fmt: str) -> str:
 def _write_manifest(args, output: bytes) -> None:
     """Reproducibility record for one invocation; digests are stable
     across reruns with identical inputs."""
+    # imported here, not at the top: only --manifest needs it, and the import
+    # would cost every command a few milliseconds
+    import hashlib
+
     params = {
         key: value
         for key, value in vars(args).items()

@@ -83,11 +83,12 @@ def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
 
     For even s the non-negative root is returned; for odd s the root has
     the sign of x.  Works on numerator and denominator separately, which
-    is valid because they are coprime.
+    is valid because they are coprime.  An int or Fraction is read as it
+    is; anything else goes through rational().
     """
     if s < 2:
         raise ValueError("root order must be >= 2")
-    q = rational(x)
+    q = x if isinstance(x, (int, Fraction)) else rational(x)
     negative = q < 0
     if negative and s % 2 == 0:
         return None

@@ -19,7 +19,7 @@ and gonality at least (s-1) * s^(n-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAdmissible
@@ -37,14 +37,20 @@ from .exact import (
 FiberPoint = ProjectivePoint
 
 
-def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
-    """True iff the r-th powers of the given values are pairwise distinct."""
+def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rational, ...]:
+    # integral powers are kept as int, so that a*w + b on int a and b
+    # stays in int arithmetic in the search kernels
     if r < 2:
         raise ValueError("r must be >= 2")
+    return tuple(w.numerator if w.denominator == 1 else w for w in (v ** r for v in values))
+
+
+def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
+    """True iff the r-th powers of the given values are pairwise distinct."""
     values = [rational(a) for a in alphas]
     if len(values) < 2:
         raise ValueError("need at least two x-coordinates")
-    powers = [v ** r for v in values]
+    powers = _exact_rth_powers(values, r)
     return len(set(powers)) == len(powers)
 
 
@@ -54,22 +60,28 @@ class XCoordinates:
 
     alphas: tuple[Rational, ...]
     r: int
+    # alpha_i^r, computed once; not part of the value, which alphas and r fix
+    _powers: tuple[int | Rational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(rational(a) for a in self.alphas))
         if len(self.alphas) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
-        if not is_admissible(self.alphas, self.r):
+        powers = _exact_rth_powers(self.alphas, self.r)
+        if len(set(powers)) < len(powers):
             raise NotAdmissible(
                 "x-coordinates must have pairwise distinct r-th powers"
             )
+        object.__setattr__(self, "_powers", powers)
 
     @property
     def n(self) -> int:
         return len(self.alphas) - 1
 
-    def rth_powers(self) -> tuple[Rational, ...]:
-        return tuple(a ** self.r for a in self.alphas)
+    def rth_powers(self) -> tuple[int | Rational, ...]:
+        """The exact powers alpha_i^r: an int where the power is integral,
+        else a Fraction."""
+        return self._powers
 
     def to_obj(self) -> dict:
         return {"alphas": [rational_str(a) for a in self.alphas], "r": self.r}

@@ -14,6 +14,19 @@ correspondence:
   * fiber-pairs: coprime leading pairs (Y_0, Y_1) up to H, solving each
     remaining equation for Y_i^s and keeping exact roots.
 
+Both kernels run on Python ints and build a Fraction only for a hit.
+The box values are ints, and XCoordinates stores alpha_i^r once, as an
+int where it is integral, so a*alpha_i^r + b is an int unless an alpha
+is not an integer (then it stays exact Fraction arithmetic).  The
+fiber-pair loop scales equation i by ci^(s-1) once per search:
+
+    (ci*Y_i)^s = ci^(s-1) * ci * Y_i^s = k0*Y_0^s + k1*Y_1^s,
+    (k0, k1) = -ci^(s-1) * (c0, c1),
+
+so the radicand is an int and Y_i = root / ci.  This is exact: Y_i is
+rational exactly when ci*Y_i is, and ci > 0 in canonical form, so the
+scale keeps the sign of Y_i for odd s and the non-negative root for even s.
+
 Both can be partitioned across workers by slicing the candidate stream;
 the union of the slices equals the unpartitioned result, so merging is
 a deterministic sorted union.
@@ -104,8 +117,8 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     in (a, b) order: the box is the product of a sorted value list."""
     params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
-    values = [Fraction(v) for v in range(-H, H + 1) if v != 0]
-    return [Curve(params, a, b)
+    values = [v for v in range(-H, H + 1) if v != 0]
+    return [Curve(params, Fraction(a), Fraction(b))
             for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
             if curve_roots_over(a_n, s, a, b) is not None]
 
@@ -126,17 +139,18 @@ def _leading_pairs(height: int, s: int) -> Iterator[tuple[int, int]]:
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted."""
-    equations = fiber_equations(a_n, s)
+    # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
+    scaled = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
+              for eq in fiber_equations(a_n, s)]
     found = set()
     for p, q in _slice(_leading_pairs(cfg.height_bound, s), cfg.partition):
-        z0, z1 = Fraction(p) ** s, Fraction(q) ** s
-        coords: list[Rational] = [Fraction(p), Fraction(q)]
-        for eq in equations:
-            value = -(eq.c0 * z0 + eq.c1 * z1) / eq.ci
-            root = sth_root_exact(value, s)
+        z0, z1 = p ** s, q ** s
+        coords: list[int | Rational] = [p, q]
+        for ci, k0, k1 in scaled:
+            root = sth_root_exact(k0 * z0 + k1 * z1, s)
             if root is None:
                 break
-            coords.append(root)
+            coords.append(root / ci)
         else:
             found.add(canonical_fiber_point(coords, s))
     return sorted(found, key=lambda P: P.coords)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superfiber import (
     AllZero,
@@ -83,6 +85,22 @@ def test_sth_root_of_sth_power_always_exists():
             assert root >= 0
         else:
             assert root == q
+
+
+@settings(deadline=None)
+@given(k=st.integers(-2 ** 70, 2 ** 70), offset=st.integers(-1, 1), s=st.integers(2, 7))
+@example(k=0, offset=0, s=2)
+@example(k=0, offset=-1, s=7)
+@example(k=-(2 ** 41) - 3, offset=0, s=5)
+@example(k=2 ** 67 + 3, offset=1, s=3)
+def test_sth_root_of_int_matches_its_fraction(k, offset, s):
+    # k^s past 2^200 when |k| > 2^40 and s >= 5, or |k| > 2^67 and s = 3
+    n = k ** s + offset
+    root = sth_root_exact(n, s)
+    assert root == sth_root_exact(Fraction(n), s)
+    assert root is None or type(root) is Fraction
+    if offset == 0 and (k >= 0 or s % 2):
+        assert root == k
 
 
 def test_sth_root_order_validated():

@@ -44,6 +44,27 @@ def test_x_coordinates_validation():
         x_coordinates([0, 1, 2], 1)
 
 
+def test_rth_powers_are_the_exact_powers():
+    for alphas, r in (([0, 4, -5, -6, 6], 3), ([Fraction(1, 2), 2, Fraction(-1, 3)], 2),
+                      ([0, Fraction(1, 2), Fraction(3, 4)], 3), ([2, 3, 5], 7)):
+        a_n = x_coordinates(alphas, r)
+        powers = a_n.rth_powers()
+        assert powers == tuple(Fraction(a) ** r for a in alphas)
+        # integral powers are ints, so the search kernels stay in int arithmetic
+        assert [type(w) for w in powers] == [int if Fraction(a).denominator == 1 else Fraction
+                                             for a in alphas]
+
+
+def test_stored_powers_leave_the_value_alone():
+    ints = XCoordinates((0, 4, -5), 3)
+    fractions = XCoordinates((Fraction(0), Fraction(4), Fraction(-5)), 3)
+    assert ints == fractions
+    assert hash(ints) == hash(fractions)
+    assert repr(ints) == repr(fractions) == (
+        "XCoordinates(alphas=(Fraction(0, 1), Fraction(4, 1), Fraction(-5, 1)), r=3)")
+    assert ints != x_coordinates([0, 4, -5], 5)
+
+
 def test_fiber_equations_small_example():
     a_2 = x_coordinates([0, 1, 2], 2)
     eqs = fiber_equations(a_2, 2)

@@ -43,6 +43,14 @@ CASES = {
                                            "--worker-index", "1"],
     "search-fiber-pairs-s3-h12.jsonl": ["search", "--alphas=0,2,3", "--r", "3", "--s", "3",
                                         "--height", "12", "--mode", "fiber-pairs"],
+    "search-fiber-pairs-rational-s2-h60.jsonl": ["search", "--alphas=1/2,2,-1/3", "--r", "2",
+                                                 "--s", "2", "--height", "60",
+                                                 "--mode", "fiber-pairs"],
+    "search-fiber-pairs-s3-scaled-h40.jsonl": ["search", "--alphas=0,1/2,3/4", "--r", "3",
+                                               "--s", "3", "--height", "40",
+                                               "--mode", "fiber-pairs"],
+    "cross-check-rational-h30.json": ["cross-check", "--alphas=0,1/2,-2", "--r", "2", "--s", "2",
+                                      "--height", "30"],
     "cross-check-a4-h20.json": ["cross-check", *A4, "--height", "20"],
     "cross-check-a4-h20.table": ["cross-check", *A4, "--height", "20", "--format", "table"],
 }

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from superfiber import (
     curve_roots_over,
     enumerate_curves,
     fiber_contains,
+    fiber_equations,
+    int_nth_root,
     integer_class_representatives,
     is_admissible,
     normalize_projective,
@@ -146,6 +149,77 @@ def test_worker_slices_union_to_full_result(alphas, r, s, height, count):
         merged = [item for index in range(count)
                   for item in runner(a_n, s, SearchConfig(height, (index, count)))]
         assert sorted(merged, key=key) == full
+
+
+def _reference_root(v: Fraction, s: int):
+    # exact s-th root of a Fraction, non-negative for even s, signed for odd s
+    if v < 0 and s % 2 == 0:
+        return None
+    num, den = int_nth_root(abs(v.numerator), s), int_nth_root(v.denominator, s)
+    if num is None or den is None:
+        return None
+    return Fraction(-num if v < 0 else num, den)
+
+
+def _reference_curves(a_n, s, height):
+    """The curve box in Fraction arithmetic: a*w + b on Fraction a, b, w."""
+    w = [Fraction(x) ** a_n.r for x in a_n.alphas]
+    values = [Fraction(v) for v in range(-height, height + 1) if v != 0]
+    found = []
+    for a in values:
+        for b in values:
+            roots = [_reference_root(a * wi + b, s) for wi in w]
+            if None not in roots and roots[0] != 0:
+                found.append((a, b, roots))
+    return found
+
+
+def _reference_fiber_points(a_n, s, height):
+    """The fiber-pair stream in Fraction arithmetic: Y_i^s = -(c0*z0 + c1*z1)/ci."""
+    equations = fiber_equations(a_n, s)
+    found = set()
+    for p in range(height + 1):
+        if s % 2 == 0:
+            qs = range(height + 1)
+        else:
+            qs = range(-height, height + 1) if p > 0 else (1,)
+        for q in qs:
+            if math.gcd(p, q) != 1:
+                continue
+            z0, z1 = Fraction(p) ** s, Fraction(q) ** s
+            coords = [Fraction(p), Fraction(q)]
+            for eq in equations:
+                root = _reference_root(-(eq.c0 * z0 + eq.c1 * z1) / eq.ci, s)
+                if root is None:
+                    break
+                coords.append(root)
+            else:
+                found.add(canonical_fiber_point(coords, s))
+    return sorted(found, key=lambda P: P.coords)
+
+
+@settings(deadline=None)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3, 4)), height=st.integers(1, 10))
+# random boxes are mostly empty; these find curves or nontrivial fiber points,
+# with ci = 8, 27, 64 or 55 so that the ci^(s-1) scaling matters
+@example(alphas=[Fraction(0), Fraction(2), Fraction(-1)], r=3, s=2, height=10)
+@example(alphas=[Fraction(0), Fraction(2), Fraction(3)], r=3, s=3, height=10)
+@example(alphas=[Fraction(1, 2), Fraction(2), Fraction(-1, 3)], r=2, s=2, height=10)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=10)
+@example(alphas=[Fraction(-4), Fraction(-3, 2), Fraction(-1, 2)], r=2, s=2, height=10)
+def test_search_kernels_match_the_fraction_reference(alphas, r, s, height):
+    assume(is_admissible(alphas, r))
+    a_n = x_coordinates(alphas, r)
+    assert a_n.rth_powers() == tuple(Fraction(x) ** r for x in alphas)
+    cfg = SearchConfig(height)
+    curves = enumerate_curves(a_n, s, cfg)
+    assert all(type(c.a) is Fraction and type(c.b) is Fraction for c in curves)
+    # the kernel tests int box values; the roots it sees are those of int a, b
+    assert [(c.a, c.b, curve_roots_over(a_n, s, int(c.a), int(c.b))) for c in curves] \
+        == _reference_curves(a_n, s, height)
+    assert search_fiber_points(a_n, s, cfg) == _reference_fiber_points(a_n, s, height)
 
 
 def test_integer_class_representatives():
