@@ -25,7 +25,8 @@ RationalLike = Union[Fraction, int, str]
 def rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" / decimal
     string.  Exponent notation is refused: "1e300000000" would expand to
-    an integer of 300 million digits before anything could check it."""
+    an integer of 300 million digits before anything could check it.  A
+    zero denominator ("1/0") is not a rational either."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -33,8 +34,11 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
-        # tolerate unicode minus from copied sources
-        return Fraction(value.strip().replace("−", "-"))
+        try:
+            # tolerate unicode minus from copied sources
+            return Fraction(value.strip().replace("−", "-"))
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {value!r} (zero denominator)") from None
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -61,15 +61,11 @@ def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
     Raises BasePointVanishing when the base y is zero and NotAdmissible
     when the x-coordinates have colliding r-th powers.
     """
-    base = cwp.base
-    if base.y == 0:
+    if cwp.base.y == 0:
         raise BasePointVanishing("forward map needs a base point with y != 0")
-    params = cwp.curve.params
-    a_n = XCoordinates(tuple(p.x for p in cwp.points), params.r)
-    scale = base.y ** (params.s - 1)
-    coords = [p.y * scale for p in cwp.points]
-    # the base coordinate equals y_0^s = a*x_0^r + b
-    return a_n, normalize_projective(coords)
+    a_n = XCoordinates(tuple(p.x for p in cwp.points), cwp.curve.params.r)
+    # [y_i * y_0^(s-1)] is [y_i] scaled by y_0^(s-1) != 0: the same canonical point
+    return a_n, normalize_projective([p.y for p in cwp.points])
 
 
 def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWithPoints:
@@ -110,23 +106,11 @@ def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
         if p.y != 0 and t is None:
             t = q.y / p.y
     if t is None:
-        # no nonzero y anywhere; compare coefficients up to an s-th-power scale
-        if (first.curve.a == 0) != (second.curve.a == 0):
-            return False
-        if (first.curve.b == 0) != (second.curve.b == 0):
-            return False
-        if first.curve.a != 0:
-            ratio = second.curve.a / first.curve.a
-        elif first.curve.b != 0:
-            ratio = second.curve.b / first.curve.b
-        else:
-            return True
-        if sth_root_exact(ratio, s) is None:
-            return False
-        return (
-            second.curve.a == ratio * first.curve.a
-            and second.curve.b == ratio * first.curve.b
-        )
+        # every y is 0, so b = -a*x_0^r on both curves and a fixes b:
+        # compare a up to an s-th-power scale
+        if first.curve.a == 0 or second.curve.a == 0:
+            return first.curve.a == second.curve.a
+        return sth_root_exact(second.curve.a / first.curve.a, s) is not None
     ts = t ** s
     if second.curve.a != ts * first.curve.a or second.curve.b != ts * first.curve.b:
         return False

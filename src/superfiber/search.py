@@ -27,9 +27,10 @@ so the radicand is an int and Y_i = root / ci.  This is exact: Y_i is
 rational exactly when ci*Y_i is, and ci > 0 in canonical form, so the
 scale keeps the sign of Y_i for odd s and the non-negative root for even s.
 
-Both can be partitioned across workers by slicing the candidate stream;
-the union of the slices equals the unpartitioned result, so merging is
-a deterministic sorted union.
+Worker i of N takes rows i, i+N, ... of the outer coordinate (a in the
+curve box, Y_0 in the pair stream), so no worker generates another's
+candidates.  The slices are disjoint, not equal-sized; their union is the
+unpartitioned result, so merging is a deterministic sorted union.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import TrivialPoint
 from .exact import Rational, normalize_projective, rational_str, sth_root_exact
@@ -49,14 +50,14 @@ from .maps import phi_inverse
 
 # (2H + 1)^2 bounds the candidates of either stream at height H: the
 # curve box has (2H)^2, the leading pairs at most (H + 1)(2H + 1).  The cap
-# is on the whole stream, since each worker's slice walks all of it.
+# is on the whole box, not a worker's share, so a run is bounded by H alone.
 MAX_CANDIDATES = 10 ** 8
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Height bound and (worker_index, worker_count) slice of the
-    candidate stream."""
+    """Height bound and (worker_index, worker_count) share of the outer
+    rows of the candidate stream."""
 
     height_bound: int
     partition: tuple[int, int] = (0, 1)
@@ -88,9 +89,10 @@ class CensusEntry:
         }
 
 
-def _slice(stream: Iterable, partition: tuple[int, int]) -> Iterator:
+def _rows(rows: Sequence[int], partition: tuple[int, int]) -> Sequence[int]:
+    # a worker's share of the outer coordinate: rows index, index + count, ...
     index, count = partition
-    return itertools.islice(stream, index, None, count)
+    return rows[index::count]
 
 
 def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
@@ -119,14 +121,15 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     H = cfg.height_bound
     values = [v for v in range(-H, H + 1) if v != 0]
     return [Curve(params, Fraction(a), Fraction(b))
-            for a, b in _slice(itertools.product(values, repeat=2), cfg.partition)
+            for a, b in itertools.product(_rows(values, cfg.partition), values)
             if curve_roots_over(a_n, s, a, b) is not None]
 
 
-def _leading_pairs(height: int, s: int) -> Iterator[tuple[int, int]]:
-    # coprime (Y_0, Y_1) up to the bound; for even s signs never matter,
-    # for odd s the pair is normalized only by the global sign
-    for p in range(0, height + 1):
+def _leading_pairs(height: int, s: int,
+                   partition: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    # coprime (Y_0, Y_1) up to the bound, Y_0 in this worker's rows; for even
+    # s signs never matter, for odd s only the global sign is normalized
+    for p in _rows(range(0, height + 1), partition):
         if s % 2 == 0:
             qs = range(0, height + 1)
         else:
@@ -143,7 +146,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     scaled = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
               for eq in fiber_equations(a_n, s)]
     found = set()
-    for p, q in _slice(_leading_pairs(cfg.height_bound, s), cfg.partition):
+    for p, q in _leading_pairs(cfg.height_bound, s, cfg.partition):
         z0, z1 = p ** s, q ** s
         coords: list[int | Rational] = [p, q]
         for ci, k0, k1 in scaled:
@@ -242,7 +245,7 @@ class CrossCheckReport:
 
 def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CensusEntry]:
     """Curve-box census with canonical fiber-point images; the roots that
-    admit a curve are phi_forward's image [y_i * y_0^(s-1)] ~ [y_i]."""
+    admit a curve are phi_forward's image [y_0 : ... : y_n]."""
     entries = []
     for curve in enumerate_curves(a_n, s, cfg):
         roots = curve_roots_over(a_n, s, curve.a, curve.b)
@@ -286,7 +289,6 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> CrossCheckReport:
     base_vanishing: list[FiberPoint] = []
     cutoff: list[FiberPoint] = []
     unmatched_points: list[FiberPoint] = []
-    seen_groups: set[tuple[int, ...]] = set()
 
     for P in points:
         try:
@@ -298,16 +300,15 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> CrossCheckReport:
             base_vanishing.append(P)
             continue
         if P.coords in groups:
-            matched.append(MatchedClass(P, tuple(groups[P.coords]),
+            matched.append(MatchedClass(P, tuple(groups.pop(P.coords)),
                                         cwp.curve.a, cwp.curve.b))
-            seen_groups.add(P.coords)
         elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):
             unmatched_points.append(P)
         else:
             cutoff.append(P)
 
-    unmatched_curves = [c for key, group in sorted(groups.items())
-                        if key not in seen_groups for c in group]
+    # the classes no fiber point matched
+    unmatched_curves = [c for _, group in sorted(groups.items()) for c in group]
 
     return CrossCheckReport(
         alphas=a_n,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,107 @@ def test_negative_s_exits_64_in_one_line():
         assert (code, out, err) == (64, "", f"error: {message}\n"), command
 
 
+def test_zero_denominators_exit_64_in_one_line():
+    def refused(token):
+        return 64, "", f"error: not a rational: '{token}' (zero denominator)\n"
+
+    fiber = ("--r", "2", "--s", "2")
+    for argv, token in (
+        (("fiber-eqs", "--alphas=1/0,2,3", *fiber), "1/0"),
+        (("search", "--alphas=0/0,2,3", *fiber, "--height", "3"), "0/0"),
+        (("verify-point", "--alphas=0,2,-1", *fiber, "--point", "1/0,3,0"), "1/0"),
+        (("map-inverse", "--alphas=0,2,-1", *fiber, "--point", "1/0,3,0"), "1/0"),
+        (("param-conic", "--alpha", "3", "--beta", "-1", "--u", "1/0"), "1/0"),
+    ):
+        code, out, err = run_main(*argv)
+        assert (code, out, err) == refused(token), argv
+    curve, points = VALID_CWP["curve"], VALID_CWP["points"]
+    for value in ({**VALID_CWP, "curve": {**curve, "b": "1/0"}},
+                  {**VALID_CWP, "points": [{"x": "0", "y": "1/0"}, *points[1:]]}):
+        for command in ("map", "twist"):
+            code, out, err = run_with_input(command, value)
+            assert (code, out, err) == refused("1/0"), command
+
+
+# rational tokens, bad ones in one branch of four: zero denominators,
+# exponent notation, nan, the empty string and junk (the unicode minus is
+# accepted)
+TOKENS = st.one_of(*[st.sampled_from(("0", "1", "-1", "2", "3", "1/2", "-3/4", " 5 ", "−2"))] * 3,
+                   st.sampled_from(("1/0", "0/0", "1e3", "nan", "", "x")))
+# mostly valid values, so that most draws get past the first check
+EXPONENTS = st.integers(2, 4) | st.integers(-2, 6)
+HEIGHTS = st.integers(1, 20) | st.integers(-2, 20)
+TOKEN_LISTS = (st.lists(TOKENS, min_size=3, max_size=5)
+               | st.lists(TOKENS, max_size=5)).map(",".join)
+# the rational fields of VALID_CWP: ("curve", key) or (point index, key)
+CWP_FIELDS = [("curve", key) for key in "ab"] + [(i, key) for i in range(3) for key in "xy"]
+
+
+def _flag(name, strategy):
+    # --flag=value, so that a value with a leading minus is not read as a flag
+    return strategy.map(f"--{name}={{}}".format)
+
+
+def _with_token(field, token):
+    value = json.loads(json.dumps(VALID_CWP))
+    owner, key = field
+    (value["curve"] if owner == "curve" else value["points"][owner])[key] = token
+    return value
+
+
+def _argv(*flags):
+    # one argv tuple from the flag strategies, fiber flags spliced in
+    return st.tuples(*flags).map(lambda parts: tuple(
+        flag for part in parts for flag in ((part,) if isinstance(part, str) else part)))
+
+
+FIBER_FLAGS = _argv(_flag("alphas", TOKEN_LISTS), _flag("r", EXPONENTS), _flag("s", EXPONENTS))
+# the flags of all 11 commands; map and twist also get an --input file
+ARGV = {
+    "repro-elkies": st.just(()),
+    "fiber-eqs": FIBER_FLAGS,
+    "verify-point": _argv(FIBER_FLAGS, _flag("point", TOKEN_LISTS)),
+    "genus": _argv(_flag("n", st.integers(-2, 40)), _flag("s", EXPONENTS)),
+    "twist": st.just(()),
+    "map": st.just(()),
+    "map-inverse": _argv(FIBER_FLAGS, _flag("point", TOKEN_LISTS)),
+    "param-conic": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS), _flag("u", TOKENS)),
+    "cubic-to-weierstrass": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS),
+                                  _flag("point", TOKEN_LISTS)),
+    "search": _argv(FIBER_FLAGS, _flag("height", HEIGHTS),
+                    _flag("mode", st.sampled_from(("curve-box", "fiber-pairs"))),
+                    _flag("workers", st.integers(1, 3) | st.integers(-1, 4)),
+                    _flag("worker-index", st.integers(0, 1) | st.integers(-1, 4))),
+    "cross-check": _argv(FIBER_FLAGS, _flag("height", HEIGHTS)),
+}
+# any fields, or VALID_CWP with one rational replaced by a token
+CWP_JSON = (st.fixed_dictionaries({
+    "curve": st.fixed_dictionaries({"r": EXPONENTS, "s": EXPONENTS, "a": TOKENS, "b": TOKENS}),
+    "points": st.lists(st.fixed_dictionaries({"x": TOKENS, "y": TOKENS}), max_size=4),
+    "base_index": st.integers(-1, 4),
+}) | st.builds(_with_token, st.sampled_from(CWP_FIELDS), TOKENS))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), command=st.sampled_from(sorted(ARGV)),
+       fmt=st.sampled_from(("json", "table")),
+       manifest=st.sampled_from((None, "run.json", "missing/run.json")))
+def test_any_argv_ends_in_a_documented_exit(data, command, fmt, manifest, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    argv = [command, f"--format={fmt}", *data.draw(ARGV[command])]
+    if command in ("map", "twist"):
+        (tmp / "cwp.json").write_text(json.dumps(data.draw(CWP_JSON)), encoding="utf-8")
+        argv.append(f"--input={tmp / 'cwp.json'}")
+    if manifest:
+        argv.append(f"--manifest={tmp / manifest}")
+    code, _, err = run_main(*argv)
+    assert code in (0, 2, 64, 74), argv
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", argv
+
+
 def test_point_off_curve_exits_2():
     off = {**VALID_CWP, "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "4"}]}
     for command in ("map", "twist"):
@@ -394,4 +496,7 @@ def test_manifest_written_and_stable(tmp_path):
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
-    assert result.stdout.startswith("superfiber ")
+    # the version is written twice: pyproject.toml and superfiber.__version__
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert result.stdout == f"superfiber {version}\n"

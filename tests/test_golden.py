@@ -51,6 +51,9 @@ CASES = {
                                                "--mode", "fiber-pairs"],
     "cross-check-rational-h30.json": ["cross-check", "--alphas=0,1/2,-2", "--r", "2", "--s", "2",
                                       "--height", "30"],
+    # fills every bucket but matched: [0:1:4] is base-vanishing, [3:4:11] cutoff
+    "cross-check-base-vanishing-h6.json": ["cross-check", "--alphas=1,2,7", "--r", "2",
+                                           "--s", "2", "--height", "6"],
     "cross-check-a4-h20.json": ["cross-check", *A4, "--height", "20"],
     "cross-check-a4-h20.table": ["cross-check", *A4, "--height", "20", "--format", "table"],
 }

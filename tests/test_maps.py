@@ -339,3 +339,40 @@ def test_cwp_equivalent_detects_rescaling_only():
     assert cwp_equivalent(first, third)  # t = -1
     fourth = CurveWithPoints(make_curve(3, 2, 9, 9), (point(0, 3), point(2, -9)))
     assert not cwp_equivalent(first, fourth)  # mixed signs break one scale
+
+
+def test_cwp_equivalent_rejects_each_difference():
+    # y^2 = x^3 + 1 through (0, 1) and (2, 3); each pair differs in one respect
+    first = CurveWithPoints(make_curve(3, 2, 1, 1), (point(0, 1), point(2, 3)))
+    ends = (point(0, 1), point(-1, 0))  # on y^s = x^3 + 1 for every s
+    cases = {
+        "params": (CurveWithPoints(make_curve(3, 2, 1, 1), ends),
+                   CurveWithPoints(make_curve(3, 3, 1, 1), ends)),
+        "base index": (first, CurveWithPoints(first.curve, first.points, base_index=1)),
+        "x-coordinates": (first, CurveWithPoints(first.curve, first.points[::-1])),
+        # y^2 = 3x^3 + 4 is nonzero at x = -1, where y^2 = x^3 + 1 vanishes
+        "zero pattern of y": (CurveWithPoints(make_curve(3, 2, 1, 1), ends),
+                              CurveWithPoints(make_curve(3, 2, 3, 4),
+                                              (point(0, 2), point(-1, 1)))),
+        # t = 2 from the points, but a scales by 12, not t^2 = 4
+        "coefficient scale": (first, CurveWithPoints(make_curve(3, 2, 12, 4),
+                                                     (point(0, 2), point(2, 10)))),
+        # t = 2 scales a and b by 4, but y_1 by -2
+        "point scale": (first, CurveWithPoints(make_curve(3, 2, 4, 4),
+                                               (point(0, 2), point(2, -6)))),
+    }
+    for name, (one, other) in cases.items():
+        assert cwp_equivalent(one, one), name
+        assert not cwp_equivalent(one, other), name
+
+
+def test_cwp_equivalent_without_nonzero_y():
+    # every y is 0, so only the coefficients carry the scale
+    def at_five(a, b):
+        return CurveWithPoints(make_curve(3, 2, a, b), (point(5, 0),))
+
+    assert cwp_equivalent(at_five(0, 0), at_five(0, 0))
+    assert not cwp_equivalent(at_five(0, 0), at_five(1, -125))
+    assert not cwp_equivalent(at_five(1, -125), at_five(0, 0))
+    assert cwp_equivalent(at_five(1, -125), at_five(4, -500))  # 4 is a square
+    assert not cwp_equivalent(at_five(1, -125), at_five(2, -250))

@@ -26,6 +26,7 @@ from superfiber import (
     sth_root_exact,
     x_coordinates,
 )
+from superfiber import search
 from superfiber.search import (
     MAX_CANDIDATES,
     curve_census_entries,
@@ -149,6 +150,46 @@ def test_worker_slices_union_to_full_result(alphas, r, s, height, count):
         merged = [item for index in range(count)
                   for item in runner(a_n, s, SearchConfig(height, (index, count)))]
         assert sorted(merged, key=key) == full
+
+
+def _rows_of(stream, row_of):
+    rows = {}
+    for item in stream:
+        rows.setdefault(row_of(item), []).append(item)
+    # each row is one run of the stream, and the runs come in row order
+    assert [item for row in sorted(rows) for item in rows[row]] == list(stream)
+    return rows
+
+
+def _box_candidates(monkeypatch, a_n, height, partition):
+    seen = []
+    monkeypatch.setattr(search, "curve_roots_over",
+                        lambda a_n, s, a, b: seen.append((a, b)))
+    assert enumerate_curves(a_n, 2, SearchConfig(height, partition)) == []
+    return seen
+
+
+@pytest.mark.parametrize("height", (1, 5, 8))
+def test_worker_slices_take_whole_rows(monkeypatch, height):
+    # worker i of N gets outer rows i, i+N, ... (rows of a in the box, of Y_0
+    # among the pairs), and the rows of all workers rebuild the whole stream
+    a_2 = x_coordinates([0, 2, -1], 3)
+    values = [v for v in range(-height, height + 1) if v != 0]
+    kernels = [(lambda part: _box_candidates(monkeypatch, a_2, height, part),
+                lambda ab: values.index(ab[0]))]
+    for s in (2, 3):
+        kernels.append((lambda part, s=s: list(search._leading_pairs(height, s, part)),
+                        lambda pq: pq[0]))
+    for stream_of, row_of in kernels:
+        full = stream_of((0, 1))
+        assert full
+        for count in (1, 2, 3, 7):
+            merged = {}
+            for index in range(count):
+                rows = _rows_of(stream_of((index, count)), row_of)
+                assert all(row % count == index for row in rows)
+                merged.update(rows)
+            assert [item for row in sorted(merged) for item in merged[row]] == full
 
 
 def _reference_root(v: Fraction, s: int):
@@ -325,6 +366,20 @@ def test_cross_check_exact_bijection():
     assert report.cutoff_fiber_points == ()
     assert report.unmatched_curves == ()
     assert report.unmatched_fiber_points == ()
+
+
+def test_cross_check_sorts_base_vanishing_points():
+    a_2 = x_coordinates([1, 2, 7], 2)
+    report = cross_check(a_2, 2, 6)
+    assert report.ok and report.matched == ()
+    assert [P.coords for P in report.base_vanishing_points] == [(0, 1, 4)]
+    assert [P.coords for P in report.trivial_points] == [(1, 1, 1), (1, 2, 7)]
+    assert [P.coords for P in report.cutoff_fiber_points] == [(3, 4, 11)]
+    # with alpha_0 = 0 the point [0:1:2] recovers b = 0: the triviality test
+    # comes first, so it is trivial although its base coordinate vanishes
+    report = cross_check(x_coordinates([0, 1, 2], 2), 2, 4)
+    assert [P.coords for P in report.trivial_points] == [(0, 1, 2), (1, 1, 1)]
+    assert report.base_vanishing_points == ()
 
 
 def test_cross_check_trivial_only_fiber():
