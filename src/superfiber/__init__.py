@@ -7,6 +7,7 @@ from .errors import (
     BasePointVanishing,
     CoordinateVanishing,
     DegenerateParameter,
+    DegenerateSpec,
     DimensionMismatch,
     DomainError,
     MismatchReport,
@@ -87,6 +88,6 @@ from .search import (
     integer_class_representatives,
     search_fiber_points,
 )
-from .elkies import ELKIES, ElkiesDataset, ReproReport, dataset_self_check, verify_reproduction
+from .elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
 
 __version__ = "0.1.0"

@@ -90,7 +90,7 @@ def _read_input(args) -> dict:
 
 def _cmd_repro_elkies(args):
     report = verify_reproduction(ELKIES)
-    return report.to_obj(), (0 if report.ok else DOMAIN_ERROR), "json"
+    return report, (0 if report["ok"] else DOMAIN_ERROR), "json"
 
 
 def _cmd_fiber_eqs(args):
@@ -142,7 +142,7 @@ def _read_cwp(args) -> CurveWithPoints:
             if _too_big([p.x], params.r) or _too_big([p.y], params.s):
                 raise ValueError(f"point {i}: x^r or y^s exceeds {_digit_limit()} digits")
         return CurveWithPoints.from_obj(obj)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 
 

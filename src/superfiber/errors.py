@@ -44,8 +44,13 @@ class DegenerateParameter(DomainError):
     """Conic parameterization produced the zero vector."""
 
 
+class DegenerateSpec(DomainError):
+    """Conic or cubic coefficients with alpha, beta or alpha + beta zero."""
+
+
 class CoordinateVanishing(DomainError):
-    """A cubic point with X*Y*Z = 0 is outside the mapped locus."""
+    """A cubic point outside the mapped locus: X*Y*Z = 0, or U + V = 0 on
+    the diagonal model."""
 
 
 class NotOnCubic(DomainError):

@@ -35,6 +35,7 @@ from .errors import (
     BasePointVanishing,
     CoordinateVanishing,
     DegenerateParameter,
+    DegenerateSpec,
     DimensionMismatch,
     NotOnCubic,
     NotOnFiber,
@@ -132,7 +133,7 @@ class ConicSpec:
         object.__setattr__(self, "alpha", rational(self.alpha))
         object.__setattr__(self, "beta", rational(self.beta))
         if self.alpha == 0 or self.beta == 0:
-            raise ValueError("conic coefficients alpha, beta must be nonzero")
+            raise DegenerateSpec("conic coefficients alpha, beta must be nonzero")
 
     @property
     def gamma(self) -> Rational:
@@ -183,9 +184,9 @@ class CubicSpec:
         object.__setattr__(self, "alpha", rational(self.alpha))
         object.__setattr__(self, "beta", rational(self.beta))
         if self.alpha == 0 or self.beta == 0:
-            raise ValueError("cubic coefficients alpha, beta must be nonzero")
+            raise DegenerateSpec("cubic coefficients alpha, beta must be nonzero")
         if self.alpha + self.beta == 0:
-            raise ValueError("alpha + beta must be nonzero (gamma != 0)")
+            raise DegenerateSpec("alpha + beta must be nonzero (gamma != 0)")
 
     @property
     def gamma(self) -> Rational:
@@ -267,7 +268,7 @@ def fermat_to_weierstrass(spec: CubicSpec, P: Sequence[RationalLike]) -> Weierst
 def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> WeierstrassPoint:
     """Second leg of the chain: T = 12*abc*W/(U+V), S = 36*abc*(U-V)/(U+V)."""
     if dp.U + dp.V == 0:
-        raise ValueError("U + V must be nonzero")
+        raise CoordinateVanishing("U + V must be nonzero")
     abc = spec.alpha * spec.beta * spec.gamma
     T = 12 * abc * dp.W / (dp.U + dp.V)
     S = 36 * abc * (dp.U - dp.V) / (dp.U + dp.V)

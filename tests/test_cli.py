@@ -7,11 +7,11 @@ import subprocess
 import sys
 import tempfile
 import time
-import tomllib
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import superfiber
 from superfiber.cli import main
 
 CMD = [sys.executable, "-m", "superfiber"]
@@ -132,6 +132,23 @@ def test_any_json_input_ends_in_a_documented_exit(command, value):
     assert code in (0, 2, 64, 74)
     if code:
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+def test_deeply_nested_input_exits_64_in_one_line(monkeypatch):
+    deep = "[" * 100000 + "]" * 100000
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "deep.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(deep)
+        for command in ("map", "twist"):
+            code, out, err = run_main(command, "--input", path)
+            assert (code, out) == (64, ""), command
+            assert err.startswith("error: malformed --input JSON: RecursionError: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(deep.encode())))
+    code, out, err = run_main("map", "--input", "-")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: malformed --input JSON: RecursionError: ")
 
 
 def test_malformed_input_exits_64_in_one_line():
@@ -289,6 +306,21 @@ def _argv(*flags):
 
 
 FIBER_FLAGS = _argv(_flag("alphas", TOKEN_LISTS), _flag("r", EXPONENTS), _flag("s", EXPONENTS))
+
+
+@st.composite
+def _admissible_fiber_flags(draw):
+    # 3-5 small integers of distinct sizes, so their r-th powers are distinct
+    # and searches and cross-checks can get past input validation and succeed;
+    # a permutation, not a filtered list, so that no draw is rejected
+    sizes = draw(st.permutations(range(7)))[:draw(st.integers(3, 5))]
+    alphas = [draw(st.sampled_from((size, -size))) for size in sizes]
+    r, s = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3)))
+    return f"--alphas={','.join(map(str, alphas))}", f"--r={r}", f"--s={s}"
+
+
+ADMISSIBLE_FLAGS = _argv(_admissible_fiber_flags(), _flag("height", st.integers(1, 20)))
+SEARCH_MODE = _flag("mode", st.sampled_from(("curve-box", "fiber-pairs")))
 # the flags of all 11 commands; map and twist also get an --input file
 ARGV = {
     "repro-elkies": st.just(()),
@@ -301,11 +333,13 @@ ARGV = {
     "param-conic": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS), _flag("u", TOKENS)),
     "cubic-to-weierstrass": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS),
                                   _flag("point", TOKEN_LISTS)),
-    "search": _argv(FIBER_FLAGS, _flag("height", HEIGHTS),
-                    _flag("mode", st.sampled_from(("curve-box", "fiber-pairs"))),
-                    _flag("workers", st.integers(1, 3) | st.integers(-1, 4)),
-                    _flag("worker-index", st.integers(0, 1) | st.integers(-1, 4))),
-    "cross-check": _argv(FIBER_FLAGS, _flag("height", HEIGHTS)),
+    "search": _argv(ADMISSIBLE_FLAGS, SEARCH_MODE,
+                    st.sampled_from(((), ("--workers=2", "--worker-index=0"),
+                                     ("--workers=2", "--worker-index=1"))))
+              | _argv(FIBER_FLAGS, _flag("height", HEIGHTS), SEARCH_MODE,
+                      _flag("workers", st.integers(1, 3) | st.integers(-1, 4)),
+                      _flag("worker-index", st.integers(0, 1) | st.integers(-1, 4))),
+    "cross-check": ADMISSIBLE_FLAGS | _argv(FIBER_FLAGS, _flag("height", HEIGHTS)),
 }
 # any fields, or VALID_CWP with one rational replaced by a token
 CWP_JSON = (st.fixed_dictionaries({
@@ -328,6 +362,7 @@ def test_any_argv_ends_in_a_documented_exit(data, command, fmt, manifest, tmp_pa
     if manifest:
         argv.append(f"--manifest={tmp / manifest}")
     code, _, err = run_main(*argv)
+    event(f"{command}: exit {code}")
     assert code in (0, 2, 64, 74), argv
     if code:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
@@ -446,7 +481,6 @@ def test_usage_errors_exit_64():
     assert run_cli("frobnicate").returncode == 64
     assert run_cli("genus", "--n", "x", "--s", "2").returncode == 64
     assert run_cli("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0").returncode == 64
-    assert run_cli("param-conic", "--alpha", "0", "--beta", "1", "--u", "0").returncode == 64
     search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
     for workers in (("--workers", "3", "--worker-index", "3"),
                     ("--workers", "0"),
@@ -456,6 +490,18 @@ def test_usage_errors_exit_64():
         assert out.returncode == 64
         assert out.stderr == "error: need 0 <= worker_index < worker_count\n"
         assert "Traceback" not in out.stderr
+
+
+def test_degenerate_conic_and_cubic_exit_2():
+    for argv, message in (
+        (("param-conic", "--alpha", "0", "--beta", "1", "--u", "0"),
+         "error: DegenerateSpec: conic coefficients alpha, beta must be nonzero\n"),
+        (("cubic-to-weierstrass", "--alpha", "2", "--beta", "0", "--point", "1,1,1"),
+         "error: DegenerateSpec: cubic coefficients alpha, beta must be nonzero\n"),
+        (("cubic-to-weierstrass", "--alpha", "1", "--beta", "-1", "--point", "1,1,1"),
+         "error: DegenerateSpec: alpha + beta must be nonzero (gamma != 0)\n"),
+    ):
+        assert run_main(*argv) == (2, "", message)
 
 
 def test_map_inverse_off_fiber_is_domain_error():
@@ -496,7 +542,4 @@ def test_manifest_written_and_stable(tmp_path):
 def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
-    # the version is written twice: pyproject.toml and superfiber.__version__
-    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as handle:
-        version = tomllib.load(handle)["project"]["version"]
-    assert result.stdout == f"superfiber {version}\n"
+    assert result.stdout == f"superfiber {superfiber.__version__}\n"

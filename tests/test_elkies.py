@@ -32,18 +32,26 @@ def test_shared_coefficient_anchored_by_table():
 
 def test_verify_reproduction_all_checks_pass():
     report = verify_reproduction(ELKIES)
-    assert report.ok
-    assert [c.name for c in report.checks] == [
+    assert report["ok"] is True
+    assert [c["name"] for c in report["checks"]] == [
         "points_on_curve",
         "shared_coefficient_c",
         "equation_pairs",
         "y_vector_on_fiber",
         "fiber_genus",
     ]
-    report.raise_if_failed()  # no-op when everything passed
-    obj = report.to_obj()
-    assert obj["ok"] is True
-    assert all(c["passed"] for c in obj["checks"])
+    assert all(c["passed"] and c["failures"] == [] for c in report["checks"])
+    # the dict is what repro-elkies prints, keys in this order
+    assert list(report) == ["ok", "checks"]
+    assert all(list(c) == ["name", "passed", "failures"] for c in report["checks"])
+
+
+def _failing(report):
+    return {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def _failures(report, name):
+    return next(c["failures"] for c in report["checks"] if c["name"] == name)
 
 
 def _with_perturbed_point(index, dy):
@@ -56,20 +64,15 @@ def _with_perturbed_point(index, dy):
 def test_perturbed_point_fails_membership_check():
     bad = _with_perturbed_point(3, 1)
     report = verify_reproduction(bad)
-    assert not report.ok
-    failing = {c.name for c in report.checks if not c.passed}
-    assert "points_on_curve" in failing
-    membership = next(c for c in report.checks if c.name == "points_on_curve")
-    assert any(f.startswith("point 3") for f in membership.failures)
-    with pytest.raises(MismatchReport):
-        report.raise_if_failed()
+    assert report["ok"] is False
+    assert "points_on_curve" in _failing(report)
+    assert any(f.startswith("point 3") for f in _failures(report, "points_on_curve"))
 
 
 def test_perturbed_point_breaks_fiber_membership_too():
     bad = _with_perturbed_point(3, 1)
     report = verify_reproduction(bad)
-    names = {c.name: c.passed for c in report.checks}
-    assert names["y_vector_on_fiber"] is False
+    assert "y_vector_on_fiber" in _failing(report)
 
 
 def test_perturbed_golden_pair_fails_equation_check():
@@ -78,10 +81,8 @@ def test_perturbed_golden_pair_fails_equation_check():
     eqs[0] = (A + 1, B)
     bad = dataclasses.replace(ELKIES, expected_equations=tuple(eqs))
     report = verify_reproduction(bad)
-    failing = {c.name for c in report.checks if not c.passed}
-    assert "equation_pairs" in failing
-    check = next(c for c in report.checks if c.name == "equation_pairs")
-    assert any(f.startswith("equation 2:") for f in check.failures)
+    assert "equation_pairs" in _failing(report)
+    assert any(f.startswith("equation 2:") for f in _failures(report, "equation_pairs"))
 
 
 def test_golden_table_of_the_wrong_length_fails_equation_check():
@@ -90,30 +91,45 @@ def test_golden_table_of_the_wrong_length_fails_equation_check():
     for expected in (table[:14], table + (extra,)):
         bad = dataclasses.replace(ELKIES, expected_equations=expected)
         report = verify_reproduction(bad)
-        assert not report.ok
-        assert {c.name for c in report.checks if not c.passed} == {"equation_pairs"}
-        check = next(c for c in report.checks if c.name == "equation_pairs")
-        assert check.failures[0] == f"computed 15 equations, expected {len(expected)}"
+        assert report["ok"] is False
+        assert _failing(report) == {"equation_pairs"}
+        assert (_failures(report, "equation_pairs")[0]
+                == f"computed 15 equations, expected {len(expected)}")
 
 
 def test_perturbed_c_fails_coefficient_check():
     bad = dataclasses.replace(ELKIES, expected_c=ELKIES.expected_c + 1)
-    report = verify_reproduction(bad)
-    failing = {c.name for c in report.checks if not c.passed}
-    assert "shared_coefficient_c" in failing
+    assert "shared_coefficient_c" in _failing(verify_reproduction(bad))
 
 
 def test_perturbed_genus_fails_genus_check():
     bad = dataclasses.replace(ELKIES, expected_genus=212992)
-    report = verify_reproduction(bad)
-    failing = {c.name for c in report.checks if not c.passed}
-    assert failing == {"fiber_genus"}
+    assert _failing(verify_reproduction(bad)) == {"fiber_genus"}
 
 
 def test_self_check_rejects_broken_dataset():
     bad = _with_perturbed_point(0, 5)
-    with pytest.raises(MismatchReport):
+    with pytest.raises(MismatchReport) as refused:
         dataset_self_check(bad)
+    # one wording for an off-curve point, whichever check finds it
+    assert refused.value.failures == tuple(_failures(verify_reproduction(bad),
+                                                     "points_on_curve"))
+    assert refused.value.failures[0].startswith("point 0: (")
+
+
+def test_self_check_rejects_repeated_x_coordinate():
+    points = ELKIES.points
+    bad = dataclasses.replace(ELKIES, points=(points[0], points[0], *points[2:]))
+    with pytest.raises(MismatchReport) as refused:
+        dataset_self_check(bad)
+    assert refused.value.failures == ("x-coordinates are not pairwise distinct",)
+
+
+def test_self_check_rejects_wrong_table_size():
+    bad = dataclasses.replace(ELKIES, expected_equations=ELKIES.expected_equations[:14])
+    with pytest.raises(MismatchReport) as refused:
+        dataset_self_check(bad)
+    assert refused.value.failures == ("dataset table sizes are wrong",)
 
 
 def test_genus_matches_formula():

@@ -10,6 +10,8 @@ from superfiber import (
     CoordinateVanishing,
     CurveWithPoints,
     DegenerateParameter,
+    DegenerateSpec,
+    DiagonalCubicPoint,
     DimensionMismatch,
     ELKIES,
     NotAdmissible,
@@ -201,8 +203,9 @@ def test_conic_param_degenerate_parameter():
 
 
 def test_conic_spec_validated():
-    with pytest.raises(ValueError):
-        ConicSpec(0, 1)
+    for alpha, beta in ((0, 1), (1, 0)):
+        with pytest.raises(DegenerateSpec):
+            ConicSpec(alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +226,14 @@ def test_cubic_input_validation():
         cubic_to_diagonal(spec, [1, 0, 2])
     with pytest.raises(NotOnCubic):
         cubic_to_diagonal(CubicSpec(1, 1), [1, 1, 2])
-    with pytest.raises(ValueError):
-        CubicSpec(1, -1)  # gamma = 0
+    for alpha, beta in ((0, 1), (1, 0), (1, -1)):  # alpha = 0, beta = 0, gamma = 0
+        with pytest.raises(DegenerateSpec):
+            CubicSpec(alpha, beta)
+
+
+def test_diagonal_to_weierstrass_refuses_u_plus_v_zero():
+    with pytest.raises(CoordinateVanishing):
+        diagonal_to_weierstrass(CubicSpec(1, 1), DiagonalCubicPoint(1, -1, 0))
 
 
 def random_cubic_instance(rng):
