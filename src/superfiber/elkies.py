@@ -15,17 +15,15 @@ from the points and compares bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MismatchReport
-from .exact import normalize_projective
+from .exact import normalize_projective, record
 from .fiber import XCoordinates, fiber_contains, fiber_equation_triples, fiber_genus
 
 R = 3
 S = 2
 
 
-@dataclass(frozen=True)
+@record
 class ElkiesDataset:
     """The embedded record: curve constant, the 17 points, and the
     expected fiber table (shared c, the (A_i, B_i) pairs, the genus)."""

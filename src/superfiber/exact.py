@@ -12,7 +12,6 @@ inputs that differ by a nonzero rational scale normalize identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -88,10 +87,19 @@ def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
     For even s the non-negative root is returned; for odd s the root has
     the sign of x.  Works on numerator and denominator separately, which
     is valid because they are coprime.  An int or Fraction is read as it
-    is; anything else goes through rational().
+    is; anything else goes through rational().  An int, the radicand of
+    both search kernels, has no denominator to test.
     """
     if s < 2:
         raise ValueError("root order must be >= 2")
+    if type(x) is int:
+        if x < 0 and s % 2 == 0:
+            return None
+        n = -x if x < 0 else x
+        root = math.isqrt(n) if s == 2 else _floor_nth_root(n, s)
+        if root ** s != n:
+            return None
+        return Fraction(-root if x < 0 else root)
     q = x if isinstance(x, (int, Fraction)) else rational(x)
     negative = q < 0
     if negative and s % 2 == 0:
@@ -106,7 +114,59 @@ def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
     return Fraction(-rn if negative else rn, rd)
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """An attribute of a record was assigned or deleted."""
+
+
+def record(cls):
+    """Make cls an immutable value class over its own annotations, in order.
+
+    A class-level value is a field's default.  Fields are given by position
+    or keyword, then self.__post_init__ runs, looked up at each call so that
+    a method rebound on the class later is the one that runs.  A record
+    equals only a record of its own class with an equal field tuple, and
+    hashes as that tuple; what __post_init__ sets with object.__setattr__
+    is not a field.  Unlike dataclass(frozen=True), this imports nothing and
+    generates no code, which every process paid for at start-up.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not kwargs.keys() <= set(names) - given.keys():
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        values = {**defaults, **given, **kwargs}
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() is missing {', '.join(missing)}")
+        self.__dict__.update((name, values[name]) for name in names)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def fields(self):
+        return tuple(self.__dict__[name] for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={self.__dict__[name]!r}" for name in names)
+        return f"{cls.__qualname__}({body})"
+
+    def frozen(self, name, value=None):  # both __setattr__ and __delattr__
+        raise FrozenRecordError(f"cannot change {cls.__name__}.{name}: records are immutable")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(fields(self))
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
+
+
+@record
 class ProjectivePoint:
     """Canonical integer representative of a point [c_0 : ... : c_k].
 

@@ -12,14 +12,13 @@ on which the marked point becomes (x_0, 1) and every other point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, RationalLike, integer, rational, rational_str
+from .exact import Rational, RationalLike, integer, rational, rational_str, record
 
 
-@dataclass(frozen=True)
+@record
 class FamilyParams:
     """Exponent pair (r, s), both at least 2."""
 
@@ -31,7 +30,7 @@ class FamilyParams:
             raise ValueError(f"exponents must be >= 2, got r={self.r}, s={self.s}")
 
 
-@dataclass(frozen=True)
+@record
 class Curve:
     params: FamilyParams
     a: Rational
@@ -65,7 +64,7 @@ def make_curve(r: int, s: int, a: RationalLike, b: RationalLike) -> Curve:
     return Curve(FamilyParams(r, s), rational(a), rational(b))
 
 
-@dataclass(frozen=True)
+@record
 class AffinePoint:
     x: Rational
     y: Rational
@@ -87,7 +86,7 @@ def contains_point(curve: Curve, p: AffinePoint) -> bool:
     return p.y ** curve.params.s == curve.rhs(p.x)
 
 
-@dataclass(frozen=True)
+@record
 class CurveWithPoints:
     """A family member plus an ordered list of points on it.
 
@@ -144,7 +143,7 @@ def curve_genus(params: FamilyParams) -> int:
     return num // 2
 
 
-@dataclass(frozen=True)
+@record
 class TwistedCurve:
     """The twist c0*y^s = a*x^r + b by a base point with c0 = a*x_0^r + b."""
 

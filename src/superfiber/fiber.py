@@ -19,7 +19,6 @@ and gonality at least (s-1) * s^(n-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotAdmissible
@@ -31,6 +30,7 @@ from .exact import (
     normalize_projective,
     rational,
     rational_str,
+    record,
 )
 
 # A fiber point is just a canonical projective tuple [Y_0 : ... : Y_n].
@@ -54,14 +54,12 @@ def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
     return len(set(powers)) == len(powers)
 
 
-@dataclass(frozen=True)
+@record
 class XCoordinates:
     """An admissible tuple (alpha_0, ..., alpha_n), n >= 2, with its exponent r."""
 
     alphas: tuple[Rational, ...]
     r: int
-    # alpha_i^r, computed once; not part of the value, which alphas and r fix
-    _powers: tuple[int | Rational, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(rational(a) for a in self.alphas))
@@ -72,6 +70,7 @@ class XCoordinates:
             raise NotAdmissible(
                 "x-coordinates must have pairwise distinct r-th powers"
             )
+        # alpha_i^r, computed once; not a field, since alphas and r fix it
         object.__setattr__(self, "_powers", powers)
 
     @property
@@ -95,7 +94,7 @@ def x_coordinates(alphas: Sequence[RationalLike], r: int) -> XCoordinates:
     return XCoordinates(tuple(rational(a) for a in alphas), r)
 
 
-@dataclass(frozen=True)
+@record
 class FiberEquation:
     """c0*Y_0^s + c1*Y_1^s + ci*Y_i^s = 0 in canonical integer form.
 

@@ -27,7 +27,6 @@ model v^2 = q(u) of an intersection of two quadrics in P^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,6 +49,7 @@ from .exact import (
     normalize_projective,
     rational,
     rational_str,
+    record,
     sth_root_exact,
 )
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
@@ -122,7 +122,7 @@ def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
 # conic parameterization
 
 
-@dataclass(frozen=True)
+@record
 class ConicSpec:
     """Conic alpha*X^2 + beta*Y^2 + gamma*Z^2 = 0 with gamma = -(alpha+beta)."""
 
@@ -173,7 +173,7 @@ def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
 # diagonal cubics and their Weierstrass model
 
 
-@dataclass(frozen=True)
+@record
 class CubicSpec:
     """Cubic alpha*X^3 + beta*Y^3 + gamma*Z^3 = 0 with gamma = -(alpha+beta) != 0."""
 
@@ -197,7 +197,7 @@ class CubicSpec:
         return self.alpha * X ** 3 + self.beta * Y ** 3 + self.gamma * Z ** 3 == 0
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalCubicPoint:
     """Point (U, V, W) on U^3 + V^3 = alpha*beta*gamma * W^3."""
 
@@ -231,7 +231,7 @@ def cubic_to_diagonal(spec: CubicSpec, P: Sequence[RationalLike]) -> DiagonalCub
     return DiagonalCubicPoint(U, V, W)
 
 
-@dataclass(frozen=True)
+@record
 class WeierstrassPoint:
     """Point (T, S) on S^2 = T^3 - discriminant_term."""
 

@@ -26,6 +26,9 @@ fiber-pair loop scales equation i by ci^(s-1) once per search:
 so the radicand is an int and Y_i = root / ci.  This is exact: Y_i is
 rational exactly when ci*Y_i is, and ci > 0 in canonical form, so the
 scale keeps the sign of Y_i for odd s and the non-negative root for even s.
+The pairs come by row, one Y_0 = p with its Y_1 = q coprime to p: k0*p^s
+is formed once per row, and each pair costs one root test per equation
+until one fails.
 
 Worker i of N takes rows i, i+N, ... of the outer coordinate (a in the
 curve box, Y_0 in the pair stream), so no worker generates another's
@@ -37,12 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import TrivialPoint
-from .exact import Rational, normalize_projective, rational_str, sth_root_exact
+from .exact import Rational, normalize_projective, rational_str, record, sth_root_exact
 from .family import Curve, FamilyParams
 from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
 from .maps import phi_inverse
@@ -54,7 +56,7 @@ from .maps import phi_inverse
 MAX_CANDIDATES = 10 ** 8
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     """Height bound and (worker_index, worker_count) share of the outer
     rows of the candidate stream."""
@@ -73,7 +75,7 @@ class SearchConfig:
             raise ValueError("need 0 <= worker_index < worker_count")
 
 
-@dataclass(frozen=True)
+@record
 class CensusEntry:
     """One curve of the census with its canonical fiber-point image."""
 
@@ -125,18 +127,15 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
             if curve_roots_over(a_n, s, a, b) is not None]
 
 
-def _leading_pairs(height: int, s: int,
-                   partition: tuple[int, int]) -> Iterator[tuple[int, int]]:
-    # coprime (Y_0, Y_1) up to the bound, Y_0 in this worker's rows; for even
-    # s signs never matter, for odd s only the global sign is normalized
+def _pair_rows(height: int, s: int,
+               partition: tuple[int, int]) -> Iterator[tuple[int, list[int]]]:
+    # for even s signs never matter, for odd s only the global sign is normalized
     for p in _rows(range(0, height + 1), partition):
         if s % 2 == 0:
             qs = range(0, height + 1)
         else:
             qs = range(-height, height + 1) if p > 0 else (1,)
-        for q in qs:
-            if math.gcd(p, abs(q)) == 1:
-                yield (p, q)
+        yield p, [q for q in qs if math.gcd(p, q) == 1]
 
 
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
@@ -146,16 +145,19 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     scaled = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
               for eq in fiber_equations(a_n, s)]
     found = set()
-    for p, q in _leading_pairs(cfg.height_bound, s, cfg.partition):
-        z0, z1 = p ** s, q ** s
-        coords: list[int | Rational] = [p, q]
-        for ci, k0, k1 in scaled:
-            root = sth_root_exact(k0 * z0 + k1 * z1, s)
-            if root is None:
-                break
-            coords.append(root / ci)
-        else:
-            found.add(canonical_fiber_point(coords, s))
+    for p, qs in _pair_rows(cfg.height_bound, s, cfg.partition):
+        z0 = p ** s
+        row = [(ci, k0 * z0, k1) for ci, k0, k1 in scaled]
+        for q in qs:
+            z1 = q ** s
+            coords: list[int | Rational] = [p, q]
+            for ci, t0, k1 in row:
+                root = sth_root_exact(t0 + k1 * z1, s)
+                if root is None:
+                    break
+                coords.append(root / ci)
+            else:
+                found.add(canonical_fiber_point(coords, s))
     return sorted(found, key=lambda P: P.coords)
 
 
@@ -184,7 +186,7 @@ def integer_class_representatives(a: Rational, b: Rational, s: int,
             if m and sth_root_exact(m / lam, s) is not None]
 
 
-@dataclass(frozen=True)
+@record
 class MatchedClass:
     fiber_point: FiberPoint
     curves: tuple[Curve, ...]
@@ -200,7 +202,7 @@ class MatchedClass:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CrossCheckReport:
     """Outcome of the dual enumeration.
 

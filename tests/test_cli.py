@@ -33,6 +33,19 @@ def run_cli(*args, stdin=None):
     )
 
 
+def test_start_up_imports_no_dataclasses():
+    # value classes are exact.record, so no command pays for importing
+    # dataclasses (which imports inspect) or for generating its methods
+    src = os.path.dirname(os.path.dirname(superfiber.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from superfiber.cli import main; "
+            "code = main(['genus', '--n', '2', '--s', '2']); "
+            "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == '{"genus":0,"gonality_lower_bound":1,"n0":4}\n0 []\n'
+
+
 def test_genus_command_exact_bytes():
     result = run_cli("genus", "--n", "16", "--s", "2")
     assert result.returncode == 0

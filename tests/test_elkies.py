@@ -1,9 +1,8 @@
-import dataclasses
-
 import pytest
 
 from superfiber import (
     ELKIES,
+    ElkiesDataset,
     MismatchReport,
     dataset_self_check,
     fiber_genus,
@@ -54,11 +53,16 @@ def _failures(report, name):
     return next(c["failures"] for c in report["checks"] if c["name"] == name)
 
 
+def _altered(**changes):
+    # ELKIES with some fields replaced
+    return ElkiesDataset(**{**vars(ELKIES), **changes})
+
+
 def _with_perturbed_point(index, dy):
     points = list(ELKIES.points)
     x, y = points[index]
     points[index] = (x, y + dy)
-    return dataclasses.replace(ELKIES, points=tuple(points))
+    return _altered(points=tuple(points))
 
 
 def test_perturbed_point_fails_membership_check():
@@ -79,7 +83,7 @@ def test_perturbed_golden_pair_fails_equation_check():
     eqs = list(ELKIES.expected_equations)
     A, B = eqs[0]
     eqs[0] = (A + 1, B)
-    bad = dataclasses.replace(ELKIES, expected_equations=tuple(eqs))
+    bad = _altered(expected_equations=tuple(eqs))
     report = verify_reproduction(bad)
     assert "equation_pairs" in _failing(report)
     assert any(f.startswith("equation 2:") for f in _failures(report, "equation_pairs"))
@@ -89,7 +93,7 @@ def test_golden_table_of_the_wrong_length_fails_equation_check():
     table = ELKIES.expected_equations
     extra = (ELKIES.expected_c + 1, 1)  # A - B = c, so only the row count is wrong
     for expected in (table[:14], table + (extra,)):
-        bad = dataclasses.replace(ELKIES, expected_equations=expected)
+        bad = _altered(expected_equations=expected)
         report = verify_reproduction(bad)
         assert report["ok"] is False
         assert _failing(report) == {"equation_pairs"}
@@ -98,12 +102,12 @@ def test_golden_table_of_the_wrong_length_fails_equation_check():
 
 
 def test_perturbed_c_fails_coefficient_check():
-    bad = dataclasses.replace(ELKIES, expected_c=ELKIES.expected_c + 1)
+    bad = _altered(expected_c=ELKIES.expected_c + 1)
     assert "shared_coefficient_c" in _failing(verify_reproduction(bad))
 
 
 def test_perturbed_genus_fails_genus_check():
-    bad = dataclasses.replace(ELKIES, expected_genus=212992)
+    bad = _altered(expected_genus=212992)
     assert _failing(verify_reproduction(bad)) == {"fiber_genus"}
 
 
@@ -119,14 +123,14 @@ def test_self_check_rejects_broken_dataset():
 
 def test_self_check_rejects_repeated_x_coordinate():
     points = ELKIES.points
-    bad = dataclasses.replace(ELKIES, points=(points[0], points[0], *points[2:]))
+    bad = _altered(points=(points[0], points[0], *points[2:]))
     with pytest.raises(MismatchReport) as refused:
         dataset_self_check(bad)
     assert refused.value.failures == ("x-coordinates are not pairwise distinct",)
 
 
 def test_self_check_rejects_wrong_table_size():
-    bad = dataclasses.replace(ELKIES, expected_equations=ELKIES.expected_equations[:14])
+    bad = _altered(expected_equations=ELKIES.expected_equations[:14])
     with pytest.raises(MismatchReport) as refused:
         dataset_self_check(bad)
     assert refused.value.failures == ("dataset table sizes are wrong",)

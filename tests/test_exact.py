@@ -15,6 +15,10 @@ from superfiber import (
     rational_str,
     sth_root_exact,
 )
+from superfiber import exact
+from superfiber.exact import FrozenRecordError, record
+from superfiber.family import AffinePoint, CurveWithPoints, make_curve
+from superfiber.fiber import XCoordinates
 
 
 def test_normalize_clears_denominators_and_content():
@@ -88,19 +92,46 @@ def test_sth_root_of_sth_power_always_exists():
 
 
 @settings(deadline=None)
-@given(k=st.integers(-2 ** 70, 2 ** 70), offset=st.integers(-1, 1), s=st.integers(2, 7))
-@example(k=0, offset=0, s=2)
-@example(k=0, offset=-1, s=7)
-@example(k=-(2 ** 41) - 3, offset=0, s=5)
-@example(k=2 ** 67 + 3, offset=1, s=3)
-def test_sth_root_of_int_matches_its_fraction(k, offset, s):
-    # k^s past 2^200 when |k| > 2^40 and s >= 5, or |k| > 2^67 and s = 3
-    n = k ** s + offset
+@given(k=st.integers(0, 2 ** 210), offset=st.integers(-1, 1), sign=st.sampled_from((1, -1)),
+       s=st.integers(2, 7))
+@example(k=0, offset=0, sign=1, s=2)
+@example(k=0, offset=-1, sign=1, s=7)
+@example(k=2 ** 41 + 3, offset=0, sign=-1, s=5)
+@example(k=2 ** 67 + 3, offset=1, sign=1, s=3)
+@example(k=2 ** 201 + 1, offset=0, sign=1, s=2)
+@example(k=2 ** 201 + 1, offset=-1, sign=-1, s=7)
+@example(k=3, offset=0, sign=-1, s=4)
+def test_sth_root_of_int_matches_its_fraction(k, offset, sign, s):
+    # the int path against the Fraction path, on s-th powers and their
+    # neighbours; x = -(k^s + d) for even s has no root on either path
+    n = sign * (k ** s + offset)
     root = sth_root_exact(n, s)
     assert root == sth_root_exact(Fraction(n), s)
     assert root is None or type(root) is Fraction
-    if offset == 0 and (k >= 0 or s % 2):
-        assert root == k
+    if offset == 0 and (sign > 0 or s % 2):
+        assert root == sign * k
+
+
+@settings(deadline=None)
+@given(n=st.integers(), s=st.integers(2, 7))
+@example(n=0, s=2)
+@example(n=-1, s=2)
+@example(n=-1, s=3)
+def test_sth_root_of_any_int_matches_its_fraction(n, s):
+    root = sth_root_exact(n, s)
+    assert root == sth_root_exact(Fraction(n), s)
+    assert root is None or type(root) is Fraction
+
+
+def test_sth_root_of_int_skips_the_denominator(monkeypatch):
+    # an int has no denominator to root; a bool is not read as an int
+    calls = []
+    monkeypatch.setattr(exact, "int_nth_root", lambda n, s: calls.append(n) or 1)
+    assert sth_root_exact(1, 2) == 1 and sth_root_exact(-27, 3) == -3
+    assert calls == []
+    root = sth_root_exact(True, 2)
+    assert root == 1 and type(root) is Fraction
+    assert calls == [1, 1]
 
 
 def test_sth_root_order_validated():
@@ -155,3 +186,61 @@ def test_projective_point_helpers():
     assert P.fractions() == (Fraction(1), Fraction(-3), Fraction(2))
     assert P == ProjectivePoint((1, -3, 2))
     assert projective_from_obj(P.to_obj()) == P
+
+
+@record
+class _Pair:
+    x: int
+    y: int = 0
+
+
+@record
+class _OtherPair:
+    x: int
+    y: int
+
+
+def test_record_fields_equality_hash_and_repr():
+    assert _Pair(1, 2) == _Pair(x=1, y=2) == _Pair(1, y=2)
+    assert _Pair(1) == _Pair(1, 0)
+    assert _Pair(1, 2) != _Pair(2, 1)
+    assert _Pair(1, 2) != _OtherPair(1, 2)
+    assert _Pair(1, 2) != (1, 2)
+    assert hash(_Pair(1, 2)) == hash((1, 2))
+    assert repr(_Pair(1, 2)) == "_Pair(x=1, y=2)"
+    assert CurveWithPoints(make_curve(3, 2, 1, 1), [AffinePoint(0, 1)]).base_index == 0
+
+
+def test_record_refuses_bad_arguments_and_changes():
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 1})):
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+    with pytest.raises(TypeError):
+        _OtherPair(1)
+    P = _Pair(1, 2)
+    with pytest.raises(FrozenRecordError):
+        P.x = 3
+    with pytest.raises(FrozenRecordError):
+        del P.y
+    with pytest.raises(AttributeError):
+        P.z = 3
+    assert P == _Pair(1, 2)
+
+
+def test_xcoordinates_powers_are_not_a_field():
+    a, b = XCoordinates((0, 1, 2), 3), XCoordinates((0, 1, 2), 3)
+    object.__setattr__(b, "_powers", ())
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.alphas, 3))
+    assert "_powers" not in repr(a)
+    assert a.rth_powers() == (0, 1, 8)
+
+
+def test_record_runs_post_init_bound_after_import(monkeypatch):
+    # the benchmark's tracer rebinds CurveWithPoints.__post_init__ on the class
+    calls = []
+    original = CurveWithPoints.__post_init__
+    monkeypatch.setattr(CurveWithPoints, "__post_init__",
+                        lambda self: calls.append(self.base_index) or original(self))
+    CurveWithPoints(make_curve(3, 2, 1, 1), (AffinePoint(0, 1), AffinePoint(2, 3)), 1)
+    assert calls == [1]

@@ -178,7 +178,8 @@ def test_worker_slices_take_whole_rows(monkeypatch, height):
     kernels = [(lambda part: _box_candidates(monkeypatch, a_2, height, part),
                 lambda ab: values.index(ab[0]))]
     for s in (2, 3):
-        kernels.append((lambda part, s=s: list(search._leading_pairs(height, s, part)),
+        kernels.append((lambda part, s=s: [(p, q) for p, qs in search._pair_rows(height, s, part)
+                                           for q in qs],
                         lambda pq: pq[0]))
     for stream_of, row_of in kernels:
         full = stream_of((0, 1))
