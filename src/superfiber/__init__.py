@@ -78,7 +78,6 @@ from .maps import (
 )
 from .search import (
     CensusEntry,
-    CrossCheckReport,
     SearchConfig,
     cross_check,
     curve_census_entries,

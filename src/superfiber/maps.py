@@ -59,11 +59,12 @@ from .fiber import FiberPoint, XCoordinates, fiber_equations
 def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
     """Map a curve with points to (x-coordinates, fiber point).
 
-    Raises BasePointVanishing when the base y is zero and NotAdmissible
-    when the x-coordinates have colliding r-th powers.
+    The image is [y_0 : ... : y_n] in point order, whatever base_index
+    says.  Raises BasePointVanishing when the first point's y is zero and
+    NotAdmissible when the x-coordinates have colliding r-th powers.
     """
-    if cwp.base.y == 0:
-        raise BasePointVanishing("forward map needs a base point with y != 0")
+    if cwp.points[0].y == 0:
+        raise BasePointVanishing("forward map needs a first point with y != 0")
     a_n = XCoordinates(tuple(p.x for p in cwp.points), cwp.curve.params.r)
     # [y_i * y_0^(s-1)] is [y_i] scaled by y_0^(s-1) != 0: the same canonical point
     return a_n, normalize_projective([p.y for p in cwp.points])

@@ -186,65 +186,6 @@ def integer_class_representatives(a: Rational, b: Rational, s: int,
             if m and sth_root_exact(m / lam, s) is not None]
 
 
-@record
-class MatchedClass:
-    fiber_point: FiberPoint
-    curves: tuple[Curve, ...]
-    recovered_a: Rational
-    recovered_b: Rational
-
-    def to_obj(self) -> dict:
-        return {
-            "fiber_point": self.fiber_point.to_obj(),
-            "curves": [c.to_obj() for c in self.curves],
-            "recovered_a": rational_str(self.recovered_a),
-            "recovered_b": rational_str(self.recovered_b),
-        }
-
-
-@record
-class CrossCheckReport:
-    """Outcome of the dual enumeration.
-
-    matched pairs one fiber point with every box curve in its rescaling
-    class; trivial_points and base_vanishing_points fall outside the
-    correspondence; cutoff lists fiber points whose curve class has no
-    integer representative inside the box (height-cutoff asymmetry).
-    unmatched_curves / unmatched_fiber_points are genuine failures and
-    should always be empty.
-    """
-
-    alphas: XCoordinates
-    s: int
-    curve_height: int
-    fiber_height: int
-    matched: tuple[MatchedClass, ...]
-    trivial_points: tuple[FiberPoint, ...]
-    base_vanishing_points: tuple[FiberPoint, ...]
-    cutoff_fiber_points: tuple[FiberPoint, ...]
-    unmatched_curves: tuple[Curve, ...]
-    unmatched_fiber_points: tuple[FiberPoint, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.unmatched_curves and not self.unmatched_fiber_points
-
-    def to_obj(self) -> dict:
-        return {
-            "alphas": self.alphas.to_obj(),
-            "s": self.s,
-            "curve_height": self.curve_height,
-            "fiber_height": self.fiber_height,
-            "matched": [m.to_obj() for m in self.matched],
-            "trivial_points": [P.to_obj() for P in self.trivial_points],
-            "base_vanishing_points": [P.to_obj() for P in self.base_vanishing_points],
-            "cutoff_fiber_points": [P.to_obj() for P in self.cutoff_fiber_points],
-            "unmatched_curves": [c.to_obj() for c in self.unmatched_curves],
-            "unmatched_fiber_points": [P.to_obj() for P in self.unmatched_fiber_points],
-            "ok": self.ok,
-        }
-
-
 def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CensusEntry]:
     """Curve-box census with canonical fiber-point images; the roots that
     admit a curve are phi_forward's image [y_0 : ... : y_n]."""
@@ -270,13 +211,22 @@ def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[C
     return entries
 
 
-def cross_check(a_n: XCoordinates, s: int, height: int) -> CrossCheckReport:
-    """Run both enumerations at compatible bounds and match them up.
+def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
+    """Run both enumerations at compatible bounds and match them up;
+    returns the report that `cross-check` prints.
 
     The fiber bound is raised to cover the images of every box curve, so
     each curve class must be found on the fiber side; conversely each
     nontrivial fiber point either recovers a curve class with a box
     representative (matched) or is explained by the height cutoff.
+
+    Each fiber point lands in one bucket: matched pairs it with every box
+    curve in its rescaling class and the (a, b) it recovers;
+    trivial_points and base_vanishing_points fall outside the
+    correspondence; cutoff_fiber_points have a curve class with no integer
+    representative inside the box (height-cutoff asymmetry).
+    unmatched_curves / unmatched_fiber_points are genuine failures and
+    should always be empty; ok says that they are.
     """
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
@@ -284,43 +234,32 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> CrossCheckReport:
         groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
         fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
 
-    points = search_fiber_points(a_n, s, SearchConfig(fiber_bound))
-
-    matched: list[MatchedClass] = []
-    trivial: list[FiberPoint] = []
-    base_vanishing: list[FiberPoint] = []
-    cutoff: list[FiberPoint] = []
-    unmatched_points: list[FiberPoint] = []
-
-    for P in points:
+    report = {"alphas": a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
+              "matched": [], "trivial_points": [], "base_vanishing_points": [],
+              "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
+    for P in search_fiber_points(a_n, s, SearchConfig(fiber_bound)):
         try:
             cwp = phi_inverse(a_n, P.coords, s)
         except TrivialPoint:
-            trivial.append(P)
+            report["trivial_points"].append(P.to_obj())
             continue
         if P[0] == 0:
-            base_vanishing.append(P)
+            bucket = "base_vanishing_points"
+        elif P.coords in groups:
+            report["matched"].append({
+                "fiber_point": P.to_obj(),
+                "curves": [c.to_obj() for c in groups.pop(P.coords)],
+                "recovered_a": rational_str(cwp.curve.a),
+                "recovered_b": rational_str(cwp.curve.b),
+            })
             continue
-        if P.coords in groups:
-            matched.append(MatchedClass(P, tuple(groups.pop(P.coords)),
-                                        cwp.curve.a, cwp.curve.b))
         elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):
-            unmatched_points.append(P)
+            bucket = "unmatched_fiber_points"
         else:
-            cutoff.append(P)
+            bucket = "cutoff_fiber_points"
+        report[bucket].append(P.to_obj())
 
     # the classes no fiber point matched
-    unmatched_curves = [c for _, group in sorted(groups.items()) for c in group]
-
-    return CrossCheckReport(
-        alphas=a_n,
-        s=s,
-        curve_height=height,
-        fiber_height=fiber_bound,
-        matched=tuple(matched),
-        trivial_points=tuple(trivial),
-        base_vanishing_points=tuple(base_vanishing),
-        cutoff_fiber_points=tuple(cutoff),
-        unmatched_curves=tuple(unmatched_curves),
-        unmatched_fiber_points=tuple(unmatched_points),
-    )
+    report["unmatched_curves"] = [c.to_obj() for _, group in sorted(groups.items()) for c in group]
+    report["ok"] = not report["unmatched_curves"] and not report["unmatched_fiber_points"]
+    return report

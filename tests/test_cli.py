@@ -1,12 +1,15 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -487,6 +490,31 @@ def test_cross_check_command():
     assert payload["ok"] is True
     assert payload["matched"][0]["fiber_point"] == ["1", "3", "0"]
     assert payload["trivial_points"] == [["1", "1", "1"]]
+
+
+def test_cross_check_that_is_not_ok_exits_2(monkeypatch):
+    # with no fiber points the box curve (1, 1) is unmatched
+    monkeypatch.setattr("superfiber.search.search_fiber_points", lambda *args: [])
+    code, out, err = run_main("cross-check", "--alphas=0,2,-1", "--r", "3", "--s", "2",
+                              "--height", "2")
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (2, "", False)
+    assert payload["unmatched_curves"] == [{"r": 3, "s": 2, "a": "1", "b": "1"}]
+
+
+def test_readme_example_session():
+    # every `$ superfiber ...` line of the README followed by output prints that output
+    lines = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    ran = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("$ superfiber "):
+            continue
+        expected = list(itertools.takewhile(
+            lambda text: not text.startswith(("$ ", "```")), lines[i + 1:]))
+        if expected:
+            assert run_main(*shlex.split(line)[2:]) == (0, "\n".join(expected) + "\n", ""), line
+            ran += 1
+    assert ran >= 2
 
 
 def test_usage_errors_exit_64():

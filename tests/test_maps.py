@@ -65,6 +65,18 @@ def test_phi_forward_base_vanishing():
         phi_forward(cwp)
 
 
+def test_phi_forward_guard_reads_first_point_not_base_index():
+    # the image [y_0 : ... : y_n] is in point order, so base_index plays no part
+    curve = make_curve(3, 2, 1, 1)
+    cwp = CurveWithPoints(curve, (point(-1, 0), point(0, 1), point(2, 3)), base_index=1)
+    with pytest.raises(BasePointVanishing):
+        phi_forward(cwp)
+    cwp = CurveWithPoints(curve, (point(0, 1), point(-1, 0), point(2, 3)), base_index=1)
+    a_n, Y = phi_forward(cwp)
+    assert a_n.alphas == (0, -1, 2)
+    assert Y.coords == (1, 0, 3)
+
+
 def test_phi_forward_not_admissible():
     curve = make_curve(2, 2, 0, 1)
     cwp = CurveWithPoints(curve, (point(1, 1), point(-1, 1), point(2, 1)))

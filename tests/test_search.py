@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superfiber import (
     ELKIES,
+    Curve,
     CurveWithPoints,
     SearchConfig,
     canonical_fiber_point,
@@ -354,50 +355,77 @@ def test_census_images_are_forward_map_images(alphas, r, s, height):
         assert entry.fiber_point == canonical_fiber_point(image.coords, s)
 
 
+@settings(deadline=None)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 8))
+# every bucket but unmatched: [0:1:4] base-vanishing and [3:4:11] cutoff at the
+# first, two curves in one matched class at the second, s = 3 with a matched
+# class and four cutoff points at the third
+@example(alphas=[Fraction(1), Fraction(2), Fraction(7)], r=2, s=2, height=6)
+@example(alphas=[Fraction(0), Fraction(2), Fraction(-1)], r=3, s=2, height=4)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8)
+def test_cross_check_partitions_both_censuses(alphas, r, s, height):
+    assume(is_admissible(alphas, r))
+    a_n = x_coordinates(alphas, r)
+    report = cross_check(a_n, s, height)
+    curves = [c for m in report["matched"] for c in m["curves"]] + report["unmatched_curves"]
+    assert sorted(map(Curve.from_obj, curves), key=lambda c: (c.a, c.b)) \
+        == [e.curve for e in curve_census_entries(a_n, s, SearchConfig(height))]
+    buckets = ("trivial_points", "base_vanishing_points", "cutoff_fiber_points",
+               "unmatched_fiber_points")
+    points = [m["fiber_point"] for m in report["matched"]] + [
+        P for key in buckets for P in report[key]]
+    assert sorted(points) == sorted(P.to_obj() for P in search_fiber_points(
+        a_n, s, SearchConfig(report["fiber_height"])))
+    assert report["ok"] is (report["unmatched_curves"] == report["unmatched_fiber_points"] == [])
+
+
 def test_cross_check_exact_bijection():
     a_2 = x_coordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 2)
-    assert report.ok
-    assert len(report.matched) == 1
-    match = report.matched[0]
-    assert match.fiber_point.coords == (1, 3, 0)
-    assert [(c.a, c.b) for c in match.curves] == [(1, 1)]
-    assert (match.recovered_a, match.recovered_b) == (1, 1)
-    assert [P.coords for P in report.trivial_points] == [(1, 1, 1)]
-    assert report.cutoff_fiber_points == ()
-    assert report.unmatched_curves == ()
-    assert report.unmatched_fiber_points == ()
+    assert report["ok"]
+    assert len(report["matched"]) == 1
+    match = report["matched"][0]
+    assert match["fiber_point"] == ["1", "3", "0"]
+    assert [(c["a"], c["b"]) for c in match["curves"]] == [("1", "1")]
+    assert (match["recovered_a"], match["recovered_b"]) == ("1", "1")
+    assert report["trivial_points"] == [["1", "1", "1"]]
+    assert report["cutoff_fiber_points"] == []
+    assert report["unmatched_curves"] == []
+    assert report["unmatched_fiber_points"] == []
 
 
 def test_cross_check_sorts_base_vanishing_points():
     a_2 = x_coordinates([1, 2, 7], 2)
     report = cross_check(a_2, 2, 6)
-    assert report.ok and report.matched == ()
-    assert [P.coords for P in report.base_vanishing_points] == [(0, 1, 4)]
-    assert [P.coords for P in report.trivial_points] == [(1, 1, 1), (1, 2, 7)]
-    assert [P.coords for P in report.cutoff_fiber_points] == [(3, 4, 11)]
+    assert report["ok"] and report["matched"] == []
+    assert report["base_vanishing_points"] == [["0", "1", "4"]]
+    assert report["trivial_points"] == [["1", "1", "1"], ["1", "2", "7"]]
+    assert report["cutoff_fiber_points"] == [["3", "4", "11"]]
     # with alpha_0 = 0 the point [0:1:2] recovers b = 0: the triviality test
     # comes first, so it is trivial although its base coordinate vanishes
     report = cross_check(x_coordinates([0, 1, 2], 2), 2, 4)
-    assert [P.coords for P in report.trivial_points] == [(0, 1, 2), (1, 1, 1)]
-    assert report.base_vanishing_points == ()
+    assert report["trivial_points"] == [["0", "1", "2"], ["1", "1", "1"]]
+    assert report["base_vanishing_points"] == []
 
 
 def test_cross_check_trivial_only_fiber():
     a_2 = x_coordinates([1, 2, 3], 3)
     report = cross_check(a_2, 2, 1)
-    assert report.matched == ()
-    assert [P.coords for P in report.trivial_points] == [(1, 1, 1)]
-    assert report.ok
+    assert report["matched"] == []
+    assert report["trivial_points"] == [["1", "1", "1"]]
+    assert report["ok"]
 
 
 def test_cross_check_groups_equivalent_curves():
     # (1, 1) and (4, 4) are the same class; both sit in an H = 4 box
     a_2 = x_coordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 4)
-    classes = {m.fiber_point.coords: [(c.a, c.b) for c in m.curves] for m in report.matched}
-    assert classes[(1, 3, 0)] == [(1, 1), (4, 4)]
-    assert report.ok
+    classes = {tuple(m["fiber_point"]): [(c["a"], c["b"]) for c in m["curves"]]
+               for m in report["matched"]}
+    assert classes[("1", "3", "0")] == [("1", "1"), ("4", "4")]
+    assert report["ok"]
 
 
 def test_census_stability_observed_above_threshold():
@@ -426,21 +454,21 @@ def test_cross_check_cutoff_reconciliation_on_rich_fiber():
     # point must be explained as cutoff, not left unmatched
     a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
     report = cross_check(a_4, 2, 20)
-    assert report.ok
-    assert report.matched == ()
-    assert [P.coords for P in report.cutoff_fiber_points] == [(15, 17, 10, 3, 21)]
+    assert report["ok"]
+    assert report["matched"] == []
+    assert report["cutoff_fiber_points"] == [["15", "17", "10", "3", "21"]]
     assert integer_class_representatives(Fraction(1), Fraction(225), 2, 20) == []
 
 
 def test_cross_check_matches_rich_fiber_once_box_reaches_curve():
     a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
     report = cross_check(a_4, 2, 225)
-    assert report.ok
-    assert len(report.matched) == 1
-    match = report.matched[0]
-    assert [(c.a, c.b) for c in match.curves] == [(1, 225)]
-    assert match.fiber_point.coords == (15, 17, 10, 3, 21)
-    assert report.cutoff_fiber_points == ()
+    assert report["ok"]
+    assert len(report["matched"]) == 1
+    match = report["matched"][0]
+    assert [(c["a"], c["b"]) for c in match["curves"]] == [("1", "225")]
+    assert match["fiber_point"] == ["15", "17", "10", "3", "21"]
+    assert report["cutoff_fiber_points"] == []
 
 
 def test_cross_check_nontrivial_points_recover_census_curves():
@@ -448,9 +476,9 @@ def test_cross_check_nontrivial_points_recover_census_curves():
     for _ in range(5):
         a_n = random_admissible_alphas(rng, 3, 3)
         report = cross_check(a_n, 2, 8)
-        assert report.ok
-        for m in report.matched:
-            for curve in m.curves:
+        assert report["ok"]
+        for m in report["matched"]:
+            for curve in map(Curve.from_obj, m["curves"]):
                 roots = [sth_root_exact(curve.rhs(alpha), 2) for alpha in a_n.alphas]
                 assert all(value is not None for value in roots)
                 assert roots[0] != 0
