@@ -49,12 +49,19 @@ CASES = {
     "search-fiber-pairs-s3-scaled-h40.jsonl": ["search", "--alphas=0,1/2,3/4", "--r", "3",
                                                "--s", "3", "--height", "40",
                                                "--mode", "fiber-pairs"],
+    # a partitioned odd-s slice with a negative Y_1 ([62,-60,-109])
+    "search-fiber-pairs-s3-h40-w3-1.jsonl": ["search", "--alphas=0,2,3", "--r", "3", "--s", "3",
+                                             "--height", "40", "--mode", "fiber-pairs",
+                                             "--workers", "3", "--worker-index", "1"],
     "cross-check-rational-h30.json": ["cross-check", "--alphas=0,1/2,-2", "--r", "2", "--s", "2",
                                       "--height", "30"],
     # fills every bucket but matched: [0:1:4] is base-vanishing, [3:4:11] cutoff
     "cross-check-base-vanishing-h6.json": ["cross-check", "--alphas=1,2,7", "--r", "2",
                                            "--s", "2", "--height", "6"],
     "cross-check-a4-h20.json": ["cross-check", *A4, "--height", "20"],
+    # the fiber bound is raised from 60 to 161 to cover the box curves
+    "cross-check-raised-bound-h60.json": ["cross-check", "--alphas=0,30,1", "--r", "3",
+                                          "--s", "2", "--height", "60"],
     "cross-check-a4-h20.table": ["cross-check", *A4, "--height", "20", "--format", "table"],
 }
 
