@@ -26,9 +26,14 @@ fiber-pair loop scales equation i by ci^(s-1) once per search:
 so the radicand is an int and Y_i = root / ci.  This is exact: Y_i is
 rational exactly when ci*Y_i is, and ci > 0 in canonical form, so the
 scale keeps the sign of Y_i for odd s and the non-negative root for even s.
-The pairs come by row, one Y_0 = p with its Y_1 = q coprime to p: k0*p^s
-is formed once per row, and each pair costs one root test per equation
-until one fails.
+The pairs come by row, one Y_0 = p with its Y_1 = q coprime to p.  A row
+is a mask over the q: a smallest-prime-factor table, built once per
+search, gives the primes of p, each zeroes its multiples by one slice
+assignment, and itertools.compress reads the kept q, so a rejected q costs
+no Python step.  The first equation's k1*q^s is tabled once per search and
+k0*p^s once per row, so a pair costs one addition and one root test; only
+a pair that passes builds its coordinates and tries the later equations,
+one root test each until one fails.
 
 Worker i of N takes rows i, i+N, ... of the outer coordinate (a in the
 curve box, Y_0 in the pair stream), so no worker generates another's
@@ -127,32 +132,61 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
             if curve_roots_over(a_n, s, a, b) is not None]
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    # spf[m] for 2 <= m <= n: marking from the largest f down leaves each
+    # multiple of f, from f^2 on, holding its smallest divisor >= 2, a prime
+    spf = list(range(n + 1))
+    for f in range(math.isqrt(n), 1, -1):
+        spf[f * f::f] = [f] * ((n - f * f) // f + 1)
+    return spf
+
+
 def _pair_rows(height: int, s: int,
                partition: tuple[int, int]) -> Iterator[tuple[int, list[int]]]:
-    # for even s signs never matter, for odd s only the global sign is normalized
+    # row p holds the Y_1 = q coprime to p, from 0 (even s) or -H (odd s) to
+    # H: a mask of q in 0..H with the multiples of each prime of p zeroed,
+    # mirrored in front of itself for odd s, where only the global sign of a
+    # point is normalized (row 0 is just q = 1)
+    spf = _smallest_prime_factors(height)
+    ones = b"\x01" * (height + 1)
     for p in _rows(range(0, height + 1), partition):
+        if p == 0:
+            yield p, [1]
+            continue
+        keep = bytearray(ones)
+        m = p
+        while m > 1:
+            f = spf[m]
+            keep[::f] = bytes(height // f + 1)
+            while m % f == 0:
+                m //= f
         if s % 2 == 0:
-            qs = range(0, height + 1)
+            yield p, list(itertools.compress(range(height + 1), keep))
         else:
-            qs = range(-height, height + 1) if p > 0 else (1,)
-        yield p, [q for q in qs if math.gcd(p, q) == 1]
+            yield p, list(itertools.compress(range(-height, height + 1), keep[:0:-1] + keep))
 
 
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted."""
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
-    scaled = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
-              for eq in fiber_equations(a_n, s)]
+    (c2, k0, k1), *later = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
+                            for eq in fiber_equations(a_n, s)]
+    H = cfg.height_bound
+    # the first equation's k1*q^s, indexed by q itself: -H..-1 wrap to the tail
+    first = [k1 * q ** s for q in itertools.chain(range(H + 1), range(-H, 0))]
     found = set()
-    for p, qs in _pair_rows(cfg.height_bound, s, cfg.partition):
+    for p, qs in _pair_rows(H, s, cfg.partition):
         z0 = p ** s
-        row = [(ci, k0 * z0, k1) for ci, k0, k1 in scaled]
+        t = k0 * z0
         for q in qs:
+            root = sth_root_exact(t + first[q], s)
+            if root is None:
+                continue
             z1 = q ** s
-            coords: list[int | Rational] = [p, q]
-            for ci, t0, k1 in row:
-                root = sth_root_exact(t0 + k1 * z1, s)
+            coords: list[int | Rational] = [p, q, root / c2]
+            for ci, k0i, k1i in later:
+                root = sth_root_exact(k0i * z0 + k1i * z1, s)
                 if root is None:
                     break
                 coords.append(root / ci)
@@ -226,7 +260,8 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     correspondence; cutoff_fiber_points have a curve class with no integer
     representative inside the box (height-cutoff asymmetry).
     unmatched_curves / unmatched_fiber_points are genuine failures and
-    should always be empty; ok says that they are.
+    should always be empty; ok says that they are.  A raised fiber bound
+    past the candidate cap is a ValueError that names it.
     """
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
@@ -234,10 +269,18 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
         groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
         fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
 
+    try:
+        fiber_cfg = SearchConfig(fiber_bound)
+    except ValueError:
+        # only a raised bound can fail here: SearchConfig(height) passed
+        raise ValueError(f"fiber bound {fiber_bound}, raised from height {height} to cover the"
+                         f" box curves, exceeds the candidate cap: (2H+1)^2 > {MAX_CANDIDATES}"
+                         ) from None
+
     report = {"alphas": a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
               "matched": [], "trivial_points": [], "base_vanishing_points": [],
               "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
-    for P in search_fiber_points(a_n, s, SearchConfig(fiber_bound)):
+    for P in search_fiber_points(a_n, s, fiber_cfg):
         try:
             cwp = phi_inverse(a_n, P.coords, s)
         except TrivialPoint:

@@ -250,13 +250,21 @@ def test_heights_past_the_candidate_cap_exit_64_in_one_line():
     cases = (
         (("search", *box, "--mode", "curve-box"), 100000000000),
         (("search", *box, "--mode", "fiber-pairs"), 100000000000),
-        # the box curve y^2 = 2x^2 + 1 raises the fiber bound to its pair height
-        (("cross-check", "--alphas=80782,470832,2744210", "--r", "2", "--s", "2",
-          "--height", "2"), 665857),
     )
     for argv, height in cases:
         code, out, err = run_main(*argv)
         assert (code, out, err) == (64, "", f"error: height bound {height} {cap}\n"), argv
+    # a box curve raises cross-check's fiber bound to its pair height, past
+    # the cap; the line names that bound, not a height the user gave
+    raised = (
+        # the box curve y^2 = 2x^2 + 1
+        (("--alphas=80782,470832,2744210", "--r", "2", "--height", "2"),
+         "fiber bound 665857, raised from height 2"),
+        (("--alphas=0,532,1", "--r", "3", "--height", "5"), "fiber bound 13719, raised from height 5"),
+    )
+    for flags, bound in raised:
+        code, out, err = run_main("cross-check", *flags, "--s", "2")
+        assert (code, out, err) == (64, "", f"error: {bound} to cover the box curves, {cap}\n"), flags
 
 
 def test_negative_s_exits_64_in_one_line():

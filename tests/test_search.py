@@ -194,6 +194,47 @@ def test_worker_slices_take_whole_rows(monkeypatch, height):
             assert [item for row in sorted(merged) for item in merged[row]] == full
 
 
+def _gcd_rows(height, s, partition):
+    # the coprime rows by definition: one gcd per candidate Y_1
+    for p in range(height + 1)[partition[0]::partition[1]]:
+        if s % 2 == 0:
+            qs = range(0, height + 1)
+        else:
+            qs = range(-height, height + 1) if p > 0 else (1,)
+        yield p, [q for q in qs if math.gcd(p, q) == 1]
+
+
+@settings(deadline=None)
+@given(height=st.integers(1, 120), s=st.sampled_from((2, 3, 4, 5)),
+       partition=st.integers(1, 5).flatmap(
+           lambda count: st.tuples(st.integers(0, count - 1), st.just(count))))
+# row 0 is [1]; row 1 holds q = 0 once; 64 = 2^6 zeroes only the even q;
+# the last row p = H with odd s mirrors around 0
+@example(height=1, s=3, partition=(0, 1))
+@example(height=64, s=2, partition=(0, 1))
+@example(height=64, s=3, partition=(4, 5))
+@example(height=97, s=5, partition=(2, 5))
+def test_pair_rows_are_the_coprime_rows(height, s, partition):
+    assert list(search._pair_rows(height, s, partition)) == list(_gcd_rows(height, s, partition))
+
+
+@pytest.mark.parametrize("alphas, s, height, pairs, root_tests", (
+    ([0, 4, -5, -6, 6], 2, 60, 2205, 2226),
+    ([0, 2, 3], 3, 40, 1960, 1960),
+))
+def test_fiber_pairs_root_test_every_coprime_pair(monkeypatch, alphas, s, height, pairs,
+                                                 root_tests):
+    # exhaustive: each coprime pair gets the first equation's root test, and
+    # only the pairs that pass it get the later equations' tests
+    calls = []
+    monkeypatch.setattr(search, "sth_root_exact",
+                        lambda x, s: calls.append(x) or sth_root_exact(x, s))
+    a_n = x_coordinates(alphas, 3)
+    search_fiber_points(a_n, s, SearchConfig(height))
+    assert sum(len(qs) for _, qs in search._pair_rows(height, s, (0, 1))) == pairs
+    assert len(calls) == root_tests
+
+
 def _reference_root(v: Fraction, s: int):
     # exact s-th root of a Fraction, non-negative for even s, signed for odd s
     if v < 0 and s % 2 == 0:
