@@ -24,7 +24,6 @@ from .exact import (
     Rational,
     int_nth_root,
     normalize_projective,
-    projective_from_obj,
     rational,
     rational_str,
     sth_root_exact,
@@ -37,8 +36,6 @@ from .family import (
     TwistedCurve,
     contains_point,
     curve_genus,
-    make_curve,
-    point,
     twist_curve,
     twist_points,
     untwist_point,
@@ -58,7 +55,6 @@ from .fiber import (
     is_admissible,
     lazarsfeld_bound,
     n0_threshold,
-    x_coordinates,
 )
 from .maps import (
     ConicSpec,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import AllZero
 
@@ -25,10 +25,10 @@ def rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" / decimal
     string.  Exponent notation is refused: "1e300000000" would expand to
     an integer of 300 million digits before anything could check it.  A
-    zero denominator ("1/0") is not a rational either."""
+    zero denominator ("1/0"), a bool or a float is not a rational either."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
@@ -67,7 +67,19 @@ def _floor_nth_root(n: int, s: int) -> int:
         return n
     if s == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // s)  # >= true root
+    k = -(-n.bit_length() // s)  # the root is below 2^k
+    if s < 16:
+        x = 1 << k
+    else:
+        # From 2^k, each Newton step cuts x by only about 1 - 1/s.  So bisect the
+        # root of n's leading s*t bits, t = 2*bitlen(s): scaled back, it is within
+        # 2^(1-t) < 1/(8s) of the root, where Newton converges quadratically.
+        e = max(k - 2 * s.bit_length(), 0)
+        top, x = n >> s * e, 0
+        for bit in reversed(range(k - e)):
+            if (x | 1 << bit) ** s <= top:
+                x |= 1 << bit
+        x = (x + 1) << e  # > root, as top < (x + 1)^s
     while True:
         y = ((s - 1) * x + n // x ** (s - 1)) // s
         if y >= x:
@@ -214,7 +226,3 @@ def normalize_projective(coords: Sequence[RationalLike]) -> ProjectivePoint:
     if lead < 0:
         ints = [-c for c in ints]
     return ProjectivePoint(tuple(ints))
-
-
-def projective_from_obj(obj: Iterable[str]) -> ProjectivePoint:
-    return normalize_projective([rational(c) for c in obj])

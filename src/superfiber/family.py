@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, RationalLike, integer, rational, rational_str, record
+from .exact import Rational, integer, rational, rational_str, record
 
 
 @record
@@ -36,6 +36,10 @@ class Curve:
     a: Rational
     b: Rational
 
+    def __post_init__(self):
+        object.__setattr__(self, "a", rational(self.a))
+        object.__setattr__(self, "b", rational(self.b))
+
     @property
     def is_smooth(self) -> bool:
         return self.a != 0 and self.b != 0
@@ -54,14 +58,8 @@ class Curve:
     @staticmethod
     def from_obj(obj: dict) -> "Curve":
         return Curve(
-            FamilyParams(integer(obj["r"], "r"), integer(obj["s"], "s")),
-            rational(obj["a"]),
-            rational(obj["b"]),
+            FamilyParams(integer(obj["r"], "r"), integer(obj["s"], "s")), obj["a"], obj["b"]
         )
-
-
-def make_curve(r: int, s: int, a: RationalLike, b: RationalLike) -> Curve:
-    return Curve(FamilyParams(r, s), rational(a), rational(b))
 
 
 @record
@@ -69,16 +67,16 @@ class AffinePoint:
     x: Rational
     y: Rational
 
+    def __post_init__(self):
+        object.__setattr__(self, "x", rational(self.x))
+        object.__setattr__(self, "y", rational(self.y))
+
     def to_obj(self) -> dict:
         return {"x": rational_str(self.x), "y": rational_str(self.y)}
 
     @staticmethod
     def from_obj(obj: dict) -> "AffinePoint":
-        return AffinePoint(rational(obj["x"]), rational(obj["y"]))
-
-
-def point(x: RationalLike, y: RationalLike) -> AffinePoint:
-    return AffinePoint(rational(x), rational(y))
+        return AffinePoint(obj["x"], obj["y"])
 
 
 def contains_point(curve: Curve, p: AffinePoint) -> bool:

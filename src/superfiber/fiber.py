@@ -87,11 +87,7 @@ class XCoordinates:
 
     @staticmethod
     def from_obj(obj: dict) -> "XCoordinates":
-        return XCoordinates(tuple(rational(a) for a in obj["alphas"]), integer(obj["r"], "r"))
-
-
-def x_coordinates(alphas: Sequence[RationalLike], r: int) -> XCoordinates:
-    return XCoordinates(tuple(rational(a) for a in alphas), r)
+        return XCoordinates(obj["alphas"], integer(obj["r"], "r"))
 
 
 @record

@@ -127,7 +127,7 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
     values = [v for v in range(-H, H + 1) if v != 0]
-    return [Curve(params, Fraction(a), Fraction(b))
+    return [Curve(params, a, b)
             for a, b in itertools.product(_rows(values, cfg.partition), values)
             if curve_roots_over(a_n, s, a, b) is not None]
 

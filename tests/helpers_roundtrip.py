@@ -25,16 +25,17 @@ import random
 from fractions import Fraction
 
 from superfiber import (
+    AffinePoint,
     ConicSpec,
+    Curve,
     CurveWithPoints,
     ELKIES,
+    FamilyParams,
     TrivialPoint,
     XCoordinates,
     conic_param,
     fiber_equations,
-    make_curve,
     phi_inverse,
-    point,
 )
 from superfiber.errors import NotAdmissible
 
@@ -71,8 +72,8 @@ def rescale(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:
     r, s = cwp.curve.params.r, cwp.curve.params.s
     t = random_rational(rng, 4, nonzero=True)
     m = random_rational(rng, 4, nonzero=True)
-    curve = make_curve(r, s, cwp.curve.a * t ** s / m ** r, cwp.curve.b * t ** s)
-    pts = tuple(point(m * p.x, t * p.y) for p in cwp.points)
+    curve = Curve(FamilyParams(r, s), cwp.curve.a * t ** s / m ** r, cwp.curve.b * t ** s)
+    pts = tuple(AffinePoint(m * p.x, t * p.y) for p in cwp.points)
     return CurveWithPoints(curve, pts, cwp.base_index)
 
 
@@ -136,8 +137,8 @@ def ap_squares_cwp(rng: random.Random, s: int) -> CurveWithPoints:
     y0 = random_rational(rng, 6, nonzero=True)
     a = Fraction(y0 ** s, x0 * x0 - x2 * x2)
     b = -a * x2 * x2
-    curve = make_curve(2, s, a, b)
-    pts = (point(x0, y0), point(x1, -y0), point(x2, 0))
+    curve = Curve(FamilyParams(2, s), a, b)
+    pts = (AffinePoint(x0, y0), AffinePoint(x1, -y0), AffinePoint(x2, 0))
     return CurveWithPoints(curve, pts, 0)
 
 
@@ -147,12 +148,12 @@ def ap_squares_n3_cwp(rng: random.Random) -> CurveWithPoints:
     y0 = random_rational(rng, 6, nonzero=True)
     a = Fraction(-y0 ** 3, 24)
     b = -a * 25
-    curve = make_curve(2, 3, a, b)
+    curve = Curve(FamilyParams(2, 3), a, b)
     pts = (
-        point(1, y0),
-        point(7, -y0),
-        point(5, 0),
-        point(Fraction(10, 3), Fraction(5, 6) * y0),
+        AffinePoint(1, y0),
+        AffinePoint(7, -y0),
+        AffinePoint(5, 0),
+        AffinePoint(Fraction(10, 3), Fraction(5, 6) * y0),
     )
     return CurveWithPoints(curve, pts, 0)
 
@@ -160,16 +161,16 @@ def ap_squares_n3_cwp(rng: random.Random) -> CurveWithPoints:
 def quartic_seed_cwp(rng: random.Random) -> CurveWithPoints:
     """s = 4, r = 2: sporadic integer seeds."""
     a, b, pts = S4_SEEDS[rng.randrange(len(S4_SEEDS))]
-    curve = make_curve(2, 4, a, b)
-    return CurveWithPoints(curve, tuple(point(x, y) for x, y in pts), 0)
+    curve = Curve(FamilyParams(2, 4), a, b)
+    return CurveWithPoints(curve, tuple(AffinePoint(x, y) for x, y in pts), 0)
 
 
 def elkies_subset_cwp(rng: random.Random, max_n: int = 6) -> CurveWithPoints:
     """s = 2, r = 3, n in 2..max_n: subsets of the rank-17 point list."""
     k = rng.randint(3, max_n + 1)
     indices = sorted(rng.sample(range(len(ELKIES.points)), k))
-    curve = make_curve(3, 2, 1, ELKIES.b0)
-    pts = tuple(point(*ELKIES.points[i]) for i in indices)
+    curve = Curve(FamilyParams(3, 2), 1, ELKIES.b0)
+    pts = tuple(AffinePoint(*ELKIES.points[i]) for i in indices)
     return CurveWithPoints(curve, pts, 0)
 
 

@@ -12,6 +12,7 @@ from superfiber import (
     ConicSpec,
     CubicSpec,
     ELKIES,
+    XCoordinates,
     canonical_fiber_point,
     conic_param,
     cross_check,
@@ -29,7 +30,6 @@ from superfiber import (
     phi_inverse,
     sth_root_exact,
     verify_reproduction,
-    x_coordinates,
 )
 from helpers_roundtrip import random_admissible_alphas, random_cwp, random_rational
 
@@ -132,7 +132,7 @@ def test_criterion_3_identity_suites():
 def test_criterion_4_dual_enumeration_equivalence():
     started = time.perf_counter()
 
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 2)
     assert report["ok"]
     assert len(report["matched"]) == 1
@@ -151,7 +151,7 @@ def test_criterion_4_dual_enumeration_equivalence():
 
 def test_criterion_5_low_genus_infinitude_witness():
     started = time.perf_counter()
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     eq = fiber_equations(a_2, 2)[0]
     spec = ConicSpec(Fraction(eq.c0), Fraction(eq.c1))
 

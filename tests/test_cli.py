@@ -179,17 +179,23 @@ def test_malformed_input_exits_64_in_one_line():
 
 def test_non_integer_fields_exit_64_in_one_line():
     curve = VALID_CWP["curve"]
-    for value, name, bad in (({**VALID_CWP, "curve": {**curve, "r": 3.9, "s": 2.5},
-                               "base_index": 0.7}, "r", 3.9),
-                             ({**VALID_CWP, "curve": {**curve, "r": True}}, "r", True),
-                             ({**VALID_CWP, "curve": {**curve, "s": "2"}}, "s", "2"),
-                             ({**VALID_CWP, "base_index": 0.7}, "base_index", 0.7),
-                             ({**VALID_CWP, "base_index": False}, "base_index", False)):
+
+    def not_integer(name, bad):
+        return f"error: malformed --input JSON: TypeError: {name} must be an integer, got {bad!r}\n"
+
+    # read as 1 and 0, a = true and y = false at x = -1 leave the curve valid
+    bool_y = [*VALID_CWP["points"][:2], {"x": "-1", "y": False}]
+    for value, message in (({**VALID_CWP, "curve": {**curve, "r": 3.9, "s": 2.5},
+                             "base_index": 0.7}, not_integer("r", 3.9)),
+                           ({**VALID_CWP, "curve": {**curve, "r": True}}, not_integer("r", True)),
+                           ({**VALID_CWP, "curve": {**curve, "s": "2"}}, not_integer("s", "2")),
+                           ({**VALID_CWP, "base_index": 0.7}, not_integer("base_index", 0.7)),
+                           ({**VALID_CWP, "base_index": False}, not_integer("base_index", False)),
+                           ({**VALID_CWP, "curve": {**curve, "a": True}}, "error: not a rational: True\n"),
+                           ({**VALID_CWP, "points": bool_y}, "error: not a rational: False\n")):
         for command in ("map", "twist"):
             code, out, err = run_with_input(command, value)
-            assert (code, out) == (64, ""), (command, value)
-            assert err == ("error: malformed --input JSON: TypeError: "
-                           f"{name} must be an integer, got {bad!r}\n")
+            assert (code, out, err) == (64, "", message), (command, value)
 
 
 def test_unbounded_input_work_exits_64_in_one_line():

@@ -10,14 +10,13 @@ from superfiber import (
     ProjectivePoint,
     int_nth_root,
     normalize_projective,
-    projective_from_obj,
     rational,
     rational_str,
     sth_root_exact,
 )
 from superfiber import exact
 from superfiber.exact import FrozenRecordError, record
-from superfiber.family import AffinePoint, CurveWithPoints, make_curve
+from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import XCoordinates
 
 
@@ -147,6 +146,28 @@ def test_int_nth_root_edges_and_large_values():
         assert int_nth_root(big ** s, s) == big
         assert int_nth_root(big ** s + 1, s) is None
         assert int_nth_root(big ** s - 1, s) is None
+    with pytest.raises(ValueError):
+        int_nth_root(-8, 3)
+
+
+# up to 10^5 random bits; hypothesis refuses to draw integers this large itself
+RADICANDS = st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
+                      st.integers(0, 10 ** 5), st.integers(0, 2 ** 32))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 10 ** 4), RADICANDS)
+# the radicands of `search --alphas=<2**1000>,0,1 --r 17 --s 999 --height 8`
+# and `search --alphas=0,100,1 --r 3 --s 20001 --height 1 --mode fiber-pairs`,
+# for which Newton started at 2^ceil(bits/s) took about 0.7*s steps
+@example(999, 8 * 2 ** 17000 + 1)
+@example(20001, 999998 * 10 ** 120000)
+def test_floor_nth_root_brackets_the_root(s, n):
+    r = exact._floor_nth_root(n, s)
+    assert r ** s <= n < (r + 1) ** s
+    if r:  # at the perfect power r^s and just below it
+        assert exact._floor_nth_root(r ** s, s) == r
+        assert exact._floor_nth_root(r ** s - 1, s) == r - 1
 
 
 def test_int_nth_root_of_huge_order_is_immediate():
@@ -185,7 +206,7 @@ def test_projective_point_helpers():
     assert P.to_obj() == ["1", "-3", "2"]
     assert P.fractions() == (Fraction(1), Fraction(-3), Fraction(2))
     assert P == ProjectivePoint((1, -3, 2))
-    assert projective_from_obj(P.to_obj()) == P
+    assert normalize_projective(P.to_obj()) == P
 
 
 @record
@@ -208,7 +229,7 @@ def test_record_fields_equality_hash_and_repr():
     assert _Pair(1, 2) != (1, 2)
     assert hash(_Pair(1, 2)) == hash((1, 2))
     assert repr(_Pair(1, 2)) == "_Pair(x=1, y=2)"
-    assert CurveWithPoints(make_curve(3, 2, 1, 1), [AffinePoint(0, 1)]).base_index == 0
+    assert CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), [AffinePoint(0, 1)]).base_index == 0
 
 
 def test_record_refuses_bad_arguments_and_changes():
@@ -242,5 +263,5 @@ def test_record_runs_post_init_bound_after_import(monkeypatch):
     original = CurveWithPoints.__post_init__
     monkeypatch.setattr(CurveWithPoints, "__post_init__",
                         lambda self: calls.append(self.base_index) or original(self))
-    CurveWithPoints(make_curve(3, 2, 1, 1), (AffinePoint(0, 1), AffinePoint(2, 3)), 1)
+    CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), (AffinePoint(0, 1), AffinePoint(2, 3)), 1)
     assert calls == [1]

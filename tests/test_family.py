@@ -13,8 +13,6 @@ from superfiber import (
     PointNotOnTwist,
     contains_point,
     curve_genus,
-    make_curve,
-    point,
     twist_curve,
     twist_points,
     untwist_point,
@@ -23,10 +21,10 @@ from helpers_roundtrip import random_cwp
 
 
 def test_contains_point_examples():
-    curve = make_curve(3, 2, 1, 1)
-    assert contains_point(curve, point(2, 3))
-    assert contains_point(curve, point(0, 1))
-    assert not contains_point(curve, point(1, 1))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    assert contains_point(curve, AffinePoint(2, 3))
+    assert contains_point(curve, AffinePoint(0, 1))
+    assert not contains_point(curve, AffinePoint(1, 1))
 
 
 def test_params_validated():
@@ -71,32 +69,34 @@ def test_curve_genus_monotone_nondecreasing():
 
 
 def test_curve_with_points_validation():
-    curve = make_curve(3, 2, 1, 1)
+    curve = Curve(FamilyParams(3, 2), 1, 1)
     with pytest.raises(PointNotOnCurve):
-        CurveWithPoints(curve, (point(1, 1),))
+        CurveWithPoints(curve, (AffinePoint(1, 1),))
     with pytest.raises(ValueError):
-        CurveWithPoints(curve, (point(0, 1), point(0, -1)))  # duplicate x
+        CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(0, -1)))  # duplicate x
     with pytest.raises(ValueError):
-        CurveWithPoints(curve, (point(0, 1),), base_index=3)
+        CurveWithPoints(curve, (AffinePoint(0, 1),), base_index=3)
 
 
 def test_twist_curve_examples():
-    curve = make_curve(3, 2, 1, 1)
-    tc = twist_curve(CurveWithPoints(curve, (point(2, 3), point(0, 1))))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    tc = twist_curve(CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1))))
     assert tc.c0 == 9
     assert tc.c0 == curve.rhs(Fraction(2))
-    identity = twist_curve(CurveWithPoints(curve, (point(0, 1), point(2, 3))))
+    identity = twist_curve(CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3))))
     assert identity.c0 == 1
     with pytest.raises(BasePointVanishing):
-        twist_curve(CurveWithPoints(curve, (point(-1, 0), point(0, 1))))
+        twist_curve(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
 
 
 def test_twist_points_examples():
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(0, 1), point(2, 3)))
-    assert twist_points(cwp) == [point(0, 1), point(2, 3)]
-    flipped = CurveWithPoints(curve, (point(2, 3), point(0, 1)))
-    assert twist_points(flipped) == [point(2, 1), point(0, Fraction(1, 3))]
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3)))
+    assert twist_points(cwp) == [AffinePoint(0, 1), AffinePoint(2, 3)]
+    flipped = CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1)))
+    assert twist_points(flipped) == [AffinePoint(2, 1), AffinePoint(0, Fraction(1, 3))]
+    with pytest.raises(BasePointVanishing):
+        twist_points(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
 
 
 def test_twist_outputs_satisfy_twisted_equation():
@@ -111,24 +111,24 @@ def test_twist_outputs_satisfy_twisted_equation():
 
 
 def test_twist_with_nonzero_base_index():
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(0, 1), point(2, 3)), base_index=1)
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3)), base_index=1)
     tc = twist_curve(cwp)
     assert tc.c0 == 9
-    assert tc.base == point(2, 3)
+    assert tc.base == AffinePoint(2, 3)
     images = twist_points(cwp)
-    assert images == [point(0, Fraction(1, 3)), point(2, 1)]
+    assert images == [AffinePoint(0, Fraction(1, 3)), AffinePoint(2, 1)]
     assert [untwist_point(tc, q) for q in images] == list(cwp.points)
 
 
 def test_untwist_examples():
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(2, 3), point(0, 1)))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1)))
     tc = twist_curve(cwp)
-    assert untwist_point(tc, point(0, Fraction(1, 3))) == point(0, 1)
-    assert untwist_point(tc, point(2, 1)) == cwp.base
+    assert untwist_point(tc, AffinePoint(0, Fraction(1, 3))) == AffinePoint(0, 1)
+    assert untwist_point(tc, AffinePoint(2, 1)) == cwp.base
     with pytest.raises(PointNotOnTwist):
-        untwist_point(tc, point(0, 1))
+        untwist_point(tc, AffinePoint(0, 1))
 
 
 def test_twist_round_trip_on_random_data():
@@ -141,20 +141,32 @@ def test_twist_round_trip_on_random_data():
 
 
 def test_json_round_trip():
-    curve = make_curve(3, 2, Fraction(1, 4), Fraction(-2, 9))
+    curve = Curve(FamilyParams(3, 2), Fraction(1, 4), Fraction(-2, 9))
     obj = curve.to_obj()
     assert obj == {"r": 3, "s": 2, "a": "1/4", "b": "-2/9"}
     assert Curve.from_obj(obj) == curve
 
-    p = point(Fraction(2, 3), Fraction(-1, 2))
+    p = AffinePoint(Fraction(2, 3), Fraction(-1, 2))
     assert AffinePoint.from_obj(p.to_obj()) == p
 
-    cwp = CurveWithPoints(make_curve(3, 2, 1, 1), (point(2, 3), point(0, 1)), 1)
+    cwp = CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), (AffinePoint(2, 3), AffinePoint(0, 1)), 1)
     assert CurveWithPoints.from_obj(cwp.to_obj()) == cwp
     assert cwp.to_obj()["base_index"] == 1
 
 
+def test_records_parse_their_fields():
+    # each record runs its fields through rational(), so a direct call and
+    # from_obj build the same value and every field is a Fraction
+    assert Curve(FamilyParams(3, 2), "1/4", -2) == Curve.from_obj({"r": 3, "s": 2, "a": "1/4", "b": "-2"})
+    assert type(AffinePoint(1, "2/3").y) is Fraction
+    assert type(Curve(FamilyParams(3, 2), 1, "5").b) is Fraction
+    with pytest.raises(ValueError):
+        AffinePoint(0.5, 1)
+    with pytest.raises(ValueError):
+        Curve(FamilyParams(3, 2), True, 1)
+
+
 def test_smoothness_predicate():
-    assert make_curve(3, 2, 1, 1).is_smooth
-    assert not make_curve(3, 2, 0, 1).is_smooth
-    assert not make_curve(3, 2, 1, 0).is_smooth
+    assert Curve(FamilyParams(3, 2), 1, 1).is_smooth
+    assert not Curve(FamilyParams(3, 2), 0, 1).is_smooth
+    assert not Curve(FamilyParams(3, 2), 1, 0).is_smooth

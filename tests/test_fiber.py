@@ -24,7 +24,6 @@ from superfiber import (
     n0_threshold,
     normalize_projective,
     phi_forward,
-    x_coordinates,
 )
 from helpers_roundtrip import random_admissible_alphas, random_cwp, random_rational
 
@@ -33,21 +32,23 @@ def test_is_admissible_examples():
     assert is_admissible([0, 1, 2], 2)
     assert not is_admissible([1, -1], 2)
     assert is_admissible([1, -1], 3)
+    with pytest.raises(ValueError):
+        is_admissible([1], 2)
 
 
 def test_x_coordinates_validation():
     with pytest.raises(NotAdmissible):
-        x_coordinates([1, -1, 2], 2)
+        XCoordinates([1, -1, 2], 2)
     with pytest.raises(ValueError):
-        x_coordinates([0, 1], 2)  # n >= 2 needed
+        XCoordinates([0, 1], 2)  # n >= 2 needed
     with pytest.raises(ValueError):
-        x_coordinates([0, 1, 2], 1)
+        XCoordinates([0, 1, 2], 1)
 
 
 def test_rth_powers_are_the_exact_powers():
     for alphas, r in (([0, 4, -5, -6, 6], 3), ([Fraction(1, 2), 2, Fraction(-1, 3)], 2),
                       ([0, Fraction(1, 2), Fraction(3, 4)], 3), ([2, 3, 5], 7)):
-        a_n = x_coordinates(alphas, r)
+        a_n = XCoordinates(alphas, r)
         powers = a_n.rth_powers()
         assert powers == tuple(Fraction(a) ** r for a in alphas)
         # integral powers are ints, so the search kernels stay in int arithmetic
@@ -62,11 +63,11 @@ def test_stored_powers_leave_the_value_alone():
     assert hash(ints) == hash(fractions)
     assert repr(ints) == repr(fractions) == (
         "XCoordinates(alphas=(Fraction(0, 1), Fraction(4, 1), Fraction(-5, 1)), r=3)")
-    assert ints != x_coordinates([0, 4, -5], 5)
+    assert ints != XCoordinates([0, 4, -5], 5)
 
 
 def test_fiber_equations_small_example():
-    a_2 = x_coordinates([0, 1, 2], 2)
+    a_2 = XCoordinates([0, 1, 2], 2)
     eqs = fiber_equations(a_2, 2)
     assert len(eqs) == 1
     eq = eqs[0]
@@ -92,7 +93,7 @@ def test_fiber_equations_canonical_form():
 
 
 def test_fiber_equations_clear_denominators():
-    a_2 = x_coordinates([Fraction(1, 2), 0, 1], 2)
+    a_2 = XCoordinates([Fraction(1, 2), 0, 1], 2)
     eq = fiber_equations(a_2, 2)[0]
     # raw differences (1, -3/4, -1/4) scale to ci > 0, gcd 1
     assert (eq.c0, eq.c1, eq.ci) == (-4, 3, 1)
@@ -130,7 +131,7 @@ def test_determinant_vanishes_on_equal_columns():
 
 
 def test_determinant_small_example():
-    a_2 = x_coordinates([0, 1, 2], 2)
+    a_2 = XCoordinates([0, 1, 2], 2)
     assert fiber_equation_determinant(a_2, 2, 2, [1, 3, 0]) == -33
 
 
@@ -154,13 +155,15 @@ def test_determinant_equals_expanded_form():
 
 
 def test_determinant_index_validated():
-    a_2 = x_coordinates([0, 1, 2], 2)
+    a_2 = XCoordinates([0, 1, 2], 2)
     with pytest.raises(ValueError):
         fiber_equation_determinant(a_2, 2, 3, [1, 1, 1])
+    with pytest.raises(ValueError):
+        fiber_equation_determinant(a_2, 1, 2, [1, 1, 1])
 
 
 def test_fiber_contains():
-    a_2 = x_coordinates([0, 1, 2], 2)
+    a_2 = XCoordinates([0, 1, 2], 2)
     assert fiber_contains(a_2, 2, [1, 1, 1])
     assert not fiber_contains(a_2, 2, [1, 1, 2])  # 3 - 4 + 4 = 3 != 0
     with pytest.raises(DimensionMismatch):
@@ -238,6 +241,9 @@ def test_gonality_values():
     assert lazarsfeld_bound([4, 2, 3]) == 12  # sorted internally
     with pytest.raises(ValueError):
         lazarsfeld_bound([1, 3])
+    for n, s in ((1, 2), (2, 1)):
+        with pytest.raises(ValueError):
+            gonality_lower_bound(n, s)
 
 
 def test_gonality_closed_form_is_lazarsfeld_bound():
@@ -263,6 +269,8 @@ def test_n0_threshold():
     assert n0_threshold(7) == 3
     for s in range(2, 11):
         assert n0_threshold(s) == (4 if s == 2 else 3)
+    with pytest.raises(ValueError):
+        n0_threshold(1)
 
 
 def test_geometry_report():
@@ -278,6 +286,6 @@ def test_canonical_fiber_point():
 
 
 def test_xcoordinates_json_round_trip():
-    a_n = x_coordinates([0, Fraction(1, 2), 2], 3)
+    a_n = XCoordinates([0, Fraction(1, 2), 2], 3)
     assert XCoordinates.from_obj(a_n.to_obj()) == a_n
     assert a_n.to_obj() == {"alphas": ["0", "1/2", "2"], "r": 3}

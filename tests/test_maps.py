@@ -4,21 +4,25 @@ from fractions import Fraction
 import pytest
 
 from superfiber import (
+    AffinePoint,
     BasePointVanishing,
     ConicSpec,
     CubicSpec,
     CoordinateVanishing,
+    Curve,
     CurveWithPoints,
     DegenerateParameter,
     DegenerateSpec,
     DiagonalCubicPoint,
     DimensionMismatch,
     ELKIES,
+    FamilyParams,
     NotAdmissible,
     NotOnCubic,
     NotOnFiber,
     TrivialPoint,
     WrongShape,
+    XCoordinates,
     conic_param,
     cubic_to_diagonal,
     cwp_equivalent,
@@ -26,14 +30,11 @@ from superfiber import (
     fermat_to_weierstrass,
     fiber_contains,
     lift_quartic_parameter,
-    make_curve,
     normalize_projective,
     phi_forward,
     phi_inverse,
-    point,
     quadrics_to_quartic,
     quartic_value,
-    x_coordinates,
 )
 from helpers_roundtrip import random_cwp, random_rational
 
@@ -42,8 +43,8 @@ from helpers_roundtrip import random_cwp, random_rational
 
 
 def test_phi_forward_example():
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(0, 1), point(2, 3), point(-1, 0)))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0)))
     a_n, Y = phi_forward(cwp)
     assert a_n.alphas == (0, 2, -1)
     assert Y.coords == (1, 3, 0)
@@ -52,34 +53,34 @@ def test_phi_forward_example():
 
 
 def test_phi_forward_constant_y_gives_unit_point():
-    curve = make_curve(2, 2, 0, 9)  # non-smooth member, still mappable
-    cwp = CurveWithPoints(curve, (point(1, 3), point(2, 3), point(3, 3)))
+    curve = Curve(FamilyParams(2, 2), 0, 9)  # non-smooth member, still mappable
+    cwp = CurveWithPoints(curve, (AffinePoint(1, 3), AffinePoint(2, 3), AffinePoint(3, 3)))
     _, Y = phi_forward(cwp)
     assert Y.coords == (1, 1, 1)
 
 
 def test_phi_forward_base_vanishing():
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(-1, 0), point(0, 1), point(2, 3)))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1), AffinePoint(2, 3)))
     with pytest.raises(BasePointVanishing):
         phi_forward(cwp)
 
 
 def test_phi_forward_guard_reads_first_point_not_base_index():
     # the image [y_0 : ... : y_n] is in point order, so base_index plays no part
-    curve = make_curve(3, 2, 1, 1)
-    cwp = CurveWithPoints(curve, (point(-1, 0), point(0, 1), point(2, 3)), base_index=1)
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1), AffinePoint(2, 3)), base_index=1)
     with pytest.raises(BasePointVanishing):
         phi_forward(cwp)
-    cwp = CurveWithPoints(curve, (point(0, 1), point(-1, 0), point(2, 3)), base_index=1)
+    cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(-1, 0), AffinePoint(2, 3)), base_index=1)
     a_n, Y = phi_forward(cwp)
     assert a_n.alphas == (0, -1, 2)
     assert Y.coords == (1, 0, 3)
 
 
 def test_phi_forward_not_admissible():
-    curve = make_curve(2, 2, 0, 1)
-    cwp = CurveWithPoints(curve, (point(1, 1), point(-1, 1), point(2, 1)))
+    curve = Curve(FamilyParams(2, 2), 0, 1)
+    cwp = CurveWithPoints(curve, (AffinePoint(1, 1), AffinePoint(-1, 1), AffinePoint(2, 1)))
     with pytest.raises(NotAdmissible):
         phi_forward(cwp)
 
@@ -97,14 +98,14 @@ def test_phi_forward_image_always_on_fiber():
 
 
 def test_phi_inverse_example():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     cwp = phi_inverse(a_2, [1, 3, 0], 2)
-    assert cwp.curve == make_curve(3, 2, 1, 1)
-    assert cwp.points == (point(0, 1), point(2, 3), point(-1, 0))
+    assert cwp.curve == Curve(FamilyParams(3, 2), 1, 1)
+    assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0))
 
 
 def test_phi_inverse_trivial_point():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     with pytest.raises(TrivialPoint) as err:
         phi_inverse(a_2, [1, 1, 1], 2)
     assert err.value.a == 0
@@ -112,7 +113,7 @@ def test_phi_inverse_trivial_point():
 
 
 def test_phi_inverse_rejects_off_fiber_and_bad_dimension():
-    a_2 = x_coordinates([0, 1, 2], 2)
+    a_2 = XCoordinates([0, 1, 2], 2)
     with pytest.raises(NotOnFiber):
         phi_inverse(a_2, [1, 1, 2], 2)
     with pytest.raises(DimensionMismatch):
@@ -122,7 +123,7 @@ def test_phi_inverse_rejects_off_fiber_and_bad_dimension():
 def test_phi_inverse_elkies_point_recovers_curve():
     a_16 = ELKIES.x_coordinates()
     cwp = phi_inverse(a_16, ELKIES.y_vector(), 2)
-    assert cwp.curve == make_curve(3, 2, 1, ELKIES.b0)
+    assert cwp.curve == Curve(FamilyParams(3, 2), 1, ELKIES.b0)
     assert tuple((p.x, p.y) for p in cwp.points) == ELKIES.points
 
 
@@ -160,7 +161,7 @@ def test_phi_round_trip_raw_representative_scale():
         r, s = cwp.curve.params.r, cwp.curve.params.s
         y0 = cwp.base.y
         raw = [p.y * y0 ** (s - 1) for p in cwp.points]
-        a_n = x_coordinates([p.x for p in cwp.points], r)
+        a_n = XCoordinates([p.x for p in cwp.points], r)
         back = phi_inverse(a_n, raw, s)
         lam = y0 ** (s * (s - 1))
         mu = y0 ** (s - 1)
@@ -238,6 +239,8 @@ def test_cubic_input_validation():
         cubic_to_diagonal(spec, [1, 0, 2])
     with pytest.raises(NotOnCubic):
         cubic_to_diagonal(CubicSpec(1, 1), [1, 1, 2])
+    with pytest.raises(DimensionMismatch):
+        cubic_to_diagonal(spec, [1, 1])
     for alpha, beta in ((0, 1), (1, 0), (1, -1)):  # alpha = 0, beta = 0, gamma = 0
         with pytest.raises(DegenerateSpec):
             CubicSpec(alpha, beta)
@@ -298,7 +301,7 @@ def test_fermat_to_weierstrass_examples():
 def test_quartic_golden_coefficients():
     # golden values frozen from a symbolic expansion of
     # 9*Y_1(u)^2 - 8*Y_0(u)^2 for alphas (0, 1, 2, 3), r = 2
-    a_3 = x_coordinates([0, 1, 2, 3], 2)
+    a_3 = XCoordinates([0, 1, 2, 3], 2)
     assert quadrics_to_quartic(a_3) == (16, 80, -164, 60, 9)
     assert quartic_value(quadrics_to_quartic(a_3), 1) == 1
 
@@ -319,11 +322,11 @@ def test_quartic_trivial_point_consistency():
 
 def test_quartic_wrong_shape():
     with pytest.raises(WrongShape):
-        quadrics_to_quartic(x_coordinates([0, 1, 2], 2))
+        quadrics_to_quartic(XCoordinates([0, 1, 2], 2))
 
 
 def test_quartic_lift_round_trip():
-    a_3 = x_coordinates([0, 1, 2, 3], 2)
+    a_3 = XCoordinates([0, 1, 2, 3], 2)
     lifted = 0
     for num in range(-12, 13):
         for den in (1, 2, 3):
@@ -335,7 +338,7 @@ def test_quartic_lift_round_trip():
 
 
 def test_quartic_lift_none_when_not_square():
-    a_3 = x_coordinates([0, 1, 2, 3], 2)
+    a_3 = XCoordinates([0, 1, 2, 3], 2)
     assert lift_quartic_parameter(a_3, 3) is None  # q(3) = 1129 is not a square
 
 
@@ -352,35 +355,35 @@ def test_cwp_equivalent_detects_rescaling_only():
     # x-rescaling changes the alphas, so equivalence compares them unequal
     if [p.x for p in other.points] == [p.x for p in cwp.points]:
         assert cwp_equivalent(cwp, other)
-    curve = make_curve(3, 2, 1, 1)
-    first = CurveWithPoints(curve, (point(0, 1), point(2, 3)))
-    second = CurveWithPoints(make_curve(3, 2, 4, 4), (point(0, 2), point(2, 6)))
-    third = CurveWithPoints(make_curve(3, 2, 1, 1), (point(0, -1), point(2, -3)))
+    curve = Curve(FamilyParams(3, 2), 1, 1)
+    first = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3)))
+    second = CurveWithPoints(Curve(FamilyParams(3, 2), 4, 4), (AffinePoint(0, 2), AffinePoint(2, 6)))
+    third = CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), (AffinePoint(0, -1), AffinePoint(2, -3)))
     assert cwp_equivalent(first, second)  # t = 2
     assert cwp_equivalent(first, third)  # t = -1
-    fourth = CurveWithPoints(make_curve(3, 2, 9, 9), (point(0, 3), point(2, -9)))
+    fourth = CurveWithPoints(Curve(FamilyParams(3, 2), 9, 9), (AffinePoint(0, 3), AffinePoint(2, -9)))
     assert not cwp_equivalent(first, fourth)  # mixed signs break one scale
 
 
 def test_cwp_equivalent_rejects_each_difference():
     # y^2 = x^3 + 1 through (0, 1) and (2, 3); each pair differs in one respect
-    first = CurveWithPoints(make_curve(3, 2, 1, 1), (point(0, 1), point(2, 3)))
-    ends = (point(0, 1), point(-1, 0))  # on y^s = x^3 + 1 for every s
+    first = CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), (AffinePoint(0, 1), AffinePoint(2, 3)))
+    ends = (AffinePoint(0, 1), AffinePoint(-1, 0))  # on y^s = x^3 + 1 for every s
     cases = {
-        "params": (CurveWithPoints(make_curve(3, 2, 1, 1), ends),
-                   CurveWithPoints(make_curve(3, 3, 1, 1), ends)),
+        "params": (CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), ends),
+                   CurveWithPoints(Curve(FamilyParams(3, 3), 1, 1), ends)),
         "base index": (first, CurveWithPoints(first.curve, first.points, base_index=1)),
         "x-coordinates": (first, CurveWithPoints(first.curve, first.points[::-1])),
         # y^2 = 3x^3 + 4 is nonzero at x = -1, where y^2 = x^3 + 1 vanishes
-        "zero pattern of y": (CurveWithPoints(make_curve(3, 2, 1, 1), ends),
-                              CurveWithPoints(make_curve(3, 2, 3, 4),
-                                              (point(0, 2), point(-1, 1)))),
+        "zero pattern of y": (CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), ends),
+                              CurveWithPoints(Curve(FamilyParams(3, 2), 3, 4),
+                                              (AffinePoint(0, 2), AffinePoint(-1, 1)))),
         # t = 2 from the points, but a scales by 12, not t^2 = 4
-        "coefficient scale": (first, CurveWithPoints(make_curve(3, 2, 12, 4),
-                                                     (point(0, 2), point(2, 10)))),
+        "coefficient scale": (first, CurveWithPoints(Curve(FamilyParams(3, 2), 12, 4),
+                                                     (AffinePoint(0, 2), AffinePoint(2, 10)))),
         # t = 2 scales a and b by 4, but y_1 by -2
-        "point scale": (first, CurveWithPoints(make_curve(3, 2, 4, 4),
-                                               (point(0, 2), point(2, -6)))),
+        "point scale": (first, CurveWithPoints(Curve(FamilyParams(3, 2), 4, 4),
+                                               (AffinePoint(0, 2), AffinePoint(2, -6)))),
     }
     for name, (one, other) in cases.items():
         assert cwp_equivalent(one, one), name
@@ -390,7 +393,7 @@ def test_cwp_equivalent_rejects_each_difference():
 def test_cwp_equivalent_without_nonzero_y():
     # every y is 0, so only the coefficients carry the scale
     def at_five(a, b):
-        return CurveWithPoints(make_curve(3, 2, a, b), (point(5, 0),))
+        return CurveWithPoints(Curve(FamilyParams(3, 2), a, b), (AffinePoint(5, 0),))
 
     assert cwp_equivalent(at_five(0, 0), at_five(0, 0))
     assert not cwp_equivalent(at_five(0, 0), at_five(1, -125))

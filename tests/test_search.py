@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from superfiber import (
+    AffinePoint,
     ELKIES,
     Curve,
     CurveWithPoints,
     SearchConfig,
+    XCoordinates,
     canonical_fiber_point,
     cross_check,
     curve_roots_over,
@@ -22,10 +24,8 @@ from superfiber import (
     is_admissible,
     normalize_projective,
     phi_forward,
-    point,
     search_fiber_points,
     sth_root_exact,
-    x_coordinates,
 )
 from superfiber import search
 from superfiber.search import (
@@ -46,14 +46,14 @@ def test_search_config_validation():
 
 
 def test_enumerate_curves_small_box():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     found = enumerate_curves(a_2, 2, SearchConfig(2))
     assert [(c.a, c.b) for c in found] == [(1, 1)]
     # values 1, 9, 0 at the three alphas are all squares
 
 
 def test_enumerate_curves_empty_box():
-    a_2 = x_coordinates([1, 2, 3], 3)
+    a_2 = XCoordinates([1, 2, 3], 3)
     assert enumerate_curves(a_2, 2, SearchConfig(1)) == []
 
 
@@ -66,14 +66,14 @@ def test_curve_membership_predicate_on_elkies_data():
 
 
 def test_census_points_membership_verified():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     # 1*x^3 + 1 is 1, 9, 0 at the three alphas
     assert curve_roots_over(a_2, 2, Fraction(1), Fraction(1)) == [1, 3, 0]
     assert curve_roots_over(a_2, 2, Fraction(1), Fraction(2)) is None
 
 
 def test_search_fiber_points_contains_unit_and_example():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     pts = search_fiber_points(a_2, 2, SearchConfig(5))
     coords = {P.coords for P in pts}
     assert (1, 1, 1) in coords
@@ -92,7 +92,7 @@ def test_search_fiber_points_trivial_always_found():
 
 
 def test_even_s_sign_closure_before_canonicalization():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     pts = search_fiber_points(a_2, 2, SearchConfig(5))
     rng = random.Random(3)
     for P in pts:
@@ -114,8 +114,8 @@ def test_search_monotone_in_height():
 
 
 def test_partition_union_equals_full_search():
-    a_2 = x_coordinates([0, 2, -1], 3)
-    a_3 = x_coordinates([0, 2, 3], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
+    a_3 = XCoordinates([0, 2, 3], 3)
 
     def by_curve(c):
         return (c.a, c.b)
@@ -144,7 +144,7 @@ def test_partition_union_equals_full_search():
        height=st.integers(1, 8), count=st.integers(1, 5))
 def test_worker_slices_union_to_full_result(alphas, r, s, height, count):
     assume(is_admissible(alphas, r))
-    a_n = x_coordinates(alphas, r)
+    a_n = XCoordinates(alphas, r)
     for runner, key in ((enumerate_curves, lambda c: (c.a, c.b)),
                         (search_fiber_points, lambda P: P.coords)):
         full = runner(a_n, s, SearchConfig(height))
@@ -174,7 +174,7 @@ def _box_candidates(monkeypatch, a_n, height, partition):
 def test_worker_slices_take_whole_rows(monkeypatch, height):
     # worker i of N gets outer rows i, i+N, ... (rows of a in the box, of Y_0
     # among the pairs), and the rows of all workers rebuild the whole stream
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     values = [v for v in range(-height, height + 1) if v != 0]
     kernels = [(lambda part: _box_candidates(monkeypatch, a_2, height, part),
                 lambda ab: values.index(ab[0]))]
@@ -229,7 +229,7 @@ def test_fiber_pairs_root_test_every_coprime_pair(monkeypatch, alphas, s, height
     calls = []
     monkeypatch.setattr(search, "sth_root_exact",
                         lambda x, s: calls.append(x) or sth_root_exact(x, s))
-    a_n = x_coordinates(alphas, 3)
+    a_n = XCoordinates(alphas, 3)
     search_fiber_points(a_n, s, SearchConfig(height))
     assert sum(len(qs) for _, qs in search._pair_rows(height, s, (0, 1))) == pairs
     assert len(calls) == root_tests
@@ -295,7 +295,7 @@ def _reference_fiber_points(a_n, s, height):
 @example(alphas=[Fraction(-4), Fraction(-3, 2), Fraction(-1, 2)], r=2, s=2, height=10)
 def test_search_kernels_match_the_fraction_reference(alphas, r, s, height):
     assume(is_admissible(alphas, r))
-    a_n = x_coordinates(alphas, r)
+    a_n = XCoordinates(alphas, r)
     assert a_n.rth_powers() == tuple(Fraction(x) ** r for x in alphas)
     cfg = SearchConfig(height)
     curves = enumerate_curves(a_n, s, cfg)
@@ -359,7 +359,7 @@ def test_search_config_refuses_heights_past_the_candidate_cap():
 
 
 def test_census_entries_hold_images():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     entries = curve_census_entries(a_2, 2, SearchConfig(2))
     assert len(entries) == 1
     entry = entries[0]
@@ -368,8 +368,8 @@ def test_census_entries_hold_images():
     assert entry.to_obj()["distinct_x_count"] == 3
     assert fiber_contains(a_2, 2, entry.fiber_point.coords)
     roots = curve_roots_over(a_2, 2, entry.curve.a, entry.curve.b)
-    cwp = CurveWithPoints(entry.curve, tuple(map(point, a_2.alphas, roots)))
-    assert cwp.points == (point(0, 1), point(2, 3), point(-1, 0))
+    cwp = CurveWithPoints(entry.curve, tuple(map(AffinePoint, a_2.alphas, roots)))
+    assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0))
     _, image = phi_forward(cwp)
     assert canonical_fiber_point(image.coords, 2) == entry.fiber_point
 
@@ -388,10 +388,10 @@ def test_census_entries_hold_images():
 @example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8)
 def test_census_images_are_forward_map_images(alphas, r, s, height):
     assume(is_admissible(alphas, r))
-    a_n = x_coordinates(alphas, r)
+    a_n = XCoordinates(alphas, r)
     for entry in curve_census_entries(a_n, s, SearchConfig(height)):
         ys = [sth_root_exact(entry.curve.rhs(x), s) for x in a_n.alphas]
-        cwp = CurveWithPoints(entry.curve, tuple(map(point, a_n.alphas, ys)))
+        cwp = CurveWithPoints(entry.curve, tuple(map(AffinePoint, a_n.alphas, ys)))
         _, image = phi_forward(cwp)
         assert entry.fiber_point == canonical_fiber_point(image.coords, s)
 
@@ -408,7 +408,7 @@ def test_census_images_are_forward_map_images(alphas, r, s, height):
 @example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8)
 def test_cross_check_partitions_both_censuses(alphas, r, s, height):
     assume(is_admissible(alphas, r))
-    a_n = x_coordinates(alphas, r)
+    a_n = XCoordinates(alphas, r)
     report = cross_check(a_n, s, height)
     curves = [c for m in report["matched"] for c in m["curves"]] + report["unmatched_curves"]
     assert sorted(map(Curve.from_obj, curves), key=lambda c: (c.a, c.b)) \
@@ -423,7 +423,7 @@ def test_cross_check_partitions_both_censuses(alphas, r, s, height):
 
 
 def test_cross_check_exact_bijection():
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 2)
     assert report["ok"]
     assert len(report["matched"]) == 1
@@ -438,7 +438,7 @@ def test_cross_check_exact_bijection():
 
 
 def test_cross_check_sorts_base_vanishing_points():
-    a_2 = x_coordinates([1, 2, 7], 2)
+    a_2 = XCoordinates([1, 2, 7], 2)
     report = cross_check(a_2, 2, 6)
     assert report["ok"] and report["matched"] == []
     assert report["base_vanishing_points"] == [["0", "1", "4"]]
@@ -446,13 +446,13 @@ def test_cross_check_sorts_base_vanishing_points():
     assert report["cutoff_fiber_points"] == [["3", "4", "11"]]
     # with alpha_0 = 0 the point [0:1:2] recovers b = 0: the triviality test
     # comes first, so it is trivial although its base coordinate vanishes
-    report = cross_check(x_coordinates([0, 1, 2], 2), 2, 4)
+    report = cross_check(XCoordinates([0, 1, 2], 2), 2, 4)
     assert report["trivial_points"] == [["0", "1", "2"], ["1", "1", "1"]]
     assert report["base_vanishing_points"] == []
 
 
 def test_cross_check_trivial_only_fiber():
-    a_2 = x_coordinates([1, 2, 3], 3)
+    a_2 = XCoordinates([1, 2, 3], 3)
     report = cross_check(a_2, 2, 1)
     assert report["matched"] == []
     assert report["trivial_points"] == [["1", "1", "1"]]
@@ -461,7 +461,7 @@ def test_cross_check_trivial_only_fiber():
 
 def test_cross_check_groups_equivalent_curves():
     # (1, 1) and (4, 4) are the same class; both sit in an H = 4 box
-    a_2 = x_coordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 4)
     classes = {tuple(m["fiber_point"]): [(c["a"], c["b"]) for c in m["curves"]]
                for m in report["matched"]}
@@ -472,9 +472,9 @@ def test_cross_check_groups_equivalent_curves():
 def test_census_stability_observed_above_threshold():
     # empirical observation, not a theorem: above the finiteness
     # threshold the census stops growing with H on test fibers
-    empty_fiber = x_coordinates([0, 1, 2, 3, 4], 3)
+    empty_fiber = XCoordinates([0, 1, 2, 3, 4], 3)
     # x-coordinates of five small points on y^2 = x^3 + 225
-    rich_fiber = x_coordinates([0, 4, -5, -6, 6], 3)
+    rich_fiber = XCoordinates([0, 4, -5, -6, 6], 3)
     for a_4, label in ((empty_fiber, "empty"), (rich_fiber, "rich")):
         sizes = {}
         for H in (17, 30, 45):
@@ -493,7 +493,7 @@ def test_cross_check_cutoff_reconciliation_on_rich_fiber():
     # integer representative (1, 225) sits outside an H = 20 box while
     # the fiber point (pair height 17) is inside the pair search, so the
     # point must be explained as cutoff, not left unmatched
-    a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
+    a_4 = XCoordinates([0, 4, -5, -6, 6], 3)
     report = cross_check(a_4, 2, 20)
     assert report["ok"]
     assert report["matched"] == []
@@ -502,7 +502,7 @@ def test_cross_check_cutoff_reconciliation_on_rich_fiber():
 
 
 def test_cross_check_matches_rich_fiber_once_box_reaches_curve():
-    a_4 = x_coordinates([0, 4, -5, -6, 6], 3)
+    a_4 = XCoordinates([0, 4, -5, -6, 6], 3)
     report = cross_check(a_4, 2, 225)
     assert report["ok"]
     assert len(report["matched"]) == 1
