@@ -55,31 +55,29 @@ def rational_str(q: RationalLike) -> str:
 
 
 def _floor_nth_root(n: int, s: int) -> int:
-    # floor(n ** (1/s)) for n >= 0 via integer Newton iteration
+    # floor(n ** (1/s)) for n >= 0, from a float estimate and integer Newton
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
     if n.bit_length() <= s:
-        # 1 <= n < 2^s; this also spares the Newton step an x^(s-1) of s bits
+        # 1 <= n < 2^s; this also spares the test of 2^s, a power of s bits
         return 1
     if s == 1:
         return n
     if s == 2:
         return math.isqrt(n)
+    # The root of n's leading bits is below 2^32, and floats give it to within
+    # 10^-4: log(n >> s*e) / s is off by a few ulp of 32*log(2), whatever s is.
+    # A root that short is settled by one power.  A longer one starts Newton
+    # above the root within 2^-30, where each step doubles the correct bits;
+    # from 2^ceil(bits/s), each step would cut x only by about 1 - 1/s.
     k = -(-n.bit_length() // s)  # the root is below 2^k
-    if s < 16:
-        x = 1 << k
-    else:
-        # From 2^k, each Newton step cuts x by only about 1 - 1/s.  So bisect the
-        # root of n's leading s*t bits, t = 2*bitlen(s): scaled back, it is within
-        # 2^(1-t) < 1/(8s) of the root, where Newton converges quadratically.
-        e = max(k - 2 * s.bit_length(), 0)
-        top, x = n >> s * e, 0
-        for bit in reversed(range(k - e)):
-            if (x | 1 << bit) ** s <= top:
-                x |= 1 << bit
-        x = (x + 1) << e  # > root, as top < (x + 1)^s
+    e = k - 32 if k > 32 else 0
+    x = int(math.exp(math.log(n >> s * e) / s) + 0.5)
+    if not e:
+        return x if x ** s <= n else x - 1
+    x = (x + 1) << e  # > root, as n >> s*e < (x + 1)^s
     while True:
         y = ((s - 1) * x + n // x ** (s - 1)) // s
         if y >= x:

@@ -162,6 +162,9 @@ RADICANDS = st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
 # for which Newton started at 2^ceil(bits/s) took about 0.7*s steps
 @example(999, 8 * 2 ** 17000 + 1)
 @example(20001, 999998 * 10 ** 120000)
+# roots at 2^32, where a root stops being short enough for floats alone
+@example(3, 2 ** 96 - 1)
+@example(5, (2 ** 32 + 1) ** 5)
 def test_floor_nth_root_brackets_the_root(s, n):
     r = exact._floor_nth_root(n, s)
     assert r ** s <= n < (r + 1) ** s
