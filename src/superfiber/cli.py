@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .exact import ProjectivePoint, normalize_projective, rational
+from .exact import ProjectivePoint, integer, normalize_projective, rational
 from .family import AffinePoint, Curve, CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
@@ -134,13 +134,15 @@ def _cmd_genus(args):
 def _read_cwp(args) -> CurveWithPoints:
     try:
         obj = _read_input(args)
-        # refuse before CurveWithPoints raises any coordinate to the power r or s
-        params = Curve.from_obj(obj["curve"]).params
+        curve = Curve.from_obj(obj["curve"])
+        points = []
         for i, raw in enumerate(obj["points"]):
             p = AffinePoint.from_obj(raw)
-            if _too_big([p.x], params.r) or _too_big([p.y], params.s):
+            # refuse before CurveWithPoints raises any coordinate to the power r or s
+            if _too_big([p.x], curve.params.r) or _too_big([p.y], curve.params.s):
                 raise ValueError(f"point {i}: x^r or y^s exceeds {_digit_limit()} digits")
-        return CurveWithPoints.from_obj(obj)
+            points.append(p)
+        return CurveWithPoints(curve, points, integer(obj.get("base_index", 0), "base_index"))
     except (KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 

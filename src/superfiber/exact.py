@@ -54,6 +54,16 @@ def rational_str(q: RationalLike) -> str:
     return str(rational(q))
 
 
+def _float_root(n: int, s: int) -> tuple[int, int]:
+    # (x, e) for n >= 2^s and s >= 3: e >= 0 is the least shift that puts the
+    # root of n >> s*e below 2^32, and x is that root rounded from floats,
+    # which give it to within 10^-4: log(n >> s*e) / s is off by a few ulp of
+    # 32*log(2), whatever s is
+    k = -(-n.bit_length() // s)  # the root is below 2^k
+    e = k - 32 if k > 32 else 0
+    return int(math.exp(math.log(n >> s * e) / s) + 0.5), e
+
+
 def _floor_nth_root(n: int, s: int) -> int:
     # floor(n ** (1/s)) for n >= 0, from a float estimate and integer Newton
     if n < 0:
@@ -67,14 +77,10 @@ def _floor_nth_root(n: int, s: int) -> int:
         return n
     if s == 2:
         return math.isqrt(n)
-    # The root of n's leading bits is below 2^32, and floats give it to within
-    # 10^-4: log(n >> s*e) / s is off by a few ulp of 32*log(2), whatever s is.
-    # A root that short is settled by one power.  A longer one starts Newton
-    # above the root within 2^-30, where each step doubles the correct bits;
-    # from 2^ceil(bits/s), each step would cut x only by about 1 - 1/s.
-    k = -(-n.bit_length() // s)  # the root is below 2^k
-    e = k - 32 if k > 32 else 0
-    x = int(math.exp(math.log(n >> s * e) / s) + 0.5)
+    # A short root (e = 0) is settled by one power.  A longer one starts
+    # Newton above the root within 2^-30, where each step doubles the correct
+    # bits; from 2^ceil(bits/s), each step would cut x only by about 1 - 1/s.
+    x, e = _float_root(n, s)
     if not e:
         return x if x ** s <= n else x - 1
     x = (x + 1) << e  # > root, as n >> s*e < (x + 1)^s
@@ -85,10 +91,23 @@ def _floor_nth_root(n: int, s: int) -> int:
         x = y
 
 
-def int_nth_root(n: int, s: int) -> Optional[int]:
-    """Exact integer s-th root of n >= 0, or None if n is not a perfect power."""
+def _exact_nth_root(n: int, s: int) -> Optional[int]:
+    # the integer s-th root of n >= 0, or None
+    if s > 2 and n.bit_length() > s:
+        x, e = _float_root(n, s)
+        if not e:
+            # within 10^-4, the estimate of an exact power's short root is the
+            # root itself, so one power decides
+            return x if x ** s == n else None
     r = _floor_nth_root(n, s)
     return r if r ** s == n else None
+
+
+def int_nth_root(n: int, s: int) -> Optional[int]:
+    """Exact integer s-th root of n >= 0, or None if n is not a perfect power."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    return _exact_nth_root(n, s)
 
 
 def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
@@ -98,16 +117,21 @@ def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
     the sign of x.  Works on numerator and denominator separately, which
     is valid because they are coprime.  An int or Fraction is read as it
     is; anything else goes through rational().  An int, the radicand of
-    both search kernels, has no denominator to test.
+    both search kernels, has no denominator to test, and with s = 2, the
+    kernels' usual order, it takes one math.isqrt and one product.
     """
+    if s == 2 and type(x) is int:
+        if x < 0:
+            return None
+        root = math.isqrt(x)
+        return Fraction(root) if root * root == x else None
     if s < 2:
         raise ValueError("root order must be >= 2")
     if type(x) is int:
         if x < 0 and s % 2 == 0:
             return None
-        n = -x if x < 0 else x
-        root = math.isqrt(n) if s == 2 else _floor_nth_root(n, s)
-        if root ** s != n:
+        root = _exact_nth_root(-x if x < 0 else x, s)
+        if root is None:
             return None
         return Fraction(-root if x < 0 else root)
     q = x if isinstance(x, (int, Fraction)) else rational(x)

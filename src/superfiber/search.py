@@ -14,6 +14,13 @@ correspondence:
   * fiber-pairs: coprime leading pairs (Y_0, Y_1) up to H, solving each
     remaining equation for Y_i^s and keeping exact roots.
 
+The curve box goes row by row, one a with every b.  A candidate costs one
+root test, of its base radicand a*alpha_0^r + b; only a nonzero base root
+calls curve_roots_over, the one definition of membership and of the witness
+roots, which tests the base radicand again and then every other alpha.  With
+s = 2, the usual order, the root test of an int radicand is one math.isqrt
+and one product.
+
 Both kernels run on Python ints and build a Fraction only for a hit.
 The box values are ints, and XCoordinates stores alpha_i^r once, as an
 int where it is integral, so a*alpha_i^r + b is an int unless an alpha
@@ -127,9 +134,17 @@ def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve
     params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
     values = [v for v in range(-H, H + 1) if v != 0]
-    return [Curve(params, a, b)
-            for a, b in itertools.product(_rows(values, cfg.partition), values)
-            if curve_roots_over(a_n, s, a, b) is not None]
+    # bound here, not at definition, so that a wrapper installed on either
+    # name before the call is the one that runs
+    rth_powers, root = a_n.rth_powers, sth_root_exact
+    found = []
+    for a in _rows(values, cfg.partition):
+        for b in values:
+            # the base root alone rejects most candidates; a zero one is
+            # refused by curve_roots_over too
+            if root(a * rth_powers()[0] + b, s) and curve_roots_over(a_n, s, a, b) is not None:
+                found.append(Curve(params, a, b))
+    return found
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -170,8 +185,11 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted."""
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
-    (c2, k0, k1), *later = [(eq.ci, -eq.c0 * eq.ci ** (s - 1), -eq.c1 * eq.ci ** (s - 1))
-                            for eq in fiber_equations(a_n, s)]
+    scaled = []
+    for eq in fiber_equations(a_n, s):
+        scale = eq.ci ** (s - 1)
+        scaled.append((eq.ci, -eq.c0 * scale, -eq.c1 * scale))
+    (c2, k0, k1), *later = scaled
     H = cfg.height_bound
     # the first equation's k1*q^s, indexed by q itself: -H..-1 wrap to the tail
     first = [k1 * q ** s for q in itertools.chain(range(H + 1), range(-H, 0))]

@@ -173,6 +173,20 @@ def test_floor_nth_root_brackets_the_root(s, n):
         assert exact._floor_nth_root(r ** s - 1, s) == r - 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 10 ** 4), st.integers(2, 2 ** 34))
+# the largest short root, and the first root past it
+@example(3, 2 ** 32 - 1)
+@example(7, 2 ** 32)
+def test_exact_root_of_a_power_and_its_neighbours(s, r):
+    # a short root is decided by one power of the float estimate, so the
+    # estimate of an exact power must be its root
+    n = r ** s
+    assert int_nth_root(n, s) == r
+    assert sth_root_exact(-n, s) == (-r if s % 2 else None)
+    assert int_nth_root(n - 1, s) is None and int_nth_root(n + 1, s) is None
+
+
 def test_int_nth_root_of_huge_order_is_immediate():
     # n < 2^s has floor root 1; no Newton step with an s-bit power runs
     assert int_nth_root(5, 10 ** 9) is None

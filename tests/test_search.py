@@ -163,18 +163,21 @@ def _rows_of(stream, row_of):
 
 
 def _box_candidates(monkeypatch, a_n, height, partition):
-    seen = []
-    monkeypatch.setattr(search, "curve_roots_over",
-                        lambda a_n, s, a, b: seen.append((a, b)))
+    # every candidate's base radicand a*w_0 + b, read back as (a, b): |b| <= H
+    # and w_0 > 2H, so a is the multiple of w_0 nearest to it
+    w_0 = a_n.rth_powers()[0]
+    assert w_0 > 2 * height
+    radicands = []
+    monkeypatch.setattr(search, "sth_root_exact", lambda x, s: radicands.append(x))
     assert enumerate_curves(a_n, 2, SearchConfig(height, partition)) == []
-    return seen
+    return [(round(x / w_0), x - round(x / w_0) * w_0) for x in radicands]
 
 
 @pytest.mark.parametrize("height", (1, 5, 8))
 def test_worker_slices_take_whole_rows(monkeypatch, height):
     # worker i of N gets outer rows i, i+N, ... (rows of a in the box, of Y_0
     # among the pairs), and the rows of all workers rebuild the whole stream
-    a_2 = XCoordinates([0, 2, -1], 3)
+    a_2 = XCoordinates([10, 2, -1], 3)
     values = [v for v in range(-height, height + 1) if v != 0]
     kernels = [(lambda part: _box_candidates(monkeypatch, a_2, height, part),
                 lambda ab: values.index(ab[0]))]
@@ -233,6 +236,40 @@ def test_fiber_pairs_root_test_every_coprime_pair(monkeypatch, alphas, s, height
     search_fiber_points(a_n, s, SearchConfig(height))
     assert sum(len(qs) for _, qs in search._pair_rows(height, s, (0, 1))) == pairs
     assert len(calls) == root_tests
+
+
+@pytest.mark.parametrize("alphas, s, height, members, found", (
+    ([0, 1, 2], 2, 30, 300, 4),
+    ([2, 3, -1], 2, 30, 102, 1),
+    ([1, 2, 0], 3, 30, 282, 4),
+    ([-3, 3, 2, -4, -1], 2, 30, 56, 0),
+))
+def test_curve_box_root_tests_every_base_radicand(monkeypatch, alphas, s, height, members,
+                                                  found):
+    # exhaustive: each candidate gets one root test of its base radicand
+    # a*w_0 + b, and only a nonzero base root calls curve_roots_over
+    a_n = XCoordinates(alphas, 3)
+    radicands, called = [], []
+    monkeypatch.setattr(search, "sth_root_exact",
+                        lambda x, s: radicands.append(x) or sth_root_exact(x, s))
+
+    def roots_over(a_n, s, a, b):
+        called.append((a, b))
+        before = len(radicands)
+        roots = curve_roots_over(a_n, s, a, b)
+        del radicands[before:]  # the membership test's own root tests
+        return roots
+
+    monkeypatch.setattr(search, "curve_roots_over", roots_over)
+    curves = enumerate_curves(a_n, s, SearchConfig(height))
+    w_0 = a_n.rth_powers()[0]
+    values = [v for v in range(-height, height + 1) if v != 0]
+    assert radicands == [a * w_0 + b for a in values for b in values]
+    assert called == [(a, b) for a in values for b in values if sth_root_exact(a * w_0 + b, s)]
+    assert len(called) == members
+    assert [(c.a, c.b) for c in curves] == [ab for ab in called
+                                           if curve_roots_over(a_n, s, *ab) is not None]
+    assert len(curves) == found
 
 
 def _reference_root(v: Fraction, s: int):
