@@ -2,7 +2,8 @@
 
 All scalars are `fractions.Fraction` values, which are always stored
 reduced with a positive denominator, so equality is structural and
-hashing is free.  No floating point is used anywhere in this package.
+hashing is free.  Floats only give the starting estimate of an integer
+root; an exact integer comparison decides every result.
 
 Projective tuples are kept in a canonical integer form: denominators
 cleared, content (gcd) reduced to 1, first nonzero entry positive.  Two
@@ -54,71 +55,57 @@ def rational_str(q: RationalLike) -> str:
     return str(rational(q))
 
 
-def _float_root(n: int, s: int) -> tuple[int, int]:
-    # (x, e) for n >= 2^s and s >= 3: e >= 0 is the least shift that puts the
-    # root of n >> s*e below 2^32, and x is that root rounded from floats,
-    # which give it to within 10^-4: log(n >> s*e) / s is off by a few ulp of
-    # 32*log(2), whatever s is
+def _nth_root(n: int, s: int) -> tuple[int, bool]:
+    # (floor(n ** (1/s)), whether n is its s-th power) for s >= 3 and n >= 2^s.
+    # Floats give the root of n >> s*e, for the least shift e >= 0 that puts
+    # it below 2^32, to within 10^-4: log(n >> s*e) / s is off by a few ulp of
+    # 32*log(2), whatever s is.  A short root (e = 0) is that estimate rounded,
+    # so its power decides.  A longer one starts Newton above the root within
+    # 2^-30, where each step doubles the correct bits; from 2^ceil(bits/s),
+    # each step would cut x only by about 1 - 1/s.
     k = -(-n.bit_length() // s)  # the root is below 2^k
     e = k - 32 if k > 32 else 0
-    return int(math.exp(math.log(n >> s * e) / s) + 0.5), e
-
-
-def _floor_nth_root(n: int, s: int) -> int:
-    # floor(n ** (1/s)) for n >= 0, from a float estimate and integer Newton
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if n.bit_length() <= s:
-        # 1 <= n < 2^s; this also spares the test of 2^s, a power of s bits
-        return 1
-    if s == 1:
-        return n
-    if s == 2:
-        return math.isqrt(n)
-    # A short root (e = 0) is settled by one power.  A longer one starts
-    # Newton above the root within 2^-30, where each step doubles the correct
-    # bits; from 2^ceil(bits/s), each step would cut x only by about 1 - 1/s.
-    x, e = _float_root(n, s)
-    if not e:
-        return x if x ** s <= n else x - 1
-    x = (x + 1) << e  # > root, as n >> s*e < (x + 1)^s
-    while True:
-        y = ((s - 1) * x + n // x ** (s - 1)) // s
-        if y >= x:
-            return x
-        x = y
-
-
-def _exact_nth_root(n: int, s: int) -> Optional[int]:
-    # the integer s-th root of n >= 0, or None
-    if s > 2 and n.bit_length() > s:
-        x, e = _float_root(n, s)
-        if not e:
-            # within 10^-4, the estimate of an exact power's short root is the
-            # root itself, so one power decides
-            return x if x ** s == n else None
-    r = _floor_nth_root(n, s)
-    return r if r ** s == n else None
+    x = int(math.exp(math.log(n >> s * e) / s) + 0.5)
+    if e:
+        x = (x + 1) << e  # > root, as n >> s*e < (x + 1)^s
+        while True:
+            y = ((s - 1) * x + n // x ** (s - 1)) // s
+            if y >= x:
+                break
+            x = y
+    power = x ** s
+    return (x - 1 if power > n else x), power == n
 
 
 def int_nth_root(n: int, s: int) -> Optional[int]:
-    """Exact integer s-th root of n >= 0, or None if n is not a perfect power."""
+    """Exact integer s-th root of n >= 0, or None if n is not a perfect power.
+
+    For s = 2 this is one math.isqrt and one product.  For s >= 3 floats
+    estimate the root, and one s-th power, after a few Newton steps for a
+    root of 2^32 or more, decides it exactly."""
+    if s < 2:
+        raise ValueError("root order must be >= 2")
     if n < 0:
         raise ValueError("negative radicand")
-    return _exact_nth_root(n, s)
+    if n.bit_length() <= s:
+        # n < 2^s, whose root is below 2: this spares the power 2^s of s bits
+        return n if n < 2 else None
+    if s == 2:
+        root = math.isqrt(n)
+        return root if root * root == n else None
+    root, is_power = _nth_root(n, s)
+    return root if is_power else None
 
 
 def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
     """Exact rational s-th root of x, or None if no rational root exists.
 
     For even s the non-negative root is returned; for odd s the root has
-    the sign of x.  Works on numerator and denominator separately, which
-    is valid because they are coprime.  An int or Fraction is read as it
-    is; anything else goes through rational().  An int, the radicand of
-    both search kernels, has no denominator to test, and with s = 2, the
-    kernels' usual order, it takes one math.isqrt and one product.
+    the sign of x.  An int at s = 2, the usual radicand of both search
+    kernels, is int_nth_root's square-root test inline.  Any other x (an
+    int or Fraction as it is, anything else through rational()) has its
+    numerator and denominator rooted by int_nth_root, which is valid
+    because they are coprime; a denominator of 1 costs no power.
     """
     if s == 2 and type(x) is int:
         if x < 0:
@@ -127,25 +114,13 @@ def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
         return Fraction(root) if root * root == x else None
     if s < 2:
         raise ValueError("root order must be >= 2")
-    if type(x) is int:
-        if x < 0 and s % 2 == 0:
-            return None
-        root = _exact_nth_root(-x if x < 0 else x, s)
-        if root is None:
-            return None
-        return Fraction(-root if x < 0 else root)
     q = x if isinstance(x, (int, Fraction)) else rational(x)
-    negative = q < 0
-    if negative and s % 2 == 0:
+    num = q.numerator
+    if num < 0 and s % 2 == 0:
         return None
-    num, den = abs(q.numerator), q.denominator
-    rn = int_nth_root(num, s)
-    if rn is None:
-        return None
-    rd = int_nth_root(den, s)
-    if rd is None:
-        return None
-    return Fraction(-rn if negative else rn, rd)
+    rn = int_nth_root(-num if num < 0 else num, s)
+    rd = None if rn is None else int_nth_root(q.denominator, s)
+    return None if rd is None else Fraction(-rn if num < 0 else rn, rd)
 
 
 class FrozenRecordError(AttributeError):

@@ -17,9 +17,7 @@ correspondence:
 The curve box goes row by row, one a with every b.  A candidate costs one
 root test, of its base radicand a*alpha_0^r + b; only a nonzero base root
 calls curve_roots_over, the one definition of membership and of the witness
-roots, which tests the base radicand again and then every other alpha.  With
-s = 2, the usual order, the root test of an int radicand is one math.isqrt
-and one product.
+roots, which tests the base radicand again and then every other alpha.
 
 Both kernels run on Python ints and build a Fraction only for a hit.
 The box values are ints, and XCoordinates stores alpha_i^r once, as an

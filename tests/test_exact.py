@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,8 +57,6 @@ def test_normalize_scale_invariance():
 
 def test_normalize_idempotent_canonical():
     rng = random.Random(7)
-    import math
-
     for _ in range(200):
         coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         if all(c == 0 for c in coords):
@@ -123,11 +122,15 @@ def test_sth_root_of_any_int_matches_its_fraction(n, s):
 
 
 def test_sth_root_of_int_skips_the_denominator(monkeypatch):
-    # an int has no denominator to root; a bool is not read as an int
+    # an int at s = 2 is rooted inline; any other input roots its numerator
+    # and then its denominator, 1 for an int; a bool is not read as an int
     calls = []
     monkeypatch.setattr(exact, "int_nth_root", lambda n, s: calls.append(n) or 1)
-    assert sth_root_exact(1, 2) == 1 and sth_root_exact(-27, 3) == -3
+    assert sth_root_exact(1, 2) == 1
     assert calls == []
+    sth_root_exact(-27, 3)
+    assert calls == [27, 1]
+    calls.clear()
     root = sth_root_exact(True, 2)
     assert root == 1 and type(root) is Fraction
     assert calls == [1, 1]
@@ -136,6 +139,12 @@ def test_sth_root_of_int_skips_the_denominator(monkeypatch):
 def test_sth_root_order_validated():
     with pytest.raises(ValueError):
         sth_root_exact(4, 1)
+
+
+@pytest.mark.parametrize("s", [1, 0, -1])
+def test_int_nth_root_refuses_an_order_below_2(s):
+    with pytest.raises(ValueError, match="root order must be >= 2"):
+        int_nth_root(5, s)
 
 
 def test_int_nth_root_edges_and_large_values():
@@ -166,11 +175,18 @@ RADICANDS = st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits),
 @example(3, 2 ** 96 - 1)
 @example(5, (2 ** 32 + 1) ** 5)
 def test_floor_nth_root_brackets_the_root(s, n):
-    r = exact._floor_nth_root(n, s)
+    if s == 2 or n < 2 ** s:
+        # int_nth_root settles these without the helper
+        r = math.isqrt(n) if s == 2 else min(n, 1)
+        assert int_nth_root(n, s) == (r if r ** s == n else None)
+        return
+    r, is_power = exact._nth_root(n, s)
     assert r ** s <= n < (r + 1) ** s
-    if r:  # at the perfect power r^s and just below it
-        assert exact._floor_nth_root(r ** s, s) == r
-        assert exact._floor_nth_root(r ** s - 1, s) == r - 1
+    assert is_power == (r ** s == n)
+    # at the perfect power r^s and, while it is in the helper's range, just below it
+    assert exact._nth_root(r ** s, s) == (r, True)
+    if r > 2:
+        assert exact._nth_root(r ** s - 1, s) == (r - 1, False)
 
 
 @settings(deadline=None, max_examples=60)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from superfiber import (
     AffinePoint,
     ELKIES,
+    ConicSpec,
+    CubicSpec,
     Curve,
     CurveWithPoints,
     SearchConfig,
@@ -19,6 +21,7 @@ from superfiber import (
     enumerate_curves,
     fiber_contains,
     fiber_equations,
+    fermat_to_weierstrass,
     int_nth_root,
     integer_class_representatives,
     is_admissible,
@@ -341,6 +344,32 @@ def test_search_kernels_match_the_fraction_reference(alphas, r, s, height):
     assert [(c.a, c.b, curve_roots_over(a_n, s, int(c.a), int(c.b))) for c in curves] \
         == _reference_curves(a_n, s, height)
     assert search_fiber_points(a_n, s, cfg) == _reference_fiber_points(a_n, s, height)
+
+
+@settings(deadline=None)
+@given(alphas=st.lists(st.integers(-6, 6), min_size=3, max_size=3, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 40))
+@example(alphas=[0, 2, 3], r=3, s=3, height=40)
+@example(alphas=[0, 1, 2], r=3, s=3, height=40)
+@example(alphas=[1, 2, 4], r=3, s=3, height=40)
+@example(alphas=[0, 4, -5], r=3, s=3, height=40)
+def test_fiber_points_lie_on_their_conic_or_cubic(alphas, r, s, height):
+    # an oracle that takes no root: for n = 2 the fiber is the one curve
+    # c0*X^s + c1*Y^s + c2*Z^s = 0, whose coefficients sum to zero
+    assume(is_admissible(alphas, r))
+    a_n = XCoordinates(alphas, r)
+    (eq,) = fiber_equations(a_n, s)
+    assert eq.c0 + eq.c1 + eq.ci == 0
+    for P in search_fiber_points(a_n, s, SearchConfig(height)):
+        if s == 2:
+            spec = ConicSpec(eq.c0, eq.c1)
+            X, Y, Z = P.coords
+            assert spec.alpha * X ** 2 + spec.beta * Y ** 2 + spec.gamma * Z ** 2 == 0
+        else:
+            spec = CubicSpec(eq.c0, eq.c1)
+            assert spec.contains(P.coords)
+            if math.prod(P.coords):
+                assert fermat_to_weierstrass(spec, P.coords).on_curve()
 
 
 def test_integer_class_representatives():
