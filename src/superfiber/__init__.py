@@ -69,8 +69,6 @@ from .maps import (
     lift_quartic_parameter,
     phi_forward,
     phi_inverse,
-    quadrics_to_quartic,
-    quartic_value,
 )
 from .search import (
     CensusEntry,

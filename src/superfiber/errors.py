@@ -45,7 +45,9 @@ class DegenerateParameter(DomainError):
 
 
 class DegenerateSpec(DomainError):
-    """Conic or cubic coefficients with alpha, beta or alpha + beta zero."""
+    """Conic coefficients with alpha or beta zero, or cubic coefficients
+    with alpha, beta or alpha + beta zero.  A conic with alpha + beta zero
+    is valid; only its parameter u = 1 is degenerate (DegenerateParameter)."""
 
 
 class CoordinateVanishing(DomainError):

@@ -22,12 +22,12 @@ Low-dimensional fibers admit classical models, implemented here as
 well: a rational parameterization of sum-zero conics, the map from a
 diagonal plane cubic with coefficient sum zero to U^3 + V^3 = abc*W^3,
 its Weierstrass model S^2 = T^3 - 432*a^2*b^2*(a+b)^2, and the quartic
-model v^2 = q(u) of an intersection of two quadrics in P^3.
+model v^2 = q(u) of an intersection of two quadrics in P^3.  The conic
+and the quartic model are evaluated at the parameter u.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -141,30 +141,19 @@ class ConicSpec:
         return -(self.alpha + self.beta)
 
 
-def _conic_coordinate_polys(spec: ConicSpec) -> tuple[list[Fraction], ...]:
-    # ascending coefficient lists of X(u) = alpha*u^2 + 2*beta*u - beta,
-    # Y(u) = -alpha*u^2 + 2*alpha*u + beta and Z(u) = alpha*u^2 + beta
+def _conic_values(spec: ConicSpec, u: Rational) -> tuple[Rational, Rational, Rational]:
+    # X(u) = alpha*u^2 + 2*beta*u - beta, Y(u) = -alpha*u^2 + 2*alpha*u + beta and
+    # Z(u) = alpha*u^2 + beta, before any normalization
     al, be = spec.alpha, spec.beta
-    X = [-be, 2 * be, al]
-    Y = [be, 2 * al, -al]
-    Z = [be, Fraction(0), al]
-    return X, Y, Z
-
-
-def quartic_value(coeffs: Sequence[Rational], u: RationalLike) -> Rational:
-    """Value at u of the polynomial with ascending coefficients `coeffs`."""
-    uu = rational(u)
-    value = Fraction(0)
-    for c in reversed(list(coeffs)):
-        value = value * uu + c
-    return value
+    au2 = al * u * u
+    return au2 + 2 * be * u - be, -au2 + 2 * al * u + be, au2 + be
 
 
 def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
     """Point [X(u) : Y(u) : Z(u)] on the conic for parameter u; u = 1
     gives the distinguished point [1 : 1 : 1]."""
     uu = rational(u)
-    X, Y, Z = (quartic_value(poly, uu) for poly in _conic_coordinate_polys(spec))
+    X, Y, Z = _conic_values(spec, uu)
     if X == 0 and Y == 0 and Z == 0:
         raise DegenerateParameter(f"parameter u={uu} collapses to the zero vector")
     return normalize_projective([X, Y, Z])
@@ -280,43 +269,16 @@ def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> Weierstr
 # quartic model of the n = 3, s = 2 fiber
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _quartic_model(a_3: XCoordinates) -> tuple[tuple[list[Fraction], ...], tuple[Rational, ...]]:
-    # the conic coordinate polynomials (X, Y, Z) of the first quadric and
-    # the coefficients of q, from substituting X(u), Y(u) into the second
+def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> Optional[FiberPoint]:
+    """Fiber point [X(u) : Y(u) : Z(u) : v] of an n = 3, s = 2 fiber: X, Y, Z
+    parameterize the first quadric as conic_param does, and the second gives
+    v^2 = q(u), a quartic in u.  None when q(u) is not a rational square."""
     if a_3.n != 3:
         raise WrongShape("quartic model needs n = 3 and s = 2")
     eq2, eq3 = fiber_equations(a_3, 2)
-    polys = _conic_coordinate_polys(ConicSpec(Fraction(eq2.c0), Fraction(eq2.c1)))
-    x2 = _poly_mul(polys[0], polys[0])
-    y2 = _poly_mul(polys[1], polys[1])
-    q = tuple((-eq3.c0 * a - eq3.c1 * b) / Fraction(eq3.ci) for a, b in zip(x2, y2))
-    return polys, q
-
-
-def quadrics_to_quartic(a_3: XCoordinates) -> tuple[Rational, ...]:
-    """Coefficients (q_0, ..., q_4) of the quartic model of an n = 3 fiber.
-
-    The first quadric is parameterized by u; substituting into the
-    second leaves v^2 = q(u), so (u, v) with q(u) a rational square lift
-    to fiber points [X(u) : Y(u) : Z(u) : v].
-    """
-    return _quartic_model(a_3)[1]
-
-
-def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> Optional[FiberPoint]:
-    """Fiber point [X(u) : Y(u) : Z(u) : v] when q(u) = v^2 is a rational
-    square; None otherwise."""
-    polys, q = _quartic_model(a_3)
-    uu = rational(u)
-    v = sth_root_exact(quartic_value(q, uu), 2)
+    # v from the unnormalized X(u), Y(u): normalizing may flip their signs, not v's
+    X, Y, Z = _conic_values(ConicSpec(eq2.c0, eq2.c1), rational(u))
+    v = sth_root_exact((-eq3.c0 * X ** 2 - eq3.c1 * Y ** 2) / eq3.ci, 2)
     if v is None:
         return None
-    return normalize_projective([*(quartic_value(poly, uu) for poly in polys), v])
+    return normalize_projective([X, Y, Z, v])

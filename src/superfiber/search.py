@@ -65,6 +65,11 @@ from .maps import phi_inverse
 # is on the whole box, not a worker's share, so a run is bounded by H alone.
 MAX_CANDIDATES = 10 ** 8
 
+# the fiber-pair radicands k0*Y_0^s + k1*Y_1^s have about
+# s*(bits(H) + bits(max |c|)) bits, and the kernel builds ci^(s-1) and a
+# table of them before any pair; past this cap it refuses them first
+MAX_RADICAND_BITS = 2 ** 20
+
 
 @record
 class SearchConfig:
@@ -182,13 +187,18 @@ def _pair_rows(height: int, s: int,
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted."""
+    equations = fiber_equations(a_n, s)
+    H = cfg.height_bound
+    coefficient_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
+    if s * (H.bit_length() + coefficient_bits) > MAX_RADICAND_BITS:
+        raise ValueError(f"fiber-pair radicands at s={s}, height {H} exceed the radicand cap:"
+                         f" s*(bits(H) + bits(c)) > {MAX_RADICAND_BITS}")
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
     scaled = []
-    for eq in fiber_equations(a_n, s):
+    for eq in equations:
         scale = eq.ci ** (s - 1)
         scaled.append((eq.ci, -eq.c0 * scale, -eq.c1 * scale))
     (c2, k0, k1), *later = scaled
-    H = cfg.height_bound
     # the first equation's k1*q^s, indexed by q itself: -H..-1 wrap to the tail
     first = [k1 * q ** s for q in itertools.chain(range(H + 1), range(-H, 0))]
     found = set()
@@ -277,7 +287,8 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     representative inside the box (height-cutoff asymmetry).
     unmatched_curves / unmatched_fiber_points are genuine failures and
     should always be empty; ok says that they are.  A raised fiber bound
-    past the candidate cap is a ValueError that names it.
+    past the candidate cap, or fiber-pair radicands past the radicand cap,
+    is a ValueError that names it.
     """
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height

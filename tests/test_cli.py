@@ -77,6 +77,9 @@ def test_param_conic():
     result = run_cli("param-conic", "--alpha", "3", "--beta", "-1", "--u", "2")
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"point": ["9", "-1", "11"]}
+    # alpha + beta = 0 is a valid conic; only its parameter u = 1 is degenerate
+    result = run_cli("param-conic", "--alpha", "1", "--beta", "-1", "--u", "2")
+    assert (result.returncode, result.stdout) == (0, '{"point":["1","-1","3"]}\n')
 
 
 def test_verify_point_trivial():
@@ -216,10 +219,14 @@ def test_unbounded_input_work_exits_64_in_one_line():
 
 
 def test_huge_exponent_flags_end_at_once():
-    # each argv used to raise alpha^r, Y^s or a height to the s-th power first
+    # each argv used to raise alpha^r, Y^s or a height to the s-th power first,
+    # and at H = 1 the pair kernel its coefficients ci^(s-1)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     huge = ("--s", "100000000")
     box = ("--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "3")
+    tiny = ("--alphas=0,2,3", "--r", "3", *huge, "--height", "1")
+    radicands = ("error: fiber-pair radicands at s=100000000, height 1 exceed the radicand cap:"
+                 " s*(bits(H) + bits(c)) > 1048576\n")
     cases = (
         (("fiber-eqs", "--alphas=2,3,5", "--r", "100000000", "--s", "2"), "alpha^r"),
         (("verify-point", "--alphas=0,1,2", "--r", "2", *huge, "--point=2,3,5"), "Y^s"),
@@ -227,13 +234,19 @@ def test_huge_exponent_flags_end_at_once():
         (("search", *box, "--mode", "curve-box"), None),
         (("search", *box, "--mode", "fiber-pairs"), "height^s"),
         (("cross-check", "--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "2"), "height^s"),
+        (("search", *tiny, "--mode", "fiber-pairs"), radicands),
+        (("cross-check", *tiny), radicands),
     )
-    for argv, power in cases:
+    for argv, refused in cases:
+        start = time.perf_counter()
         code, out, err = run_main(*argv)
-        if power is None:
+        assert time.perf_counter() - start < 1, argv
+        if refused is None:
             assert (code, err) == (0, ""), argv
-        else:
-            assert (code, out, err) == (64, "", f"error: {power} exceeds {limit} digits\n"), argv
+            continue
+        if not refused.startswith("error:"):
+            refused = f"error: {refused} exceeds {limit} digits\n"
+        assert (code, out, err) == (64, "", refused), argv
 
 
 def test_cross_check_of_scaled_alphas_is_bounded_by_the_height():

@@ -23,6 +23,7 @@ from superfiber import (
     TrivialPoint,
     WrongShape,
     XCoordinates,
+    canonical_fiber_point,
     conic_param,
     cubic_to_diagonal,
     cwp_equivalent,
@@ -33,8 +34,7 @@ from superfiber import (
     normalize_projective,
     phi_forward,
     phi_inverse,
-    quadrics_to_quartic,
-    quartic_value,
+    sth_root_exact,
 )
 from helpers_roundtrip import random_cwp, random_rational
 
@@ -301,28 +301,34 @@ def test_fermat_to_weierstrass_examples():
 def test_quartic_golden_coefficients():
     # golden values frozen from a symbolic expansion of
     # 9*Y_1(u)^2 - 8*Y_0(u)^2 for alphas (0, 1, 2, 3), r = 2
+    q = (16, 80, -164, 60, 9)
     a_3 = XCoordinates([0, 1, 2, 3], 2)
-    assert quadrics_to_quartic(a_3) == (16, 80, -164, 60, 9)
-    assert quartic_value(quadrics_to_quartic(a_3), 1) == 1
+    lifted = {}
+    for u in {Fraction(num, den) for num in range(-30, 31) for den in range(1, 8)}:
+        P = lift_quartic_parameter(a_3, u)
+        square = sth_root_exact(sum(c * u ** k for k, c in enumerate(q)), 2) is not None
+        assert (P is not None) == square, u
+        if square:
+            lifted[u] = P.coords
+    # the signs are those of X(u), Y(u), Z(u) and v >= 0 before normalization
+    assert lifted == {0: (1, -1, -1, 1), Fraction(2, 3): (0, 1, 2, -3), 1: (1, 1, 1, -1),
+                      Fraction(4, 3): (1, 1, -1, -1), 2: (0, 1, -2, -3)}
 
 
 def test_quartic_trivial_point_consistency():
     rng = random.Random(424)
     from helpers_roundtrip import random_admissible_alphas
-    from superfiber import fiber_equations
 
     for _ in range(25):
         a_3 = random_admissible_alphas(rng, rng.randint(2, 4), 4)
-        coeffs = quadrics_to_quartic(a_3)
-        eq2 = fiber_equations(a_3, 2)[0]
-        # q(1) equals the squared Y_3 of the trivial point in this scale
-        assert quartic_value(coeffs, 1) == Fraction(eq2.ci) ** 2
-        assert coeffs[4] == Fraction(eq2.c0) ** 2
+        # u = 1 is the conic's distinguished point, which lifts to the trivial point
+        P = lift_quartic_parameter(a_3, 1)
+        assert canonical_fiber_point(P.coords, 2).coords == (1, 1, 1, 1)
 
 
 def test_quartic_wrong_shape():
-    with pytest.raises(WrongShape):
-        quadrics_to_quartic(XCoordinates([0, 1, 2], 2))
+    with pytest.raises(WrongShape, match="quartic model needs n = 3 and s = 2"):
+        lift_quartic_parameter(XCoordinates([0, 1, 2], 2), 0)
 
 
 def test_quartic_lift_round_trip():

@@ -16,6 +16,7 @@ from superfiber import (
     SearchConfig,
     XCoordinates,
     canonical_fiber_point,
+    conic_param,
     cross_check,
     curve_roots_over,
     enumerate_curves,
@@ -25,6 +26,7 @@ from superfiber import (
     int_nth_root,
     integer_class_representatives,
     is_admissible,
+    lift_quartic_parameter,
     normalize_projective,
     phi_forward,
     search_fiber_points,
@@ -33,6 +35,7 @@ from superfiber import (
 from superfiber import search
 from superfiber.search import (
     MAX_CANDIDATES,
+    MAX_RADICAND_BITS,
     curve_census_entries,
     fiber_census_entries,
     pair_height,
@@ -372,6 +375,35 @@ def test_fiber_points_lie_on_their_conic_or_cubic(alphas, r, s, height):
                 assert fermat_to_weierstrass(spec, P.coords).on_curve()
 
 
+# the parameters u = p/q with |p| <= 8 and q <= 8 at which the rung models are evaluated
+MODEL_PARAMETERS = sorted({Fraction(p, q) for p in range(-8, 9) for q in range(1, 9)})
+
+
+@settings(deadline=None)
+@given(alphas=st.lists(st.integers(-6, 6), min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), height=st.integers(1, 40))
+@example(alphas=[0, 1, 2, 3], r=2, height=40)
+@example(alphas=[0, 1, 2], r=2, height=40)
+def test_rung_model_images_are_found_by_the_pair_search(alphas, r, height):
+    # s = 2 oracles that share no code with the kernel: the conic parameterization
+    # of F_2 and the quartic model of F_3; each image of pair height <= H must
+    # be a census point
+    assume(is_admissible(alphas, r))
+    a_n = XCoordinates(alphas, r)
+    found = set(search_fiber_points(a_n, 2, SearchConfig(height)))
+    if a_n.n == 2:
+        (eq,) = fiber_equations(a_n, 2)
+        images = [conic_param(ConicSpec(eq.c0, eq.c1), u) for u in MODEL_PARAMETERS]
+    else:
+        images = [lift_quartic_parameter(a_n, u) for u in MODEL_PARAMETERS]
+    reached = [canonical_fiber_point(P.coords, 2) for P in images if P is not None]
+    reached = [P for P in reached if pair_height(P) <= height]
+    assert set(reached) <= found
+    if (a_n.alphas, r, height) == ((0, 1, 2, 3), 2, 40):
+        # u = 2 lifts to [0 : 1 : 2 : 3], besides the trivial point
+        assert set(reached) == found and len(found) == 2
+
+
 def test_integer_class_representatives():
     reps = integer_class_representatives(Fraction(1), Fraction(1), 2, 20)
     assert reps == [(1, 1), (4, 4), (9, 9), (16, 16)]
@@ -422,6 +454,18 @@ def test_search_config_refuses_heights_past_the_candidate_cap():
     assert SearchConfig(4999).height_bound == 4999
     with pytest.raises(ValueError, match="exceeds the candidate cap"):
         SearchConfig(5000)
+
+
+def test_pair_search_refuses_radicands_past_the_cap_before_building_them():
+    # 0,2,3 at r = 3 gives (c0, c1, ci) = (19, -27, 8): 5 bits, so at H = 1 the cap
+    # admits s*(1 + 5) <= 2^20, s <= 174762
+    assert MAX_RADICAND_BITS == 2 ** 20 == 6 * 174762 + 4
+    a_2 = XCoordinates([0, 2, 3], 3)
+    assert search_fiber_points(a_2, 174762, SearchConfig(1)) == [normalize_projective([1, 1, 1])]
+    with pytest.raises(ValueError, match="exceed the radicand cap"):
+        search_fiber_points(a_2, 174763, SearchConfig(1))
+    with pytest.raises(ValueError, match="exceed the radicand cap"):
+        cross_check(a_2, 174763, 1)
 
 
 def test_census_entries_hold_images():
