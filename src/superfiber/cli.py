@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .exact import ProjectivePoint, integer, normalize_projective, rational
-from .family import AffinePoint, Curve, CurveWithPoints, twist_curve, twist_points
+from .exact import ProjectivePoint, digit_limit, normalize_projective, rational, refuse_power
+from .family import CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
     fiber_contains,
@@ -52,29 +52,13 @@ def _rational_list(text: str) -> list[Fraction]:
     return [rational(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _digit_limit() -> int:
-    # the digits an int may print with; a disabled limit counts as the default,
-    # so the work bounds derived from it stay finite
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def _too_big(values, exponent: int) -> bool:
-    # True when some rational value^exponent passes 4*L bits: more than L digits
-    return any(exponent * (max(abs(q.numerator), q.denominator).bit_length() - 1)
-               > 4 * _digit_limit() for q in values)
-
-
 def _alphas(args) -> XCoordinates:
-    alphas = _rational_list(args.alphas)
-    if _too_big(alphas, args.r):
-        raise ValueError(f"alpha^r exceeds {_digit_limit()} digits")
-    return XCoordinates(tuple(alphas), args.r)
+    return XCoordinates(tuple(_rational_list(args.alphas)), args.r)
 
 
 def _point(args) -> ProjectivePoint:
     point = normalize_projective(_rational_list(args.point))
-    if _too_big(point.coords, args.s):
-        raise ValueError(f"Y^s exceeds {_digit_limit()} digits")
+    refuse_power(point.coords, args.s, "Y^s")
     return point
 
 
@@ -121,28 +105,18 @@ def _cmd_verify_point(args):
 def _cmd_genus(args):
     # refuse what cannot print before computing it;
     # genus >= s^(n-1) >= 16^limit past the first test
-    limit = _digit_limit()
-    too_long = ValueError(f"genus report for n={args.n}, s={args.s} exceeds {limit} digits")
-    if _too_big([args.s], args.n - 1):
-        raise too_long
+    what = f"genus report for n={args.n}, s={args.s}"
+    refuse_power([args.s], args.n - 1, what)
     report = geometry_report(args.n, args.s)
+    limit = digit_limit()
     if any(abs(value) >= 10 ** limit for value in report.values()):
-        raise too_long
+        raise ValueError(f"{what} exceeds {limit} digits")
     return report
 
 
 def _read_cwp(args) -> CurveWithPoints:
     try:
-        obj = _read_input(args)
-        curve = Curve.from_obj(obj["curve"])
-        points = []
-        for i, raw in enumerate(obj["points"]):
-            p = AffinePoint.from_obj(raw)
-            # refuse before CurveWithPoints raises any coordinate to the power r or s
-            if _too_big([p.x], curve.params.r) or _too_big([p.y], curve.params.s):
-                raise ValueError(f"point {i}: x^r or y^s exceeds {_digit_limit()} digits")
-            points.append(p)
-        return CurveWithPoints(curve, points, integer(obj.get("base_index", 0), "base_index"))
+        return CurveWithPoints.from_obj(_read_input(args))
     except (KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 
@@ -185,21 +159,13 @@ def _cmd_cubic_to_weierstrass(args):
 
 def _cmd_search(args):
     # looked up per call, so a rebinding of the module names (perfbench/tracer.py) applies
-    census ={"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
+    census = {"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
     cfg = SearchConfig(args.height, (args.worker_index, args.workers))
-    a_n = _alphas(args)
-    # the pair search raises every leading coordinate up to the height to the s
-    if args.mode == "fiber-pairs" and _too_big([args.height], args.s):
-        raise ValueError(f"height^s exceeds {_digit_limit()} digits")
-    entries = census(a_n, args.s, cfg)
-    return [e.to_obj() for e in entries]
+    return [e.to_obj() for e in census(_alphas(args), args.s, cfg)]
 
 
 def _cmd_cross_check(args):
-    a_n = _alphas(args)
-    if _too_big([args.height], args.s):
-        raise ValueError(f"height^s exceeds {_digit_limit()} digits")
-    return cross_check(a_n, args.s, args.height)
+    return cross_check(_alphas(args), args.s, args.height)
 
 
 def _table_lines(command: str, payload) -> list[str]:

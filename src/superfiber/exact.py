@@ -13,6 +13,7 @@ inputs that differ by a nonzero rational scale normalize identically.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -48,6 +49,20 @@ def integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def digit_limit() -> int:
+    """L, the digits an int may print with (0, no limit, counts as the default)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def refuse_power(values: Sequence[RationalLike], exponent: int, what: str) -> None:
+    """The one rule on powers the input sizes: raise ValueError("<what> exceeds
+    L digits") before some value^exponent passes 4*L bits, more than L digits."""
+    limit = digit_limit()
+    if any(exponent * (max(abs(q.numerator), q.denominator).bit_length() - 1) > 4 * limit
+           for q in values):
+        raise ValueError(f"{what} exceeds {limit} digits")
 
 
 def rational_str(q: RationalLike) -> str:

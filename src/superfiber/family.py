@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, integer, rational, rational_str, record
+from .exact import Rational, integer, rational, rational_str, record, refuse_power
 
 
 @record
@@ -88,11 +88,11 @@ def contains_point(curve: Curve, p: AffinePoint) -> bool:
 class CurveWithPoints:
     """A family member plus an ordered list of points on it.
 
-    Invariants enforced here: every point satisfies the curve equation
-    and the x-coordinates are mutually distinct.  The base point (which
+    Invariants enforced here: each point's x^r and y^s pass
+    exact.refuse_power (first), the x-coordinates are mutually distinct
+    and every point satisfies the curve equation.  The base point (which
     must have y != 0 for twisting and for the forward map) is checked by
-    the operations that need it, so data with a vanishing base y can
-    still be represented.
+    the operations that need it, so data with a vanishing base y is kept.
     """
 
     curve: Curve
@@ -101,6 +101,9 @@ class CurveWithPoints:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        for i, p in enumerate(self.points):
+            refuse_power([p.x], self.curve.params.r, f"point {i}: x^r or y^s")
+            refuse_power([p.y], self.curve.params.s, f"point {i}: x^r or y^s")
         if not self.points:
             raise ValueError("need at least one point")
         if not 0 <= self.base_index < len(self.points):

@@ -31,6 +31,7 @@ from .exact import (
     rational,
     rational_str,
     record,
+    refuse_power,
 )
 
 # A fiber point is just a canonical projective tuple [Y_0 : ... : Y_n].
@@ -48,6 +49,7 @@ def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rationa
 def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
     """True iff the r-th powers of the given values are pairwise distinct."""
     values = [rational(a) for a in alphas]
+    refuse_power(values, r, "alpha^r")
     if len(values) < 2:
         raise ValueError("need at least two x-coordinates")
     powers = _exact_rth_powers(values, r)
@@ -63,6 +65,7 @@ class XCoordinates:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(rational(a) for a in self.alphas))
+        refuse_power(self.alphas, self.r, "alpha^r")
         if len(self.alphas) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
         powers = _exact_rth_powers(self.alphas, self.r)

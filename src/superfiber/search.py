@@ -54,7 +54,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import TrivialPoint
-from .exact import Rational, normalize_projective, rational_str, record, sth_root_exact
+from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
+                    sth_root_exact)
 from .family import Curve, FamilyParams
 from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
 from .maps import phi_inverse
@@ -184,15 +185,21 @@ def _pair_rows(height: int, s: int,
             yield p, list(itertools.compress(range(-height, height + 1), keep[:0:-1] + keep))
 
 
-def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
-    """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
-    as canonical representatives, sorted."""
-    equations = fiber_equations(a_n, s)
-    H = cfg.height_bound
+def _refuse_radicands(equations, s: int, H: int) -> None:
     coefficient_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
     if s * (H.bit_length() + coefficient_bits) > MAX_RADICAND_BITS:
         raise ValueError(f"fiber-pair radicands at s={s}, height {H} exceed the radicand cap:"
                          f" s*(bits(H) + bits(c)) > {MAX_RADICAND_BITS}")
+
+
+def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
+    """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
+    as canonical representatives, sorted; refuses H^s, then radicands,
+    past their caps before any pair."""
+    H = cfg.height_bound
+    refuse_power([H], s, "height^s")
+    equations = fiber_equations(a_n, s)
+    _refuse_radicands(equations, s, H)
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
     scaled = []
     for eq in equations:
@@ -286,13 +293,17 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     correspondence; cutoff_fiber_points have a curve class with no integer
     representative inside the box (height-cutoff asymmetry).
     unmatched_curves / unmatched_fiber_points are genuine failures and
-    should always be empty; ok says that they are.  A raised fiber bound
-    past the candidate cap, or fiber-pair radicands past the radicand cap,
-    is a ValueError that names it.
+    should always be empty; ok says that they are.  The pair search's
+    refusals at the height come before the box (the fiber bound only grows
+    from it); a raised bound past the candidate cap is a ValueError naming it.
     """
+    refuse_power([height], s, "height^s")
+    box = SearchConfig(height)
+    FamilyParams(a_n.r, s)  # the box refuses s < 2 before fiber_equations does
+    _refuse_radicands(fiber_equations(a_n, s), s, height)
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
-    for entry in curve_census_entries(a_n, s, SearchConfig(height)):
+    for entry in curve_census_entries(a_n, s, box):
         groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
         fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
 

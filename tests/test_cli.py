@@ -236,6 +236,10 @@ def test_huge_exponent_flags_end_at_once():
         (("cross-check", "--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "2"), "height^s"),
         (("search", *tiny, "--mode", "fiber-pairs"), radicands),
         (("cross-check", *tiny), radicands),
+        # height^s passes here; cross-check used to run its whole box (16 s) first
+        (("cross-check", f"--alphas={2 ** 100},0,1", "--r", "11", "--s", "1000", "--height", "1500"),
+         "error: fiber-pair radicands at s=1000, height 1500 exceed the radicand cap:"
+         " s*(bits(H) + bits(c)) > 1048576\n"),
     )
     for argv, refused in cases:
         start = time.perf_counter()
@@ -292,6 +296,17 @@ def test_negative_s_exits_64_in_one_line():
                              ("map-inverse", "exponents must be >= 2, got r=2, s=-1")):
         code, out, err = run_main(command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1")
         assert (code, out, err) == (64, "", f"error: {message}\n"), command
+
+
+def test_s_below_2_is_refused_by_the_first_check_it_meets():
+    # cross-check's early refusals come after its exponent check, as before
+    flags = ("--alphas=0,4,-5,-6,6", "--r", "3", "--height", "5")
+    for s in ("1", "0"):
+        for argv, message in (
+            (("cross-check", *flags, "--s", s), f"exponents must be >= 2, got r=3, s={s}"),
+            (("search", *flags, "--s", s, "--mode", "fiber-pairs"), "s must be >= 2"),
+        ):
+            assert run_main(*argv) == (64, "", f"error: {message}\n"), argv
 
 
 def test_zero_denominators_exit_64_in_one_line():

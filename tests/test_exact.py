@@ -209,6 +209,17 @@ def test_int_nth_root_of_huge_order_is_immediate():
     assert int_nth_root(1, 10 ** 9) == 1
 
 
+def test_refuse_power_refuses_past_4L_bits_before_forming_the_power():
+    limit = exact.digit_limit()
+    # 2 has bits - 1 = 1 and 3/2 has 1, so the exponent 4*L is the last one admitted
+    exact.refuse_power([2, Fraction(3, 2), 0, 1], 4 * limit, "x^e")
+    for value in (2, -2, Fraction(3, 2), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=f"^x\\^e exceeds {limit} digits$"):
+            exact.refuse_power([1, value], 4 * limit + 1, "x^e")
+    # a negative exponent forms no large power
+    exact.refuse_power([2 ** 100], -10 ** 9, "x^e")
+
+
 def test_exact_field_arithmetic_identity():
     # (p/q + r/t) * q * t re-reduced equals p*t + r*q
     rng = random.Random(5)

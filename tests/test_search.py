@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from superfiber import (
     CubicSpec,
     Curve,
     CurveWithPoints,
+    FamilyParams,
     SearchConfig,
     XCoordinates,
     canonical_fiber_point,
@@ -466,6 +469,30 @@ def test_pair_search_refuses_radicands_past_the_cap_before_building_them():
         search_fiber_points(a_2, 174763, SearchConfig(1))
     with pytest.raises(ValueError, match="exceed the radicand cap"):
         cross_check(a_2, 174763, 1)
+
+
+def test_values_refuse_the_powers_they_would_form_at_once():
+    # each call used to form its power first (2^(10^6) and more) or, at s = 10^8,
+    # meet the radicand cap instead; cross_check ran its whole box (13 s) first
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    calls = (
+        (lambda: XCoordinates((2, 3, 5), 10 ** 6), "alpha^r"),
+        (lambda: is_admissible([2, 3, 5], 10 ** 6), "alpha^r"),
+        (lambda: CurveWithPoints(Curve(FamilyParams(10 ** 6, 2), 1, 1), [AffinePoint(2, 3)]),
+         "point 0: x^r or y^s"),
+        (lambda: search_fiber_points(XCoordinates((0, 4, -5, -6, 6), 3), 10 ** 8, SearchConfig(3)),
+         "height^s"),
+    )
+    for call, what in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert time.perf_counter() - start < 1, what
+        assert str(refused.value) == f"{what} exceeds {limit} digits"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^fiber-pair radicands at s=1000, height 1500 exceed"):
+        cross_check(XCoordinates((2 ** 100, 0, 1), 11), 1000, 1500)
+    assert time.perf_counter() - start < 1
 
 
 def test_census_entries_hold_images():
