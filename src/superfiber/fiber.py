@@ -26,6 +26,7 @@ from .exact import (
     ProjectivePoint,
     Rational,
     RationalLike,
+    digit_limit,
     integer,
     normalize_projective,
     rational,
@@ -33,6 +34,7 @@ from .exact import (
     record,
     refuse_power,
 )
+from .family import FamilyParams
 
 # A fiber point is just a canonical projective tuple [Y_0 : ... : Y_n].
 FiberPoint = ProjectivePoint
@@ -123,8 +125,7 @@ def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Rational, list[tu
     (A_i, B_i) = (w_i - w_0, w_i - w_1) for i = 2..n, without any gcd
     reduction, which is the layout used for golden-table comparison.
     """
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    FamilyParams(a_n.r, s)  # refuses s < 2
     w = a_n.rth_powers()
     c = w[1] - w[0]
     pairs = [(w[i] - w[0], w[i] - w[1]) for i in range(2, a_n.n + 1)]
@@ -152,8 +153,7 @@ def fiber_equation_determinant(
     cofactors along the first row; identical to evaluating the raw
     difference form.
     """
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    FamilyParams(a_n.r, s)  # refuses s < 2
     if not 2 <= i <= a_n.n:
         raise ValueError(f"equation index must be in 2..{a_n.n}, got {i}")
     w = a_n.rth_powers()
@@ -163,13 +163,20 @@ def fiber_equation_determinant(
     return (w1 * zi - wi * z1) - (w0 * zi - wi * z0) + (w0 * z1 - w1 * z0)
 
 
+def fiber_coordinates(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> list[Rational]:
+    """The coordinates of a candidate point of a_n's fiber, as rationals:
+    refuses Y^s past the digit rule (exact.refuse_power), then a length
+    other than n + 1."""
+    coords = [rational(c) for c in Y]
+    refuse_power(coords, s, "Y^s")
+    if len(coords) != a_n.n + 1:
+        raise DimensionMismatch(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
+    return coords
+
+
 def fiber_contains(a_n: XCoordinates, s: int, Y: Sequence[RationalLike]) -> bool:
     """True iff c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s for every i = 2..n."""
-    coords = [rational(c) for c in Y]
-    if len(coords) != a_n.n + 1:
-        raise DimensionMismatch(
-            f"expected {a_n.n + 1} coordinates, got {len(coords)}"
-        )
+    coords = fiber_coordinates(a_n, Y, s)
     c, pairs = fiber_equation_triples(a_n, s)
     z = [y ** s for y in coords]
     return all(c * z[i] == A * z[1] - B * z[0] for i, (A, B) in enumerate(pairs, start=2))
@@ -226,6 +233,15 @@ def n0_threshold(s: int) -> int:
 
 
 def geometry_report(n: int, s: int) -> dict:
-    """Genus, gonality lower bound and finiteness threshold of the fiber."""
-    return {"genus": fiber_genus(n, s), "gonality_lower_bound": gonality_lower_bound(n, s),
-            "n0": n0_threshold(s)}
+    """Genus, gonality lower bound and finiteness threshold of the fiber;
+    a report that would not print within L digits (exact.digit_limit) is
+    a ValueError, refused by s^(n-1) before anything is computed."""
+    what = f"genus report for n={n}, s={s}"
+    # what the first test refuses has genus >= s^(n-1) > 16^L: the second would too
+    refuse_power([s], n - 1, what)
+    report = {"genus": fiber_genus(n, s), "gonality_lower_bound": gonality_lower_bound(n, s),
+              "n0": n0_threshold(s)}
+    limit = digit_limit()
+    if any(abs(value) >= 10 ** limit for value in report.values()):
+        raise ValueError(f"{what} exceeds {limit} digits")
+    return report

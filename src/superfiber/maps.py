@@ -53,7 +53,7 @@ from .exact import (
     sth_root_exact,
 )
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberPoint, XCoordinates, fiber_equations
+from .fiber import FiberPoint, XCoordinates, fiber_coordinates, fiber_equations
 
 
 def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
@@ -72,9 +72,7 @@ def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
 
 def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWithPoints:
     """Recover the curve and its points from a nontrivial fiber point."""
-    coords = [rational(c) for c in Y]
-    if len(coords) != a_n.n + 1:
-        raise DimensionMismatch(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
+    coords = fiber_coordinates(a_n, Y, s)
     params = FamilyParams(a_n.r, s)
     w = a_n.rth_powers()
     z0, z1 = coords[0] ** s, coords[1] ** s

@@ -57,7 +57,7 @@ from .errors import TrivialPoint
 from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
                     sth_root_exact)
 from .family import Curve, FamilyParams
-from .fiber import FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
+from .fiber import FiberEquation, FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
 from .maps import phi_inverse
 
 
@@ -185,21 +185,24 @@ def _pair_rows(height: int, s: int,
             yield p, list(itertools.compress(range(-height, height + 1), keep[:0:-1] + keep))
 
 
-def _refuse_radicands(equations, s: int, H: int) -> None:
+def _pair_search_equations(a_n: XCoordinates, s: int, H: int) -> list[FiberEquation]:
+    # the pair search's refusals, in order: height^s, s < 2 (fiber_equations),
+    # then radicands past the cap
+    refuse_power([H], s, "height^s")
+    equations = fiber_equations(a_n, s)
     coefficient_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
     if s * (H.bit_length() + coefficient_bits) > MAX_RADICAND_BITS:
         raise ValueError(f"fiber-pair radicands at s={s}, height {H} exceed the radicand cap:"
                          f" s*(bits(H) + bits(c)) > {MAX_RADICAND_BITS}")
+    return equations
 
 
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
-    as canonical representatives, sorted; refuses H^s, then radicands,
-    past their caps before any pair."""
+    as canonical representatives, sorted; refuses H^s, then s < 2, then
+    radicands past their cap, before any pair."""
     H = cfg.height_bound
-    refuse_power([H], s, "height^s")
-    equations = fiber_equations(a_n, s)
-    _refuse_radicands(equations, s, H)
+    equations = _pair_search_equations(a_n, s, H)
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
     scaled = []
     for eq in equations:
@@ -293,14 +296,13 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     correspondence; cutoff_fiber_points have a curve class with no integer
     representative inside the box (height-cutoff asymmetry).
     unmatched_curves / unmatched_fiber_points are genuine failures and
-    should always be empty; ok says that they are.  The pair search's
-    refusals at the height come before the box (the fiber bound only grows
-    from it); a raised bound past the candidate cap is a ValueError naming it.
+    should always be empty; ok says that they are.  The height meets the
+    refusals of `search --mode fiber-pairs`, in its order, before the box
+    (the fiber bound only grows from it); a raised bound past the candidate
+    cap is a ValueError naming it.
     """
-    refuse_power([height], s, "height^s")
     box = SearchConfig(height)
-    FamilyParams(a_n.r, s)  # the box refuses s < 2 before fiber_equations does
-    _refuse_radicands(fiber_equations(a_n, s), s, height)
+    _pair_search_equations(a_n, s, height)
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
     for entry in curve_census_entries(a_n, s, box):

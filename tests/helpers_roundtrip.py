@@ -13,7 +13,10 @@ sampled.  Each generator below produces exact witnesses:
   * two sporadic seeds for s = 4 (e.g. y^4 = 3x^2 - 27 through
     (-21, 6), (-6, 3), (-3, 0));
   * random subsets of the embedded rank-17 dataset (s = 2, r = 3,
-    n up to 6).
+    n up to 6);
+  * chords and tangents on the plane cubic c0*Y_0^3 + c1*Y_1^3 + c2*Y_2^3
+    = 0 (the s = 3, n = 2 fiber), reaching points far above any search
+    height from a few small ones.
 
 Every instance can further be rescaled by (a, b, y) -> (t^s a, t^s b, t y)
 and (a, x) -> (a/m^r, m x), which keeps all invariants.
@@ -21,6 +24,7 @@ and (a, x) -> (a/m^r, m x), which keeps all invariants.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,6 +39,7 @@ from superfiber import (
     XCoordinates,
     conic_param,
     fiber_equations,
+    normalize_projective,
     phi_inverse,
 )
 from superfiber.errors import NotAdmissible
@@ -192,3 +197,31 @@ def random_cwp(rng: random.Random) -> CurveWithPoints:
         cwp = rescale(cwp, rng)
     assert cwp.base.y != 0
     return cwp
+
+
+def cubic_third_point(c, P, Q):
+    """The third point where the line PQ (the tangent at P when Q = P) meets
+    c0*Y_0^3 + c1*Y_1^3 + c2*Y_2^3 = 0, by Vieta on the cubic in t along
+    P + t*D: its roots are 0, the known root (1 at Q, 0 again on the
+    tangent) and the third, or D itself when the t^3 term vanishes."""
+    if P == Q:  # D = grad(P) x P lies on the tangent and is not a multiple of P
+        g = [ci * y * y for ci, y in zip(c, P)]
+        D = (g[1] * P[2] - g[2] * P[1], g[2] * P[0] - g[0] * P[2], g[0] * P[1] - g[1] * P[0])
+        known = 0
+    else:
+        D, known = [q - p for p, q in zip(P, Q)], 1
+    cubic = sum(ci * d ** 3 for ci, d in zip(c, D))
+    if cubic == 0:
+        return normalize_projective(D)
+    t = Fraction(-3 * sum(ci * p * d * d for ci, p, d in zip(c, P, D)), cubic) - known
+    return normalize_projective([p + t * d for p, d in zip(P, D)])
+
+
+def chord_tangent_points(c, seeds, rounds: int) -> set:
+    """The seeds and what `rounds` rounds of chords and tangents add: each
+    round takes the third point of every pair of the points so far."""
+    points = set(seeds)
+    for _ in range(rounds):
+        pairs = itertools.combinations_with_replacement(sorted(p.coords for p in points), 2)
+        points |= {cubic_third_point(c, P, Q) for P, Q in pairs}
+    return points

@@ -292,21 +292,23 @@ def test_heights_past_the_candidate_cap_exit_64_in_one_line():
 
 def test_negative_s_exits_64_in_one_line():
     # a zero coordinate to a negative power used to escape as ZeroDivisionError
-    for command, message in (("verify-point", "s must be >= 2"),
-                             ("map-inverse", "exponents must be >= 2, got r=2, s=-1")):
+    for command in ("verify-point", "map-inverse"):
         code, out, err = run_main(command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1")
-        assert (code, out, err) == (64, "", f"error: {message}\n"), command
+        assert (code, out, err) == (64, "", "error: exponents must be >= 2, got r=2, s=-1\n"), command
 
 
 def test_s_below_2_is_refused_by_the_first_check_it_meets():
-    # cross-check's early refusals come after its exponent check, as before
-    flags = ("--alphas=0,4,-5,-6,6", "--r", "3", "--height", "5")
+    # every fiber command answers a bad --s with the one FamilyParams line
+    fiber = ("--alphas=0,4,-5,-6,6", "--r", "3")
     for s in ("1", "0"):
-        for argv, message in (
-            (("cross-check", *flags, "--s", s), f"exponents must be >= 2, got r=3, s={s}"),
-            (("search", *flags, "--s", s, "--mode", "fiber-pairs"), "s must be >= 2"),
-        ):
-            assert run_main(*argv) == (64, "", f"error: {message}\n"), argv
+        refused = (64, "", f"error: exponents must be >= 2, got r=3, s={s}\n")
+        for argv in (("cross-check", *fiber, "--height", "5"),
+                     ("search", *fiber, "--height", "5", "--mode", "fiber-pairs"),
+                     ("search", *fiber, "--height", "5"),
+                     ("fiber-eqs", *fiber),
+                     ("verify-point", *fiber, "--point=1,1,1,1,1"),
+                     ("map-inverse", *fiber, "--point=1,1,1,1,1")):
+            assert run_main(*argv, "--s", s) == refused, argv
 
 
 def test_zero_denominators_exit_64_in_one_line():

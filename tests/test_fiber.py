@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -232,6 +233,76 @@ def test_fiber_genus_at_least_two_exactly_outside_low_cases():
                 assert fiber_genus(n, s) <= 1
             else:
                 assert fiber_genus(n, s) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Hasse-Weil: |p + 1 - #F_k(F_p)| <= 2g*sqrt(p) for the smooth reduction of
+# each rung F_k (the fiber over alpha_0..alpha_k), a check that shares no code
+# with fiber_genus
+
+
+def _primes(bound: int) -> list[int]:
+    return [p for p in range(2, bound) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def rung_point_counts(alphas, r: int, s: int, p: int):
+    """#F_k(F_p) for k = 2..n, or None when p is bad: p divides s or the
+    numerator or denominator of some w_i - w_j (w_i = alpha_i^r), where
+    the reduction may be singular.  Every point has (Y_0, Y_1) != (0, 0),
+    so the count is a sum over [Y_0 : Y_1] in P^1(F_p) of the product over
+    i = 2..k of N_s(t_i) = #{y : y^s = t_i}, with t_i solving equation i,
+    (w_i - w_1)*Y_0^s + (w_0 - w_i)*Y_1^s + (w_1 - w_0)*t_i = 0."""
+    w = [Fraction(a) ** r for a in alphas]
+    if s % p == 0 or any(d.numerator % p == 0 or d.denominator % p == 0
+                         for d in (x - y for x, y in itertools.combinations(w, 2))):
+        return None
+
+    def mod(q):
+        return q.numerator * pow(q.denominator, -1, p) % p
+
+    roots = [0] * p  # N_s
+    for y in range(p):
+        roots[pow(y, s, p)] += 1
+    pivot = pow(mod(w[1] - w[0]), -1, p)
+    equations = [(mod(w[i] - w[1]) * pivot, mod(w[0] - w[i]) * pivot) for i in range(2, len(w))]
+    counts = [0] * len(equations)
+    for y0, y1 in [(0, 1)] + [(1, y) for y in range(p)]:
+        z0, z1, term = pow(y0, s, p), pow(y1, s, p), 1
+        for k, (c0, c1) in enumerate(equations):
+            term *= roots[-(c0 * z0 + c1 * z1) % p]
+            counts[k] += term
+    return counts
+
+
+def _weil_genus_lower_bounds(alphas, r: int, s: int, bound: int) -> list[int]:
+    # per rung, the least g with (p + 1 - #F_k)^2 <= 4*g^2*p at every good p < bound
+    lower = [0] * (len(alphas) - 2)
+    for p in _primes(bound):
+        for k, count in enumerate(rung_point_counts(alphas, r, s, p) or ()):
+            a_p = p + 1 - count
+            while 4 * p * lower[k] ** 2 < a_p * a_p:
+                lower[k] += 1
+    return lower
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), r=st.integers(2, 4),
+       s=st.sampled_from((2, 3)))
+def test_rung_point_counts_keep_the_weil_bound_of_fiber_genus(seed, n, r, s):
+    a_n = random_admissible_alphas(random.Random(seed), r, n + 1)
+    bounds = _weil_genus_lower_bounds(a_n.alphas, r, s, 100)
+    assert all(g <= fiber_genus(k, s) for k, g in enumerate(bounds, start=2))
+
+
+def test_point_counts_alone_show_the_genus_rising_along_the_ladder():
+    # max |a_p| / (2*sqrt(p)) over good p < 400: 0, 0.966, 2.965 on a_4;
+    # 0, 0.949, 3.194; and 0.992, 5.077 (formula: 0, 1, 5 twice, then 1, 10).
+    # A 0 says p + 1 points at every good p, as a smooth conic with a
+    # rational point must have
+    for alphas, r, s, lower in (((0, 4, -5, -6, 6), 3, 2, [0, 1, 3]),
+                                ((1, 2, 7, -3, 4), 2, 2, [0, 1, 4]),
+                                ((0, 2, 3, 5), 3, 3, [1, 6])):
+        assert _weil_genus_lower_bounds(alphas, r, s, 400) == lower, alphas
 
 
 def test_gonality_values():

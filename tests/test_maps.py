@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from superfiber import (
     DimensionMismatch,
     ELKIES,
     FamilyParams,
+    SearchConfig,
     NotAdmissible,
     NotOnCubic,
     NotOnFiber,
@@ -30,13 +33,17 @@ from superfiber import (
     diagonal_to_weierstrass,
     fermat_to_weierstrass,
     fiber_contains,
+    fiber_equations,
     lift_quartic_parameter,
     normalize_projective,
     phi_forward,
     phi_inverse,
+    search_fiber_points,
     sth_root_exact,
 )
-from helpers_roundtrip import random_cwp, random_rational
+from superfiber.search import pair_height
+from helpers_roundtrip import (chord_tangent_points, cubic_third_point, random_cwp,
+                              random_rational)
 
 # ---------------------------------------------------------------------------
 # forward map
@@ -406,3 +413,44 @@ def test_cwp_equivalent_without_nonzero_y():
     assert not cwp_equivalent(at_five(1, -125), at_five(0, 0))
     assert cwp_equivalent(at_five(1, -125), at_five(4, -500))  # 4 is a square
     assert not cwp_equivalent(at_five(1, -125), at_five(2, -250))
+
+
+# ---------------------------------------------------------------------------
+# chord-and-tangent points on the s = 3 plane cubic
+
+
+@pytest.mark.parametrize("alphas, regenerated", [((0, 2, 3), 15), ((1, 2, 4), 5), ((0, 4, -5), 8)])
+def test_chord_tangent_points_lie_on_the_fiber_and_round_trip(alphas, regenerated):
+    # three rounds from the H = 12 search points reach 60-86 digits, and
+    # regenerate every point that the search finds at H = 300
+    a_2 = XCoordinates(alphas, 3)
+    eq = fiber_equations(a_2, 3)[0]
+    points = chord_tangent_points((eq.c0, eq.c1, eq.ci),
+                                  search_fiber_points(a_2, 3, SearchConfig(12))[:12], 3)
+    # at r = s the trivial points are [1 : 1 : 1] (a = 0) and [alphas] (b = 0)
+    trivial = {normalize_projective([1, 1, 1]), normalize_projective(alphas)}
+    for P in points:
+        assert fiber_contains(a_2, 3, P.coords), P
+        if 0 in P.coords:
+            continue
+        if P in trivial:
+            with pytest.raises(TrivialPoint):
+                phi_inverse(a_2, P.coords, 3)
+        else:
+            assert phi_forward(phi_inverse(a_2, P.coords, 3)) == (a_2, P)
+    low = {P for P in points if pair_height(P) <= 300}
+    assert low <= set(search_fiber_points(a_2, 3, SearchConfig(300)))
+    assert len(low) == regenerated
+
+
+def test_tangents_past_the_digit_rule_are_refused_at_once():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    a_2 = XCoordinates((0, 2, 3), 3)
+    eq = fiber_equations(a_2, 3)[0]
+    P = normalize_projective([4, 2, -5])
+    while 3 * (max(abs(y) for y in P).bit_length() - 1) <= 4 * limit:
+        P = cubic_third_point((eq.c0, eq.c1, eq.ci), P.coords, P.coords)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^Y\\^s exceeds {limit} digits$"):
+        phi_inverse(a_2, P.coords, 3)
+    assert time.perf_counter() - start < 1

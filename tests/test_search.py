@@ -26,12 +26,14 @@ from superfiber import (
     fiber_contains,
     fiber_equations,
     fermat_to_weierstrass,
+    geometry_report,
     int_nth_root,
     integer_class_representatives,
     is_admissible,
     lift_quartic_parameter,
     normalize_projective,
     phi_forward,
+    phi_inverse,
     search_fiber_points,
     sth_root_exact,
 )
@@ -472,9 +474,11 @@ def test_pair_search_refuses_radicands_past_the_cap_before_building_them():
 
 
 def test_values_refuse_the_powers_they_would_form_at_once():
-    # each call used to form its power first (2^(10^6) and more) or, at s = 10^8,
-    # meet the radicand cap instead; cross_check ran its whole box (13 s) first
+    # each call used to form its power first (2^(10^6) and more, 3^(10^8) for a
+    # fiber point) or, at s = 10^8, meet the radicand cap instead; cross_check
+    # ran its whole box (13 s) first
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    a_2 = XCoordinates((0, 1, 2), 2)
     calls = (
         (lambda: XCoordinates((2, 3, 5), 10 ** 6), "alpha^r"),
         (lambda: is_admissible([2, 3, 5], 10 ** 6), "alpha^r"),
@@ -482,6 +486,10 @@ def test_values_refuse_the_powers_they_would_form_at_once():
          "point 0: x^r or y^s"),
         (lambda: search_fiber_points(XCoordinates((0, 4, -5, -6, 6), 3), 10 ** 8, SearchConfig(3)),
          "height^s"),
+        (lambda: fiber_contains(a_2, 10 ** 8, (2, 3, 5)), "Y^s"),
+        (lambda: phi_inverse(a_2, (2, 3, 5), 10 ** 8), "Y^s"),
+        (lambda: geometry_report(10 ** 100, 10 ** 100),
+         f"genus report for n={10 ** 100}, s={10 ** 100}"),
     )
     for call, what in calls:
         start = time.perf_counter()
