@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .exact import normalize_projective, rational
+from .exact import normalize_projective
 from .family import CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
@@ -48,12 +47,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _rational_list(text: str) -> list[Fraction]:
-    return [rational(part) for part in text.split(",") if part.strip() != ""]
+def _comma_list(text: str) -> list[str]:
+    # the values that receive these strings parse them
+    return [part for part in text.split(",") if part.strip() != ""]
 
 
 def _alphas(args) -> XCoordinates:
-    return XCoordinates(tuple(_rational_list(args.alphas)), args.r)
+    return XCoordinates(_comma_list(args.alphas), args.r)
 
 
 def _cmd_repro_elkies(args):
@@ -74,7 +74,7 @@ def _cmd_fiber_eqs(args):
 
 def _cmd_verify_point(args):
     a_n = _alphas(args)
-    point = normalize_projective(_rational_list(args.point))
+    point = normalize_projective(_comma_list(args.point))
     on_fiber = fiber_contains(a_n, args.s, point.coords)
     return {
         **a_n.to_obj(),
@@ -120,20 +120,16 @@ def _cmd_map(args):
 
 def _cmd_map_inverse(args):
     a_n = _alphas(args)
-    point = normalize_projective(_rational_list(args.point))
+    point = normalize_projective(_comma_list(args.point))
     return phi_inverse(a_n, point.coords, args.s).to_obj()
 
 
 def _cmd_param_conic(args):
-    spec = ConicSpec(rational(args.alpha), rational(args.beta))
-    point = conic_param(spec, rational(args.u))
-    return {"point": point.to_obj()}
+    return {"point": conic_param(ConicSpec(args.alpha, args.beta), args.u).to_obj()}
 
 
 def _cmd_cubic_to_weierstrass(args):
-    spec = CubicSpec(rational(args.alpha), rational(args.beta))
-    wp = fermat_to_weierstrass(spec, _rational_list(args.point))
-    return wp.to_obj()
+    return fermat_to_weierstrass(CubicSpec(args.alpha, args.beta), _comma_list(args.point)).to_obj()
 
 
 def _cmd_search(args):

@@ -142,18 +142,30 @@ class FrozenRecordError(AttributeError):
     """An attribute of a record was assigned or deleted."""
 
 
+# the annotations of the fields that record parses, as every module of the
+# package writes them: as text, under `from __future__ import annotations`
+_PARSED_FIELDS = {"Rational": rational,
+                  "tuple[Rational, ...]": lambda values: tuple(map(rational, values))}
+
+
 def record(cls):
     """Make cls an immutable value class over its own annotations, in order.
 
     A class-level value is a field's default.  Fields are given by position
-    or keyword, then self.__post_init__ runs, looked up at each call so that
-    a method rebound on the class later is the one that runs.  A record
+    or keyword.  Then, in field order, rational() parses each field annotated
+    Rational and each element of a field annotated tuple[Rational, ...],
+    stored as a tuple, so a bad value raises its ValueError; any other field
+    is stored as given.  Then self.__post_init__ runs, looked up at each call
+    so that a method rebound on the class later is the one that runs.  A record
     equals only a record of its own class with an equal field tuple, and
     hashes as that tuple; what __post_init__ sets with object.__setattr__
     is not a field.  Unlike dataclass(frozen=True), this imports nothing and
     generates no code, which every process paid for at start-up.
     """
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    parsed = [(name, _PARSED_FIELDS[ann]) for name, ann in annotations.items()
+              if ann in _PARSED_FIELDS]
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
@@ -164,6 +176,8 @@ def record(cls):
         missing = [name for name in names if name not in values]
         if missing:
             raise TypeError(f"{cls.__name__}() is missing {', '.join(missing)}")
+        for name, parse in parsed:
+            values[name] = parse(values[name])
         self.__dict__.update((name, values[name]) for name in names)
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, integer, rational, rational_str, record, refuse_power
+from .exact import Rational, integer, rational_str, record, refuse_power
 
 
 @record
@@ -35,10 +35,6 @@ class Curve:
     params: FamilyParams
     a: Rational
     b: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b", rational(self.b))
 
     @property
     def is_smooth(self) -> bool:
@@ -66,10 +62,6 @@ class Curve:
 class AffinePoint:
     x: Rational
     y: Rational
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", rational(self.x))
-        object.__setattr__(self, "y", rational(self.y))
 
     def to_obj(self) -> dict:
         return {"x": rational_str(self.x), "y": rational_str(self.y)}

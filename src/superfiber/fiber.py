@@ -44,7 +44,7 @@ def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rationa
     # integral powers are kept as int, so that a*w + b on int a and b
     # stays in int arithmetic in the search kernels
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise ValueError(f"exponents must be >= 2, got r={r}")
     return tuple(w.numerator if w.denominator == 1 else w for w in (v ** r for v in values))
 
 
@@ -66,7 +66,6 @@ class XCoordinates:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(rational(a) for a in self.alphas))
         refuse_power(self.alphas, self.r, "alpha^r")
         if len(self.alphas) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
@@ -195,10 +194,14 @@ def canonical_fiber_point(Y: Sequence[RationalLike], s: int) -> FiberPoint:
     return normalize_projective(coords)
 
 
+def _fiber_shape(n: int, s: int) -> None:
+    if n < 2 or s < 2:  # the one refusal of the genus formulas
+        raise ValueError("need n >= 2 and s >= 2")
+
+
 def fiber_genus(n: int, s: int) -> int:
     """Genus of the fiber: 1 + s^(n-1) * ((n-1)(s-1) - 2) / 2."""
-    if n < 2 or s < 2:
-        raise ValueError("need n >= 2 and s >= 2")
+    _fiber_shape(n, s)
     num = s ** (n - 1) * ((n - 1) * (s - 1) - 2)
     if num % 2:
         raise AssertionError("fiber genus formula produced a half-integer")
@@ -219,16 +222,14 @@ def lazarsfeld_bound(degrees: Sequence[int]) -> int:
 
 def gonality_lower_bound(n: int, s: int) -> int:
     """Gonality lower bound (s-1) * s^(n-2) for the fiber in P^n."""
-    if n < 2 or s < 2:
-        raise ValueError("need n >= 2 and s >= 2")
+    _fiber_shape(n, s)
     return (s - 1) * s ** (n - 2)
 
 
 def n0_threshold(s: int) -> int:
     """Smallest n at which the fibers stop having infinitely many points:
     4 when s = 2, else 3."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    _fiber_shape(2, s)  # n = 2, the smallest fiber: n0 depends on s alone
     return 4 if s == 2 else 3
 
 

@@ -129,8 +129,6 @@ class ConicSpec:
     beta: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", rational(self.alpha))
-        object.__setattr__(self, "beta", rational(self.beta))
         if self.alpha == 0 or self.beta == 0:
             raise DegenerateSpec("conic coefficients alpha, beta must be nonzero")
 
@@ -169,8 +167,6 @@ class CubicSpec:
     beta: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", rational(self.alpha))
-        object.__setattr__(self, "beta", rational(self.beta))
         if self.alpha == 0 or self.beta == 0:
             raise DegenerateSpec("cubic coefficients alpha, beta must be nonzero")
         if self.alpha + self.beta == 0:

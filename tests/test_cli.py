@@ -11,11 +11,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import superfiber
 from superfiber.cli import main
+from superfiber.fiber import fiber_genus, gonality_lower_bound, n0_threshold
 
 CMD = [sys.executable, "-m", "superfiber"]
 VALID_CWP = {
@@ -628,3 +630,23 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout == f"superfiber {superfiber.__version__}\n"
+
+
+def test_bad_exponents_and_fiber_shapes_have_one_wording_each():
+    # an r below 2 is refused by XCoordinates in FamilyParams' words, before s is read
+    fiber = ("--alphas=0,4,-5,-6,6", "--r", "1", "--s", "2")
+    for argv in (("fiber-eqs", *fiber),
+                 ("verify-point", *fiber, "--point=1,1,1,1,1"),
+                 ("map-inverse", *fiber, "--point=1,1,1,1,1"),
+                 ("search", *fiber, "--height", "5"),
+                 ("search", *fiber, "--height", "5", "--mode", "fiber-pairs"),
+                 ("cross-check", *fiber, "--height", "5")):
+        assert run_main(*argv) == (64, "", "error: exponents must be >= 2, got r=1\n"), argv
+    # the three genus formulas share one refusal
+    for n, s in (("3", "1"), ("1", "2")):
+        assert run_main("genus", "--n", n, "--s", s) == (64, "", "error: need n >= 2 and s >= 2\n")
+    for formula in (lambda: n0_threshold(1), lambda: gonality_lower_bound(3, 1),
+                    lambda: fiber_genus(3, 1)):
+        with pytest.raises(ValueError) as raised:
+            formula()
+        assert str(raised.value) == "need n >= 2 and s >= 2"

@@ -38,6 +38,9 @@ from superfiber import (
     sth_root_exact,
 )
 from superfiber import search
+from superfiber.exact import record
+from superfiber.fiber import fiber_genus
+from superfiber.maps import DiagonalCubicPoint, WeierstrassPoint
 from superfiber.search import (
     MAX_CANDIDATES,
     MAX_RADICAND_BITS,
@@ -668,3 +671,53 @@ def test_cross_check_nontrivial_points_recover_census_curves():
                 roots = [sth_root_exact(curve.rhs(alpha), 2) for alpha in a_n.alphas]
                 assert all(value is not None for value in roots)
                 assert roots[0] != 0
+
+
+def test_genus_ladder_of_a4():
+    # the abstract's ladder F_2 > F_3 > F_4 of genera 0, 1, 5 on a_4's prefixes:
+    # a rung point without its last coordinate is a point of the rung below
+    # with the same (Y_0, Y_1), so counts never grow down the ladder and
+    # never shrink as H grows
+    rungs = ([0, 4, -5], [0, 4, -5, -6], [0, 4, -5, -6, 6])
+    assert [fiber_genus(len(alphas) - 1, 2) for alphas in rungs] == [0, 1, 5]
+    counts = {H: [len(search_fiber_points(XCoordinates(alphas, 3), 2, SearchConfig(H)))
+                  for alphas in rungs]
+              for H in (30, 300)}
+    assert counts == {30: [11, 2, 2], 300: [110, 4, 2]}
+    for H, ladder in counts.items():
+        assert ladder == sorted(ladder, reverse=True), H
+    assert all(low <= high for low, high in zip(counts[30], counts[300]))
+
+
+def test_curve_roots_over_refuses_a_vanishing_base_root():
+    # x^2 - 1 is 0, -1 and 8 at alphas 1, 0, 3: every value is a cube, but
+    # the base root is 0
+    assert [sth_root_exact(v, 3) for v in (0, -1, 8)] == [0, -1, 2]
+    assert curve_roots_over(XCoordinates((1, 0, 3), 2), 3, 1, -1) is None
+
+
+@record
+class _Parsed:
+    # annotations as text, as the package's modules write them under
+    # `from __future__ import annotations`
+    q: "Rational"
+    qs: "tuple[Rational, ...]"
+    n: "int"
+
+
+def test_record_parses_its_rational_fields():
+    value = _Parsed("1/2", ["−2", 3, Fraction(1, 3)], "1/2")
+    assert (value.q, value.qs) == (Fraction(1, 2), (-2, 3, Fraction(1, 3)))
+    assert all(type(q) is Fraction for q in (value.q, *value.qs))
+    # a field of any other annotation is left as given
+    assert value.n == "1/2"
+    # the package's values hold Fractions however they are built
+    assert type(WeierstrassPoint(1, 2, 3).T) is Fraction
+    assert type(DiagonalCubicPoint(1, 2, 3).W) is Fraction
+    for bad, message in (("1e3", "not a rational: '1e3' (exponent notation is not accepted)"),
+                         (True, "not a rational: True")):
+        with pytest.raises(ValueError) as raised:
+            _Parsed(bad, (), 0)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError, match="not a rational: True"):
+        _Parsed(1, [1, True], 0)
