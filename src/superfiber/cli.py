@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .errors import DomainError
-from .exact import normalize_projective
+from .exact import digit_limit, normalize_projective
 from .family import CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
@@ -43,8 +43,14 @@ DOMAIN_ERROR = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)  # main's one error line and exit 64
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for dest, value in vars(parsed).items():
+            if value == []:  # Python 3.11 reads --flag=-- as an empty list
+                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 def _comma_list(text: str) -> list[str]:
@@ -88,6 +94,19 @@ def _cmd_genus(args):
     return geometry_report(args.n, args.s)
 
 
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > digit_limit():
+        raise ValueError(f"an integer of more than {digit_limit()} digits")
+    return int(text)
+
+
+def _decode_json(raw: bytes):
+    try:
+        return json.loads(raw.decode("utf-8"), parse_int=_json_int)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise ValueError(f"malformed --input JSON: {exc}") from None
+
+
 def _read_cwp(args) -> CurveWithPoints:
     if args.input == "-":
         raw = sys.stdin.buffer.read()
@@ -96,7 +115,7 @@ def _read_cwp(args) -> CurveWithPoints:
             raw = handle.read()
     args._input_bytes = raw
     try:
-        return CurveWithPoints.from_obj(json.loads(raw.decode("utf-8")))
+        return CurveWithPoints.from_obj(_decode_json(raw))
     except (KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed --input JSON: {type(exc).__name__}: {exc}") from None
 
@@ -279,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         dataset_self_check(ELKIES)
         payload = args.func(args)
         output = _render(args.command, payload, args.format)

@@ -13,6 +13,7 @@ inputs that differ by a nonzero rational scale normalize identically.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -27,7 +28,9 @@ def rational(value: RationalLike) -> Fraction:
     """Parse a rational from an int, Fraction, or a "p/q" / "p" / decimal
     string.  Exponent notation is refused: "1e300000000" would expand to
     an integer of 300 million digits before anything could check it.  A
-    zero denominator ("1/0"), a bool or a float is not a rational either."""
+    zero denominator ("1/0"), a bool or a float is not a rational either.
+    Every refusal is a "not a rational: ..." line; a string with a run of
+    more than L digits (digit_limit) is shown cut short."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -40,6 +43,12 @@ def rational(value: RationalLike) -> Fraction:
             return Fraction(value.strip().replace("−", "-"))
         except ZeroDivisionError:
             raise ValueError(f"not a rational: {value!r} (zero denominator)") from None
+        except ValueError:
+            limit = digit_limit()
+            # the runs int() reads, underscores between digits dropped
+            if any(len(run) > limit for run in re.split(r"\D+", value.replace("_", ""))):
+                raise ValueError(f"not a rational: {value[:20] + '...'!r} "
+                                 f"(more than {limit} digits)") from None
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -41,8 +41,9 @@ FiberPoint = ProjectivePoint
 
 
 def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rational, ...]:
-    # integral powers are kept as int, so that a*w + b on int a and b
-    # stays in int arithmetic in the search kernels
+    # the one former of alpha^r refuses it; integral powers are kept as int, so
+    # that a*w + b on int a and b stays in int arithmetic in the search kernels
+    refuse_power(values, r, "alpha^r")
     if r < 2:
         raise ValueError(f"exponents must be >= 2, got r={r}")
     return tuple(w.numerator if w.denominator == 1 else w for w in (v ** r for v in values))
@@ -50,11 +51,9 @@ def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rationa
 
 def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
     """True iff the r-th powers of the given values are pairwise distinct."""
-    values = [rational(a) for a in alphas]
-    refuse_power(values, r, "alpha^r")
-    if len(values) < 2:
+    powers = _exact_rth_powers([rational(a) for a in alphas], r)
+    if len(powers) < 2:
         raise ValueError("need at least two x-coordinates")
-    powers = _exact_rth_powers(values, r)
     return len(set(powers)) == len(powers)
 
 
@@ -66,10 +65,9 @@ class XCoordinates:
     r: int
 
     def __post_init__(self):
-        refuse_power(self.alphas, self.r, "alpha^r")
-        if len(self.alphas) < 3:
-            raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
         powers = _exact_rth_powers(self.alphas, self.r)
+        if len(powers) < 3:
+            raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
         if len(set(powers)) < len(powers):
             raise NotAdmissible(
                 "x-coordinates must have pairwise distinct r-th powers"
@@ -234,9 +232,10 @@ def n0_threshold(s: int) -> int:
 
 
 def geometry_report(n: int, s: int) -> dict:
-    """Genus, gonality lower bound and finiteness threshold of the fiber;
-    a report that would not print within L digits (exact.digit_limit) is
-    a ValueError, refused by s^(n-1) before anything is computed."""
+    """Genus, gonality lower bound and finiteness threshold of the fiber.
+    Past the formulas' n and s check, a report that would not print within
+    L digits is a ValueError, refused by s^(n-1) before anything is computed."""
+    _fiber_shape(n, s)
     what = f"genus report for n={n}, s={s}"
     # what the first test refuses has genus >= s^(n-1) > 16^L: the second would too
     refuse_power([s], n - 1, what)

@@ -579,6 +579,49 @@ def test_usage_errors_exit_64():
         assert "Traceback" not in out.stderr
 
 
+def test_every_bad_input_leaves_through_one_error_line(tmp_path):
+    # argparse used to print its usage block and exit by itself, and Python's
+    # own parse errors reached stderr for the tokens and files below
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
+    files = {"not-utf8.json": b'{"curve": "\xff"}', "not-json.json": b"curve",
+             "long-int.json": b'{"curve": {"r": ' + b"7" * 5000 + b"}}"}
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
+    cases = {
+        ("genus", "--n", "16"): "error: the following arguments are required: --s\n",
+        ("frobnicate",): None,
+        ("fiber-eqz", "--alphas", "0,1,2"): None,
+        ("genus", "--n", "x", "--s", "2"): "error: argument --n: invalid int value: 'x'\n",
+        ("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0"): None,
+        **{(*search, *workers): "error: need 0 <= worker_index < worker_count\n"
+           for workers in (("--workers", "3", "--worker-index", "3"), ("--workers", "0"),
+                           ("--workers", "-3"), ("--workers", "1", "--worker-index", "7"))},
+        ("param-conic", "--alpha=1", "--beta=-1", "--u="): "error: not a rational: ''\n",
+        ("fiber-eqs", "--alphas=" + "7" * 5000 + ",1,2", "--r", "2", "--s", "2"):
+            f"error: not a rational: '{'7' * 20}...' (more than {limit} digits)\n",
+        ("map", "--input", str(tmp_path / "not-utf8.json")):
+            "error: malformed --input JSON: 'utf-8' codec can't decode byte 0xff in position 11:"
+            " invalid start byte\n",
+        ("map", "--input", str(tmp_path / "not-json.json")):
+            "error: malformed --input JSON: Expecting value: line 1 column 1 (char 0)\n",
+        ("twist", "--input", str(tmp_path / "long-int.json")):
+            f"error: malformed --input JSON: an integer of more than {limit} digits\n",
+        ("genus", "--n", "100000000", "--s", "-3"): "error: need n >= 2 and s >= 2\n",
+        # Python 3.11 reads --flag=-- as an empty list, which ended in a traceback
+        ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
+        ("genus", "--n=--", "--s", "2"): None,
+        ("map", "--input=--"): None,
+    }
+    for argv, message in cases.items():
+        code, out, err = run_main(*argv)
+        assert code in (2, 64, 74) and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+        for python_words in ("Traceback", "Invalid literal", "set_int_max_str_digits"):
+            assert python_words not in err, argv
+        assert message is None or err == message, (argv, err)
+
+
 def test_degenerate_conic_and_cubic_exit_2():
     for argv, message in (
         (("param-conic", "--alpha", "0", "--beta", "1", "--u", "0"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,18 @@ def test_n0_threshold():
 
 def test_geometry_report():
     assert geometry_report(16, 2) == {"genus": 212993, "gonality_lower_bound": 16384, "n0": 4}
+
+
+def test_alpha_r_is_refused_before_the_other_checks():
+    # refused where alpha^r is formed, still ahead of the length and r checks
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    huge = 2 ** (4 * limit + 1)  # past 4*L bits already at r = 1
+    for call in (lambda: XCoordinates((huge, 1, 2), 2), lambda: XCoordinates((huge,), 2),
+                 lambda: XCoordinates((huge, 1, 2), 1), lambda: is_admissible([huge, 1], 2),
+                 lambda: is_admissible([huge], 2), lambda: is_admissible([huge, 1], 1)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"alpha^r exceeds {limit} digits"
 
 
 def test_canonical_fiber_point():
