@@ -71,7 +71,6 @@ from .maps import (
     phi_inverse,
 )
 from .search import (
-    CensusEntry,
     SearchConfig,
     cross_check,
     curve_census_entries,

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
 from .errors import DomainError
-from .exact import digit_limit, normalize_projective
+from .exact import clip, digit_limit, normalize_projective, shown
 from .family import CurveWithPoints, twist_curve, twist_points
 from .fiber import (
     XCoordinates,
@@ -41,9 +42,16 @@ IO_ERROR = 74
 DOMAIN_ERROR = 2
 
 
+# what argparse echoes of the input: a token quoted by %r, or a bare run
+# without whitespace (unrecognized arguments, an ambiguous option)
+_ECHOED = re.compile(r"'([^'\\]*)'|[^\s']{21,}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ValueError(message)  # main's one error line and exit 64
+        # main's one error line and exit 64, each echoed token shown as in exact
+        raise ValueError(_ECHOED.sub(
+            lambda m: clip(m[0]) if m[1] is None else shown(m[1]), message))
 
     def parse_args(self, args=None, namespace=None):
         parsed = super().parse_args(args, namespace)
@@ -155,7 +163,9 @@ def _cmd_search(args):
     # looked up per call, so a rebinding of the module names (perfbench/tracer.py) applies
     census = {"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
     cfg = SearchConfig(args.height, (args.worker_index, args.workers))
-    return [e.to_obj() for e in census(_alphas(args), args.s, cfg)]
+    # one point per alpha, and CurveWithPoints enforces distinct x
+    return [{"curve": cwp.curve.to_obj(), "fiber_point": phi_forward(cwp)[1].to_obj(),
+             "distinct_x_count": len(cwp.points)} for cwp in census(_alphas(args), args.s, cfg)]
 
 
 def _cmd_cross_check(args):

@@ -29,35 +29,47 @@ def rational(value: RationalLike) -> Fraction:
     string.  Exponent notation is refused: "1e300000000" would expand to
     an integer of 300 million digits before anything could check it.  A
     zero denominator ("1/0"), a bool or a float is not a rational either.
-    Every refusal is a "not a rational: ..." line; a string with a run of
-    more than L digits (digit_limit) is shown cut short."""
+    Every refusal is a "not a rational: ..." line that shows the value as
+    shown() does, noting a run of more than L digits (digit_limit)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
+            raise ValueError(f"not a rational: {shown(value)} (exponent notation is not accepted)")
         try:
             # tolerate unicode minus from copied sources
             return Fraction(value.strip().replace("−", "-"))
         except ZeroDivisionError:
-            raise ValueError(f"not a rational: {value!r} (zero denominator)") from None
+            raise ValueError(f"not a rational: {shown(value)} (zero denominator)") from None
         except ValueError:
             limit = digit_limit()
             # the runs int() reads, underscores between digits dropped
             if any(len(run) > limit for run in re.split(r"\D+", value.replace("_", ""))):
-                raise ValueError(f"not a rational: {value[:20] + '...'!r} "
-                                 f"(more than {limit} digits)") from None
-    raise ValueError(f"not a rational: {value!r}")
+                raise ValueError(
+                    f"not a rational: {shown(value)} (more than {limit} digits)") from None
+    raise ValueError(f"not a rational: {shown(value)}")
 
 
 def integer(value: object, name: str) -> int:
-    """An integer field of JSON input: a Python int that is not a bool,
-    so 3.9 and true are refused rather than read as 3 and 1."""
+    """An int field of a record (see record): a Python int that is not a bool,
+    so 3.9 and True are refused rather than read as 3 and 1."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {shown(value)}")
     return value
+
+
+def clip(text: str) -> str:
+    """The one rule for echoing input in an error line: at most the first 20
+    characters of text, then "..." if any were cut."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def shown(value: object) -> str:
+    """A bad value as an error line shows it: a string's repr after clip(),
+    any other value's repr clipped."""
+    return repr(clip(value)) if isinstance(value, str) else clip(repr(value))
 
 
 def digit_limit() -> int:
@@ -151,10 +163,11 @@ class FrozenRecordError(AttributeError):
     """An attribute of a record was assigned or deleted."""
 
 
-# the annotations of the fields that record parses, as every module of the
-# package writes them: as text, under `from __future__ import annotations`
-_PARSED_FIELDS = {"Rational": rational,
-                  "tuple[Rational, ...]": lambda values: tuple(map(rational, values))}
+# the annotations of the fields that record parses or checks, as every module
+# of the package writes them: as text, under `from __future__ import annotations`
+_PARSED_FIELDS = {"Rational": lambda value, name: rational(value),
+                  "tuple[Rational, ...]": lambda values, name: tuple(map(rational, values)),
+                  "int": integer}
 
 
 def record(cls):
@@ -163,12 +176,13 @@ def record(cls):
     A class-level value is a field's default.  Fields are given by position
     or keyword.  Then, in field order, rational() parses each field annotated
     Rational and each element of a field annotated tuple[Rational, ...],
-    stored as a tuple, so a bad value raises its ValueError; any other field
-    is stored as given.  Then self.__post_init__ runs, looked up at each call
-    so that a method rebound on the class later is the one that runs.  A record
-    equals only a record of its own class with an equal field tuple, and
-    hashes as that tuple; what __post_init__ sets with object.__setattr__
-    is not a field.  Unlike dataclass(frozen=True), this imports nothing and
+    stored as a tuple, so a bad value raises its ValueError, and integer()
+    checks each field annotated int, so a bool or non-int raises its
+    TypeError; any other field is stored as given.  Then self.__post_init__
+    runs, looked up at each call so that a method rebound on the class later
+    is the one that runs.  A record equals only a record of its own class
+    with an equal field tuple, and hashes as that tuple; what __post_init__
+    sets with object.__setattr__ is not a field.  Unlike dataclass(frozen=True), this imports nothing and
     generates no code, which every process paid for at start-up.
     """
     annotations = cls.__dict__.get("__annotations__", {})
@@ -186,7 +200,7 @@ def record(cls):
         if missing:
             raise TypeError(f"{cls.__name__}() is missing {', '.join(missing)}")
         for name, parse in parsed:
-            values[name] = parse(values[name])
+            values[name] = parse(values[name], name)
         self.__dict__.update((name, values[name]) for name in names)
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, integer, rational_str, record, refuse_power
+from .exact import Rational, rational_str, record, refuse_power
 
 
 @record
@@ -53,9 +53,7 @@ class Curve:
 
     @staticmethod
     def from_obj(obj: dict) -> "Curve":
-        return Curve(
-            FamilyParams(integer(obj["r"], "r"), integer(obj["s"], "s")), obj["a"], obj["b"]
-        )
+        return Curve(FamilyParams(obj["r"], obj["s"]), obj["a"], obj["b"])
 
 
 @record
@@ -123,7 +121,7 @@ class CurveWithPoints:
         return CurveWithPoints(
             Curve.from_obj(obj["curve"]),
             tuple(AffinePoint.from_obj(p) for p in obj["points"]),
-            integer(obj.get("base_index", 0), "base_index"),
+            obj.get("base_index", 0),
         )
 
 

@@ -27,7 +27,6 @@ from .exact import (
     Rational,
     RationalLike,
     digit_limit,
-    integer,
     normalize_projective,
     rational,
     rational_str,
@@ -89,7 +88,7 @@ class XCoordinates:
 
     @staticmethod
     def from_obj(obj: dict) -> "XCoordinates":
-        return XCoordinates(obj["alphas"], integer(obj["r"], "r"))
+        return XCoordinates(obj["alphas"], obj["r"])
 
 
 @record

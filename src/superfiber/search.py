@@ -56,9 +56,9 @@ from typing import Iterator, Optional, Sequence
 from .errors import TrivialPoint
 from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
                     sth_root_exact)
-from .family import Curve, FamilyParams
+from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from .fiber import FiberEquation, FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
-from .maps import phi_inverse
+from .maps import phi_forward, phi_inverse
 
 
 # (2H + 1)^2 bounds the candidates of either stream at height H: the
@@ -89,22 +89,6 @@ class SearchConfig:
         index, count = self.partition
         if not (count >= 1 and 0 <= index < count):
             raise ValueError("need 0 <= worker_index < worker_count")
-
-
-@record
-class CensusEntry:
-    """One curve of the census with its canonical fiber-point image."""
-
-    curve: Curve
-    fiber_point: FiberPoint
-
-    def to_obj(self) -> dict:
-        # one point per alpha, and CurveWithPoints enforces distinct x
-        return {
-            "curve": self.curve.to_obj(),
-            "fiber_point": self.fiber_point.to_obj(),
-            "distinct_x_count": len(self.fiber_point),
-        }
 
 
 def _rows(rows: Sequence[int], partition: tuple[int, int]) -> Sequence[int]:
@@ -256,28 +240,28 @@ def integer_class_representatives(a: Rational, b: Rational, s: int,
             if m and sth_root_exact(m / lam, s) is not None]
 
 
-def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CensusEntry]:
-    """Curve-box census with canonical fiber-point images; the roots that
-    admit a curve are phi_forward's image [y_0 : ... : y_n]."""
+def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CurveWithPoints]:
+    """Curve-box census: each curve with its points (alpha_i, y_i), y_i the
+    roots that admit it, so base y_0 != 0 and y_i >= 0 for even s."""
     entries = []
     for curve in enumerate_curves(a_n, s, cfg):
         roots = curve_roots_over(a_n, s, curve.a, curve.b)
-        entries.append(CensusEntry(curve, canonical_fiber_point(roots, s)))
+        entries.append(CurveWithPoints(curve, tuple(map(AffinePoint, a_n.alphas, roots))))
     return entries
 
 
-def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CensusEntry]:
-    """Fiber-pair census; trivial and base-vanishing points are skipped
+def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CurveWithPoints]:
+    """Fiber-pair census: phi_inverse of each point, whose points are the
+    fiber point's coordinates; trivial and base-vanishing points are skipped
     since they recover no census curve."""
     entries = []
     for P in search_fiber_points(a_n, s, cfg):
         if P[0] == 0:
             continue
         try:
-            cwp = phi_inverse(a_n, P.coords, s)
+            entries.append(phi_inverse(a_n, P.coords, s))
         except TrivialPoint:
-            continue
-        entries.append(CensusEntry(cwp.curve, P))
+            pass
     return entries
 
 
@@ -305,9 +289,10 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     _pair_search_equations(a_n, s, height)
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
-    for entry in curve_census_entries(a_n, s, box):
-        groups.setdefault(entry.fiber_point.coords, []).append(entry.curve)
-        fiber_bound = max(fiber_bound, pair_height(entry.fiber_point))
+    for cwp in curve_census_entries(a_n, s, box):
+        _, image = phi_forward(cwp)
+        groups.setdefault(image.coords, []).append(cwp.curve)
+        fiber_bound = max(fiber_bound, pair_height(image))
 
     try:
         fiber_cfg = SearchConfig(fiber_bound)

@@ -585,7 +585,9 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
     files = {"not-utf8.json": b'{"curve": "\xff"}', "not-json.json": b"curve",
-             "long-int.json": b'{"curve": {"r": ' + b"7" * 5000 + b"}}"}
+             "long-int.json": b'{"curve": {"r": ' + b"7" * 5000 + b"}}",
+             "long-r.json": json.dumps({**VALID_CWP, "curve": {**VALID_CWP["curve"],
+                                                               "r": "x" * 5000}}).encode()}
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
     cases = {
@@ -612,6 +614,17 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
         ("genus", "--n=--", "--s", "2"): None,
         ("map", "--input=--"): None,
+        # an over-long token is shown by its first 20 characters, then ...
+        ("genus", "--n", "7" * 5000, "--s", "2"):
+            f"error: argument --n: invalid int value: '{'7' * 20}...'\n",
+        (*search, "--mode", "x" * 5000):
+            f"error: argument --mode: invalid choice: '{'x' * 20}...'"
+            " (choose from 'curve-box', 'fiber-pairs')\n",
+        ("x" * 5000,): None,
+        ("param-conic", "--alpha", "1", "--beta", "2", "--u", "x" * 5000):
+            f"error: not a rational: '{'x' * 20}...'\n",
+        ("twist", "--input", str(tmp_path / "long-r.json")):
+            f"error: malformed --input JSON: TypeError: r must be an integer, got '{'x' * 20}...'\n",
     }
     for argv, message in cases.items():
         code, out, err = run_main(*argv)
@@ -620,6 +633,7 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         for python_words in ("Traceback", "Invalid literal", "set_int_max_str_digits"):
             assert python_words not in err, argv
         assert message is None or err == message, (argv, err)
+        assert len(err) < 300, argv
 
 
 def test_degenerate_conic_and_cubic_exit_2():

@@ -21,6 +21,7 @@ from superfiber import (
     canonical_fiber_point,
     conic_param,
     cross_check,
+    cwp_equivalent,
     curve_roots_over,
     enumerate_curves,
     fiber_contains,
@@ -510,16 +511,15 @@ def test_census_entries_hold_images():
     a_2 = XCoordinates([0, 2, -1], 3)
     entries = curve_census_entries(a_2, 2, SearchConfig(2))
     assert len(entries) == 1
-    entry = entries[0]
-    assert (entry.curve.a, entry.curve.b) == (1, 1)
-    assert entry.fiber_point.coords == (1, 3, 0)
-    assert entry.to_obj()["distinct_x_count"] == 3
-    assert fiber_contains(a_2, 2, entry.fiber_point.coords)
-    roots = curve_roots_over(a_2, 2, entry.curve.a, entry.curve.b)
-    cwp = CurveWithPoints(entry.curve, tuple(map(AffinePoint, a_2.alphas, roots)))
+    cwp = entries[0]
+    assert (cwp.curve.a, cwp.curve.b) == (1, 1)
     assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0))
+    assert cwp.base_index == 0 and len(cwp.points) == 3
+    assert [p.y for p in cwp.points] == curve_roots_over(a_2, 2, cwp.curve.a, cwp.curve.b)
     _, image = phi_forward(cwp)
-    assert canonical_fiber_point(image.coords, 2) == entry.fiber_point
+    assert image.coords == (1, 3, 0)
+    assert fiber_contains(a_2, 2, image.coords)
+    assert canonical_fiber_point(image.coords, 2) == image
 
     fiber_entries = fiber_census_entries(a_2, 2, SearchConfig(5))
     assert [(e.curve.a, e.curve.b) for e in fiber_entries] == [(1, 1)]
@@ -528,20 +528,39 @@ def test_census_entries_hold_images():
 @settings(deadline=None)
 @given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
                       min_size=3, max_size=4, unique=True),
-       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 8))
-# random small boxes are mostly empty; these hold 1 to 6 curves each at H = 8
-@example(alphas=[Fraction(-4), Fraction(-3, 2), Fraction(-1, 2)], r=2, s=2, height=8)
-@example(alphas=[Fraction(-3), Fraction(-1), Fraction(0)], r=2, s=3, height=8)
-@example(alphas=[Fraction(-2), Fraction(0), Fraction(1)], r=3, s=2, height=8)
-@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8)
-def test_census_images_are_forward_map_images(alphas, r, s, height):
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 8),
+       census=st.sampled_from((curve_census_entries, fiber_census_entries)))
+# random small boxes are mostly empty; these hold 1 to 6 curves each at H = 8,
+# and the last three 2 to 5 fiber-census entries
+@example(alphas=[Fraction(-4), Fraction(-3, 2), Fraction(-1, 2)], r=2, s=2, height=8,
+         census=curve_census_entries)
+@example(alphas=[Fraction(-3), Fraction(-1), Fraction(0)], r=2, s=3, height=8,
+         census=curve_census_entries)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(1)], r=3, s=2, height=8,
+         census=curve_census_entries)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8,
+         census=curve_census_entries)
+@example(alphas=[Fraction(-3), Fraction(-1), Fraction(0)], r=2, s=3, height=8,
+         census=fiber_census_entries)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(1)], r=3, s=2, height=8,
+         census=fiber_census_entries)
+@example(alphas=[Fraction(-2), Fraction(0), Fraction(3, 2)], r=3, s=3, height=8,
+         census=fiber_census_entries)
+def test_census_images_are_forward_map_images(alphas, r, s, height, census):
     assume(is_admissible(alphas, r))
     a_n = XCoordinates(alphas, r)
-    for entry in curve_census_entries(a_n, s, SearchConfig(height)):
-        ys = [sth_root_exact(entry.curve.rhs(x), s) for x in a_n.alphas]
-        cwp = CurveWithPoints(entry.curve, tuple(map(AffinePoint, a_n.alphas, ys)))
+    for cwp in census(a_n, s, SearchConfig(height)):
+        assert [p.x for p in cwp.points] == list(a_n.alphas) and cwp.base_index == 0
         _, image = phi_forward(cwp)
-        assert entry.fiber_point == canonical_fiber_point(image.coords, s)
+        # the printed point is the canonical point of the curve's s-th roots
+        ys = [sth_root_exact(cwp.curve.rhs(x), s) for x in a_n.alphas]
+        assert image == canonical_fiber_point(ys, s)
+        recovered = phi_inverse(a_n, image.coords, s)
+        if census is fiber_census_entries:
+            assert cwp == recovered
+        else:
+            # the box holds (a, b), the recovered curve a rescaling of it
+            assert cwp_equivalent(cwp, recovered)
 
 
 @settings(deadline=None)
@@ -560,7 +579,7 @@ def test_cross_check_partitions_both_censuses(alphas, r, s, height):
     report = cross_check(a_n, s, height)
     curves = [c for m in report["matched"] for c in m["curves"]] + report["unmatched_curves"]
     assert sorted(map(Curve.from_obj, curves), key=lambda c: (c.a, c.b)) \
-        == [e.curve for e in curve_census_entries(a_n, s, SearchConfig(height))]
+        == [cwp.curve for cwp in curve_census_entries(a_n, s, SearchConfig(height))]
     buckets = ("trivial_points", "base_vanishing_points", "cutoff_fiber_points",
                "unmatched_fiber_points")
     points = [m["fiber_point"] for m in report["matched"]] + [
@@ -633,7 +652,7 @@ def test_census_stability_observed_above_threshold():
         print(f"census sizes on {label} n=4 fiber as H grows: {sizes} (observed stable)")
     entries = fiber_census_entries(rich_fiber, 2, SearchConfig(17))
     assert [(e.curve.a, e.curve.b) for e in entries] == [(1, 225)]
-    assert entries[0].fiber_point.coords == (15, 17, 10, 3, 21)
+    assert phi_forward(entries[0])[1].coords == (15, 17, 10, 3, 21)
 
 
 def test_cross_check_cutoff_reconciliation_on_rich_fiber():
@@ -703,14 +722,20 @@ class _Parsed:
     q: "Rational"
     qs: "tuple[Rational, ...]"
     n: "int"
+    tag: "str" = ""
 
 
 def test_record_parses_its_rational_fields():
-    value = _Parsed("1/2", ["−2", 3, Fraction(1, 3)], "1/2")
-    assert (value.q, value.qs) == (Fraction(1, 2), (-2, 3, Fraction(1, 3)))
+    value = _Parsed("1/2", ["−2", 3, Fraction(1, 3)], 3, "1/2")
+    assert (value.q, value.qs, value.n) == (Fraction(1, 2), (-2, 3, Fraction(1, 3)), 3)
     assert all(type(q) is Fraction for q in (value.q, *value.qs))
     # a field of any other annotation is left as given
-    assert value.n == "1/2"
+    assert value.tag == "1/2"
+    # an int field is checked, not converted
+    for bad in ("1/2", 2.0, True):
+        with pytest.raises(TypeError) as raised:
+            _Parsed(1, (), bad)
+        assert str(raised.value) == f"n must be an integer, got {bad!r}"
     # the package's values hold Fractions however they are built
     assert type(WeierstrassPoint(1, 2, 3).T) is Fraction
     assert type(DiagonalCubicPoint(1, 2, 3).W) is Fraction
@@ -721,3 +746,18 @@ def test_record_parses_its_rational_fields():
         assert str(raised.value) == message
     with pytest.raises(ValueError, match="not a rational: True"):
         _Parsed(1, [1, True], 0)
+
+
+def test_int_fields_refuse_non_integers():
+    # each was accepted, or ended in an AttributeError, before records checked
+    # their int fields; a curve with s = 2.0 came out of the box
+    for call, message in (
+        (lambda: FamilyParams(3, 2.5), "s must be an integer, got 2.5"),
+        (lambda: SearchConfig(True), "height_bound must be an integer, got True"),
+        (lambda: enumerate_curves(XCoordinates((0, 1, 2), 3), 2.0, SearchConfig(3)),
+         "s must be an integer, got 2.0"),
+        (lambda: XCoordinates((0, 1, 2), 2.5), "r must be an integer, got 2.5"),
+    ):
+        with pytest.raises(TypeError) as raised:
+            call()
+        assert str(raised.value) == message
