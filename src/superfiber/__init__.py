@@ -15,7 +15,6 @@ from .errors import (
     NotOnCubic,
     NotOnFiber,
     PointNotOnCurve,
-    PointNotOnTwist,
     TrivialPoint,
     WrongShape,
 )
@@ -33,12 +32,10 @@ from .family import (
     Curve,
     CurveWithPoints,
     FamilyParams,
-    TwistedCurve,
     contains_point,
     curve_genus,
-    twist_curve,
-    twist_points,
-    untwist_point,
+    rescale,
+    twist,
 )
 from .fiber import (
     FiberEquation,

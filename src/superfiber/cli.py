@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .errors import DomainError
 from .exact import clip, digit_limit, normalize_projective, shown
-from .family import CurveWithPoints, twist_curve, twist_points
+from .family import CurveWithPoints, twist
 from .fiber import (
     XCoordinates,
     fiber_contains,
@@ -54,7 +54,9 @@ class _Parser(argparse.ArgumentParser):
             lambda m: clip(m[0]) if m[1] is None else shown(m[1]), message))
 
     def parse_args(self, args=None, namespace=None):
-        parsed = super().parse_args(args, namespace)
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:  # each token clipped before they are joined, whitespace or not
+            self.error("unrecognized arguments: " + " ".join(map(clip, extra)))
         for dest, value in vars(parsed).items():
             if value == []:  # Python 3.11 reads --flag=-- as an empty list
                 self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
@@ -129,10 +131,7 @@ def _read_cwp(args) -> CurveWithPoints:
 
 
 def _cmd_twist(args):
-    cwp = _read_cwp(args)
-    tc = twist_curve(cwp)
-    images = twist_points(cwp)
-    return {"twist": tc.to_obj(), "points": [p.to_obj() for p in images]}
+    return twist(_read_cwp(args))
 
 
 def _cmd_map(args):

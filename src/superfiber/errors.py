@@ -24,10 +24,6 @@ class PointNotOnCurve(DomainError):
     """Point does not satisfy y^s = a*x^r + b."""
 
 
-class PointNotOnTwist(DomainError):
-    """Point does not satisfy the twisted curve equation."""
-
-
 class NotAdmissible(DomainError):
     """x-coordinates do not have pairwise distinct r-th powers."""
 

@@ -167,7 +167,8 @@ class FrozenRecordError(AttributeError):
 # of the package writes them: as text, under `from __future__ import annotations`
 _PARSED_FIELDS = {"Rational": lambda value, name: rational(value),
                   "tuple[Rational, ...]": lambda values, name: tuple(map(rational, values)),
-                  "int": integer}
+                  "int": integer,
+                  "tuple[int, int]": lambda values, name: tuple(integer(v, name) for v in values)}
 
 
 def record(cls):
@@ -177,7 +178,8 @@ def record(cls):
     or keyword.  Then, in field order, rational() parses each field annotated
     Rational and each element of a field annotated tuple[Rational, ...],
     stored as a tuple, so a bad value raises its ValueError, and integer()
-    checks each field annotated int, so a bool or non-int raises its
+    checks each field annotated int and each element of a field annotated
+    tuple[int, int], stored as a tuple, so a bool or non-int raises its
     TypeError; any other field is stored as given.  Then self.__post_init__
     runs, looked up at each call so that a method rebound on the class later
     is the one that runs.  A record equals only a record of its own class

@@ -1,21 +1,19 @@
-"""The two-exponent curve family y^s = a*x^r + b and its twists.
+"""The two-exponent curve family y^s = a*x^r + b.
 
 A member is determined by exponents (r, s) and rational coefficients
-(a, b); it is smooth exactly when a*b != 0.  Twisting by a marked point
-(x_0, y_0) with y_0 != 0 produces the curve
-
-    (a*x_0^r + b) * y^s = a*x^r + b
-
-on which the marked point becomes (x_0, 1) and every other point
-(x_i, y_i) becomes (x_i, y_i/y_0).
+(a, b); it is smooth exactly when a*b != 0.  Members with points are
+counted up to the rescaling (a, b, y) ~ (t^s*a, t^s*b, t*y), t != 0,
+which rescale forms.  The twist by a base point (x_0, y_0), y_0 != 0,
+is c0*y^s = a*x^r + b with c0 = y_0^s, carrying the points of rescale
+by 1/y_0; rescale by y_0 is its inverse.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .errors import BasePointVanishing, PointNotOnCurve, PointNotOnTwist
-from .exact import Rational, rational_str, record, refuse_power
+from .errors import BasePointVanishing, PointNotOnCurve
+from .exact import Rational, RationalLike, rational, rational_str, record, refuse_power
 
 
 @record
@@ -79,9 +77,9 @@ class CurveWithPoints:
     """A family member plus an ordered list of points on it.
 
     Invariants enforced here: each point's x^r and y^s pass
-    exact.refuse_power (first), the x-coordinates are mutually distinct
-    and every point satisfies the curve equation.  The base point (which
-    must have y != 0 for twisting and for the forward map) is checked by
+    exact.refuse_power (first; rescale's y may not), the x-coordinates are
+    mutually distinct and every point satisfies the curve equation.  The
+    base point (y != 0 for twisting and for the forward map) is checked by
     the operations that need it, so data with a vanishing base y is kept.
     """
 
@@ -134,50 +132,30 @@ def curve_genus(params: FamilyParams) -> int:
     return num // 2
 
 
-@record
-class TwistedCurve:
-    """The twist c0*y^s = a*x^r + b by a base point with c0 = a*x_0^r + b."""
-
-    params: FamilyParams
-    c0: Rational
-    a: Rational
-    b: Rational
-    base: AffinePoint
-
-    def contains_point(self, p: AffinePoint) -> bool:
-        return self.c0 * p.y ** self.params.s == self.a * p.x ** self.params.r + self.b
-
-    def to_obj(self) -> dict:
-        return {
-            "r": self.params.r,
-            "s": self.params.s,
-            "c0": rational_str(self.c0),
-            "a": rational_str(self.a),
-            "b": rational_str(self.b),
-            "base": self.base.to_obj(),
-        }
+def rescale(cwp: CurveWithPoints, t: RationalLike) -> CurveWithPoints:
+    """The member (t^s*a, t^s*b) with points (x_i, t*y_i), whose fiber point
+    is cwp's; refuses t = 0, then a t^s past refuse_power's limit.  The digit
+    rule is not applied again: a t*y_i, such as a twisted y_i/y_0, may exceed
+    it where t and y_i met it."""
+    t = rational(t)
+    if t == 0:
+        raise ValueError("rescale needs t != 0")
+    params, a, b = cwp.curve.params, cwp.curve.a, cwp.curve.b
+    refuse_power([t], params.s, "t^s")
+    ts = t ** params.s
+    scaled = object.__new__(CurveWithPoints)  # cwp's checks hold for it, and are not run
+    scaled.__dict__.update(curve=Curve(params, ts * a, ts * b), base_index=cwp.base_index,
+                           points=tuple(AffinePoint(p.x, t * p.y) for p in cwp.points))
+    return scaled
 
 
-def twist_curve(cwp: CurveWithPoints) -> TwistedCurve:
-    """Twist the curve by its base point; requires base y != 0."""
+def twist(cwp: CurveWithPoints) -> dict:
+    """The twist c0*y^s = a*x^r + b by the base point, c0 = y_0^s, with the
+    points of rescale(cwp, 1/y_0), as the twist command prints it."""
     base = cwp.base
     if base.y == 0:
         raise BasePointVanishing(f"base point ({base.x}, 0) cannot define a twist")
-    c0 = cwp.curve.rhs(base.x)
-    # c0 = y_0^s, nonzero exactly when y_0 is
-    return TwistedCurve(cwp.curve.params, c0, cwp.curve.a, cwp.curve.b, base)
-
-
-def twist_points(cwp: CurveWithPoints) -> list[AffinePoint]:
-    """Images of the points on the twist: (x_i, y_i / y_0), base becomes (x_0, 1)."""
-    base = cwp.base
-    if base.y == 0:
-        raise BasePointVanishing(f"base point ({base.x}, 0) cannot define a twist")
-    return [AffinePoint(p.x, p.y / base.y) for p in cwp.points]
-
-
-def untwist_point(tc: TwistedCurve, p: AffinePoint) -> AffinePoint:
-    """Send a point on the twist back to the original curve: (x, y) -> (x, y_0 * y)."""
-    if not tc.contains_point(p):
-        raise PointNotOnTwist(f"({p.x}, {p.y}) does not satisfy c0*y^s = a*x^r + b")
-    return AffinePoint(p.x, tc.base.y * p.y)
+    curve, s = cwp.curve, cwp.curve.params.s
+    return {"twist": {"r": curve.params.r, "s": s, "c0": rational_str(base.y ** s),
+                      "a": rational_str(curve.a), "b": rational_str(curve.b), "base": base.to_obj()},
+            "points": [p.to_obj() for p in rescale(cwp, 1 / base.y).points]}

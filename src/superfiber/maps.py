@@ -91,30 +91,27 @@ def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWi
 
 
 def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
-    """Equality modulo the rescaling (a, b, y) ~ (t^s*a, t^s*b, t*y)."""
-    if first.curve.params != second.curve.params:
-        return False
-    if first.base_index != second.base_index:
+    """Whether second is rescale(first, t) for some t != 0: equality modulo
+    the rescaling (a, b, y) ~ (t^s*a, t^s*b, t*y)."""
+    if (first.curve.params, first.base_index) != (second.curve.params, second.base_index):
         return False
     if [p.x for p in first.points] != [p.x for p in second.points]:
         return False
-    s = first.curve.params.s
-    t = None
-    for p, q in zip(first.points, second.points):
-        if (p.y == 0) != (q.y == 0):
-            return False
-        if p.y != 0 and t is None:
-            t = q.y / p.y
+    ys = [(p.y, q.y) for p, q in zip(first.points, second.points)]
+    t = next((v / u for u, v in ys if u != 0), None)
     if t is None:
+        if any(v != 0 for _, v in ys):
+            return False
         # every y is 0, so b = -a*x_0^r on both curves and a fixes b:
         # compare a up to an s-th-power scale
         if first.curve.a == 0 or second.curve.a == 0:
             return first.curve.a == second.curve.a
-        return sth_root_exact(second.curve.a / first.curve.a, s) is not None
-    ts = t ** s
-    if second.curve.a != ts * first.curve.a or second.curve.b != ts * first.curve.b:
+        return sth_root_exact(second.curve.a / first.curve.a, first.curve.params.s) is not None
+    if t == 0 or any(v != t * u for u, v in ys):
         return False
-    return all(q.y == t * p.y for p, q in zip(first.points, second.points))
+    # some y^s = a*x^r + b != 0, so a proportional (a', b') is lambda*(a, b) with
+    # lambda*y^s = (t*y)^s: second is rescale(first, t), known without forming t^s
+    return first.curve.a * second.curve.b == first.curve.b * second.curve.a
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .errors import TrivialPoint
 from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
                     sth_root_exact)
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberEquation, FiberPoint, XCoordinates, canonical_fiber_point, fiber_equations
+from .fiber import FiberEquation, FiberPoint, XCoordinates, fiber_equations
 from .maps import phi_forward, phi_inverse
 
 
@@ -184,7 +184,9 @@ def _pair_search_equations(a_n: XCoordinates, s: int, H: int) -> list[FiberEquat
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted; refuses H^s, then s < 2, then
-    radicands past their cap, before any pair."""
+    radicands past their cap, before any pair.  The rows reach each point
+    once, with Y_0 >= 0 and, for even s, every coordinate >= 0, so its
+    normalize_projective is its canonical_fiber_point."""
     H = cfg.height_bound
     equations = _pair_search_equations(a_n, s, H)
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
@@ -195,7 +197,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     (c2, k0, k1), *later = scaled
     # the first equation's k1*q^s, indexed by q itself: -H..-1 wrap to the tail
     first = [k1 * q ** s for q in itertools.chain(range(H + 1), range(-H, 0))]
-    found = set()
+    found = []
     for p, qs in _pair_rows(H, s, cfg.partition):
         z0 = p ** s
         t = k0 * z0
@@ -211,7 +213,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
                     break
                 coords.append(root / ci)
             else:
-                found.add(canonical_fiber_point(coords, s))
+                found.append(normalize_projective(coords))
     return sorted(found, key=lambda P: P.coords)
 
 

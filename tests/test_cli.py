@@ -621,6 +621,9 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             f"error: argument --mode: invalid choice: '{'x' * 20}...'"
             " (choose from 'curve-box', 'fiber-pairs')\n",
         ("x" * 5000,): None,
+        # an unrecognized token with whitespace was echoed whole (5,032 bytes)
+        ("genus", "--n", "2", "--s", "2", "x " * 2500):
+            "error: unrecognized arguments: x x x x x x x x x x ...\n",
         ("param-conic", "--alpha", "1", "--beta", "2", "--u", "x" * 5000):
             f"error: not a rational: '{'x' * 20}...'\n",
         ("twist", "--input", str(tmp_path / "long-r.json")):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superfiber import (
     AffinePoint,
@@ -10,13 +12,12 @@ from superfiber import (
     CurveWithPoints,
     FamilyParams,
     PointNotOnCurve,
-    PointNotOnTwist,
     contains_point,
     curve_genus,
-    twist_curve,
-    twist_points,
-    untwist_point,
+    rescale,
+    twist,
 )
+from superfiber.exact import digit_limit
 from helpers_roundtrip import random_cwp
 
 
@@ -80,64 +81,110 @@ def test_curve_with_points_validation():
 
 def test_twist_curve_examples():
     curve = Curve(FamilyParams(3, 2), 1, 1)
-    tc = twist_curve(CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1))))
-    assert tc.c0 == 9
-    assert tc.c0 == curve.rhs(Fraction(2))
-    identity = twist_curve(CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3))))
-    assert identity.c0 == 1
+    tc = twist(CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1))))["twist"]
+    assert tc["c0"] == "9" == str(curve.rhs(Fraction(2)))
+    assert (tc["a"], tc["b"], tc["base"]) == ("1", "1", {"x": "2", "y": "3"})
+    identity = twist(CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3))))
+    assert identity["twist"]["c0"] == "1"
     with pytest.raises(BasePointVanishing):
-        twist_curve(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
+        twist(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
 
 
 def test_twist_points_examples():
     curve = Curve(FamilyParams(3, 2), 1, 1)
     cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3)))
-    assert twist_points(cwp) == [AffinePoint(0, 1), AffinePoint(2, 3)]
+    assert twist(cwp)["points"] == [{"x": "0", "y": "1"}, {"x": "2", "y": "3"}]
     flipped = CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1)))
-    assert twist_points(flipped) == [AffinePoint(2, 1), AffinePoint(0, Fraction(1, 3))]
-    with pytest.raises(BasePointVanishing):
-        twist_points(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
+    assert twist(flipped)["points"] == [{"x": "2", "y": "1"}, {"x": "0", "y": "1/3"}]
+    assert rescale(flipped, Fraction(1, 3)).points == (AffinePoint(2, 1), AffinePoint(0, Fraction(1, 3)))
 
 
 def test_twist_outputs_satisfy_twisted_equation():
     rng = random.Random(31)
     for _ in range(40):
         cwp = random_cwp(rng)
-        tc = twist_curve(cwp)
-        images = twist_points(cwp)
+        payload = twist(cwp)
+        c0, a, b = (Fraction(payload["twist"][k]) for k in ("c0", "a", "b"))
+        r, s = cwp.curve.params.r, cwp.curve.params.s
+        images = [AffinePoint.from_obj(p) for p in payload["points"]]
         assert images[cwp.base_index].y == 1
         for p in images:
-            assert tc.contains_point(p)
+            assert c0 * p.y ** s == a * p.x ** r + b
 
 
 def test_twist_with_nonzero_base_index():
     curve = Curve(FamilyParams(3, 2), 1, 1)
     cwp = CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3)), base_index=1)
-    tc = twist_curve(cwp)
-    assert tc.c0 == 9
-    assert tc.base == AffinePoint(2, 3)
-    images = twist_points(cwp)
-    assert images == [AffinePoint(0, Fraction(1, 3)), AffinePoint(2, 1)]
-    assert [untwist_point(tc, q) for q in images] == list(cwp.points)
+    payload = twist(cwp)
+    assert payload["twist"]["c0"] == "9"
+    assert payload["twist"]["base"] == AffinePoint(2, 3).to_obj()
+    twisted = rescale(cwp, Fraction(1, 3))
+    assert list(twisted.points) == [AffinePoint(0, Fraction(1, 3)), AffinePoint(2, 1)]
+    assert payload["points"] == [p.to_obj() for p in twisted.points]
+    assert rescale(twisted, 3) == cwp
 
 
 def test_untwist_examples():
+    # the inverse of the twist is rescale by y_0
     curve = Curve(FamilyParams(3, 2), 1, 1)
     cwp = CurveWithPoints(curve, (AffinePoint(2, 3), AffinePoint(0, 1)))
-    tc = twist_curve(cwp)
-    assert untwist_point(tc, AffinePoint(0, Fraction(1, 3))) == AffinePoint(0, 1)
-    assert untwist_point(tc, AffinePoint(2, 1)) == cwp.base
-    with pytest.raises(PointNotOnTwist):
-        untwist_point(tc, AffinePoint(0, 1))
+    twisted = rescale(cwp, Fraction(1, 3))
+    assert twisted.curve == Curve(FamilyParams(3, 2), Fraction(1, 9), Fraction(1, 9))
+    assert rescale(twisted, cwp.base.y) == cwp
 
 
 def test_twist_round_trip_on_random_data():
     rng = random.Random(77)
     for _ in range(40):
         cwp = random_cwp(rng)
-        tc = twist_curve(cwp)
-        back = [untwist_point(tc, q) for q in twist_points(cwp)]
-        assert back == list(cwp.points)
+        y0 = cwp.base.y
+        twisted = rescale(cwp, 1 / y0)
+        assert [AffinePoint.from_obj(p) for p in twist(cwp)["points"]] == list(twisted.points)
+        assert rescale(twisted, y0) == cwp
+
+
+def test_twist_prints_points_past_the_digit_rule():
+    # r = s = 2 through (0, 1/A) and (p, B), A = 5^k and p^2 + 1 = A*B, each
+    # about 1.2*L bits: the twisted (p, A*B) is past the rule y^2 <= 4*L bits,
+    # which rescale does not apply again, and prints in about 0.72*L digits
+    k = digit_limit() * 12 // 23  # 5^k has about 1.2*L bits
+    A = 5 ** k
+    p = pow(2, 5 ** (k - 1), A)  # 2 generates (Z/5^k)^*, so p^2 = -1 mod A
+    B = (p * p + 1) // A
+    cwp = CurveWithPoints(Curve(FamilyParams(2, 2), Fraction(p * p + 2, A * A), Fraction(1, A * A)),
+                          (AffinePoint(0, Fraction(1, A)), AffinePoint(p, B)))
+    with pytest.raises(ValueError, match="exceeds"):
+        CurveWithPoints(Curve(FamilyParams(2, 2), p * p + 2, 1), (AffinePoint(0, 1), AffinePoint(p, A * B)))
+    payload = twist(cwp)
+    assert payload["points"] == [{"x": "0", "y": "1"}, {"x": str(p), "y": str(p * p + 1)}]
+    assert payload["twist"]["c0"] == f"1/{A * A}"
+    twisted = rescale(cwp, A)
+    assert [q.y for q in twisted.points] == [1, A * B]
+    assert rescale(twisted, Fraction(1, A)) == cwp
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32), t=st.fractions(min_value=-50, max_value=50, max_denominator=50))
+def test_rescale_inverts_by_its_reciprocal(seed, t):
+    assume(t != 0)
+    cwp = random_cwp(random.Random(seed))
+    s = cwp.curve.params.s
+    scaled = rescale(cwp, t)
+    assert scaled.curve.a == t ** s * cwp.curve.a and scaled.curve.b == t ** s * cwp.curve.b
+    assert [q.y for q in scaled.points] == [t * p.y for p in cwp.points]
+    assert rescale(scaled, 1 / t) == cwp
+
+
+def test_rescale_refuses_zero_and_oversized_powers():
+    cwp = CurveWithPoints(Curve(FamilyParams(3, 2), 1, 1), (AffinePoint(0, 1), AffinePoint(2, 3)))
+    for t in (0, "0", Fraction(0)):
+        with pytest.raises(ValueError, match="rescale needs t != 0"):
+            rescale(cwp, t)
+    huge = 3 ** (2 * digit_limit())  # t^2 would pass 4*L bits
+    for t in (huge, Fraction(1, huge)):
+        with pytest.raises(ValueError, match=r"t\^s exceeds \d+ digits"):
+            rescale(cwp, t)
+    assert rescale(cwp, 1) == cwp
 
 
 def test_json_round_trip():

@@ -19,6 +19,8 @@ ELKIES_FLAGS = ["--alphas=" + ",".join(ELKIES.x_coordinates().to_obj()["alphas"]
 A4 = ["--alphas=0,4,-5,-6,6", "--r", "3", "--s", "2"]
 README = ["--alphas=0,2,-1", "--r", "3", "--s", "2"]
 CWP = ["--input", str(GOLDEN / "cwp.json")]
+# the same curve and points with base (2, 3), so c0 = 9
+CWP_BASE1 = ["--input", str(GOLDEN / "cwp-base1.json")]
 
 CASES = {
     "repro-elkies.json": ["repro-elkies"],
@@ -30,6 +32,7 @@ CASES = {
     "genus-16-2.json": ["genus", "--n", "16", "--s", "2"],
     "map.json": ["map", *CWP],
     "twist.json": ["twist", *CWP],
+    "twist-base1.json": ["twist", *CWP_BASE1],
     "map-inverse.json": ["map-inverse", *README, "--point", "1,3,0"],
     "param-conic.json": ["param-conic", "--alpha", "3", "--beta", "-1", "--u", "2"],
     "cubic-to-weierstrass.json": ["cubic-to-weierstrass", "--alpha", "1", "--beta", "2",

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superfiber import (
     AffinePoint,
@@ -38,9 +40,11 @@ from superfiber import (
     normalize_projective,
     phi_forward,
     phi_inverse,
+    rescale,
     search_fiber_points,
     sth_root_exact,
 )
+from superfiber.exact import digit_limit
 from superfiber.search import pair_height
 from helpers_roundtrip import (chord_tangent_points, cubic_third_point, random_cwp,
                               random_rational)
@@ -413,6 +417,38 @@ def test_cwp_equivalent_without_nonzero_y():
     assert not cwp_equivalent(at_five(1, -125), at_five(0, 0))
     assert cwp_equivalent(at_five(1, -125), at_five(4, -500))  # 4 is a square
     assert not cwp_equivalent(at_five(1, -125), at_five(2, -250))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32), t=st.fractions(min_value=-50, max_value=50, max_denominator=50))
+def test_rescale_keeps_the_fiber_point_and_the_class(seed, t):
+    assume(t != 0)
+    cwp = random_cwp(random.Random(seed))
+    scaled = rescale(cwp, t)
+    assert phi_forward(scaled) == phi_forward(cwp)
+    assert cwp_equivalent(cwp, scaled) and cwp_equivalent(scaled, cwp)
+
+
+def test_cwp_equivalent_near_the_power_limit():
+    # y^2 = a*x^2 + b through (0, 1), (1, 3^5000) against (0, 5^3500), (1, 1): the
+    # y alone rule it out, where rescale would refuse the y^s of 3^5000 * 5^3500
+    def r2s2(points):
+        (_, y0), (_, y1) = points
+        return CurveWithPoints(Curve(FamilyParams(2, 2), y1 ** 2 - y0 ** 2, y0 ** 2),
+                               tuple(AffinePoint(x, y) for x, y in points))
+
+    assert not cwp_equivalent(r2s2(((0, 1), (1, 3 ** 5000))), r2s2(((0, 5 ** 3500), (1, 1))))
+    # one point each, scale t = A*B with t^2 past 4*L bits, which rescale refuses:
+    # cwp_equivalent answers from the ratio [a : b] without forming t^2
+    A, B = 2 ** (2 * digit_limit()), 3 ** (digit_limit() * 5 // 4)
+    first = CurveWithPoints(Curve(FamilyParams(2, 2), 1, Fraction(1, A * A)),
+                            (AffinePoint(0, Fraction(1, A)),))
+    with pytest.raises(ValueError, match=r"t\^s exceeds"):
+        rescale(first, A * B)
+    other = CurveWithPoints(Curve(FamilyParams(2, 2), 7, B * B), (AffinePoint(0, B),))
+    assert not cwp_equivalent(first, other) and not cwp_equivalent(other, first)
+    scaled = CurveWithPoints(Curve(FamilyParams(2, 2), A * A * B * B, B * B), (AffinePoint(0, B),))
+    assert cwp_equivalent(first, scaled) and cwp_equivalent(scaled, first)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,28 @@ def test_search_kernels_match_the_fraction_reference(alphas, r, s, height):
 
 
 @settings(deadline=None)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.integers(2, 5), height=st.integers(1, 12),
+       workers=st.integers(1, 3))
+@example(alphas=[Fraction(0), Fraction(2), Fraction(3)], r=3, s=3, height=12, workers=3)
+@example(alphas=[Fraction(1, 2), Fraction(2), Fraction(-1, 3)], r=2, s=2, height=12, workers=2)
+@example(alphas=[Fraction(0), Fraction(1, 2), Fraction(3, 4)], r=3, s=3, height=12, workers=1)
+def test_pair_search_builds_canonical_distinct_points(alphas, r, s, height, workers):
+    # the kernel keeps a list of normalize_projective images, with no set and no
+    # canonical_fiber_point: each slice must already hold canonical points, once
+    assume(is_admissible(alphas, r))
+    a_n = XCoordinates(alphas, r)
+    union = []
+    for index in range(workers):
+        points = search_fiber_points(a_n, s, SearchConfig(height, (index, workers)))
+        assert all(canonical_fiber_point(P.coords, s) == P for P in points)
+        union.extend(points)
+    assert len(set(union)) == len(union)
+    assert sorted(union, key=lambda P: P.coords) == search_fiber_points(a_n, s, SearchConfig(height))
+
+
+@settings(deadline=None)
 @given(alphas=st.lists(st.integers(-6, 6), min_size=3, max_size=3, unique=True),
        r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3)), height=st.integers(1, 40))
 @example(alphas=[0, 2, 3], r=3, s=3, height=40)
@@ -757,6 +779,8 @@ def test_int_fields_refuse_non_integers():
         (lambda: enumerate_curves(XCoordinates((0, 1, 2), 3), 2.0, SearchConfig(3)),
          "s must be an integer, got 2.0"),
         (lambda: XCoordinates((0, 1, 2), 2.5), "r must be an integer, got 2.5"),
+        (lambda: SearchConfig(3, (0.5, 1)), "partition must be an integer, got 0.5"),
+        (lambda: SearchConfig(3, (0, True)), "partition must be an integer, got True"),
     ):
         with pytest.raises(TypeError) as raised:
             call()
