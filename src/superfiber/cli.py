@@ -10,10 +10,10 @@ produce identical output bytes.  Every command can record a run manifest
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError
@@ -40,27 +40,6 @@ from .search import SearchConfig, cross_check, curve_census_entries, fiber_censu
 USAGE_ERROR = 64
 IO_ERROR = 74
 DOMAIN_ERROR = 2
-
-
-# what argparse echoes of the input: a token quoted by %r, or a bare run
-# without whitespace (unrecognized arguments, an ambiguous option)
-_ECHOED = re.compile(r"'([^'\\]*)'|[^\s']{21,}")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # main's one error line and exit 64, each echoed token shown as in exact
-        raise ValueError(_ECHOED.sub(
-            lambda m: clip(m[0]) if m[1] is None else shown(m[1]), message))
-
-    def parse_args(self, args=None, namespace=None):
-        parsed, extra = self.parse_known_args(args, namespace)
-        if extra:  # each token clipped before they are joined, whitespace or not
-            self.error("unrecognized arguments: " + " ".join(map(clip, extra)))
-        for dest, value in vars(parsed).items():
-            if value == []:  # Python 3.11 reads --flag=-- as an empty list
-                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
-        return parsed
 
 
 def _comma_list(text: str) -> list[str]:
@@ -228,87 +207,108 @@ def _write_manifest(args, output: bytes) -> None:
         handle.write("\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--manifest", metavar="PATH", help="write a run manifest here")
+# every flag: its type (int, str, or the tuple of its choices), its default
+# (... when it must be given) and its help line
+_FLAGS = {
+    "--alphas": (str, ..., "comma-separated x-coordinates alpha_i"),
+    "--r": (int, ..., "the exponent r of x"),
+    "--s": (int, ..., "the exponent s of y"),
+    "--n": (int, ..., "the number of points n"),
+    "--point": (str, ..., "comma-separated coordinates"),
+    "--input": (str, ..., "curve-with-points JSON file, or - for stdin"),
+    "--alpha": (str, ..., "the coefficient alpha"),
+    "--beta": (str, ..., "the coefficient beta"),
+    "--u": (str, ..., "the conic parameter u"),
+    "--height": (int, ..., "the height bound H"),
+    "--mode": (("curve-box", "fiber-pairs"), "curve-box", "curve-box (default) or fiber-pairs"),
+    "--workers": (int, 1, "the number N of worker slices (default 1)"),
+    "--worker-index": (int, 0, "this worker's slice I, 0 <= I < N (default 0)"),
+    "--format": (("json", "table"), "json", "json (default) or table"),
+    "--manifest": (str, None, "write a run manifest to this path"),
+}
+_FIBER = "--alphas --r --s "
+# each command's handler, help line and flags, before the two that every command takes
+COMMANDS = {
+    "repro-elkies": (_cmd_repro_elkies, "recompute the rank-17 dataset tables bit-exactly", ""),
+    "fiber-eqs": (_cmd_fiber_eqs, "defining equations of the fiber", _FIBER),
+    "verify-point": (_cmd_verify_point, "test whether a point lies on the fiber", _FIBER + "--point"),
+    "genus": (_cmd_genus, "genus, gonality bound and finiteness threshold", "--n --s"),
+    "twist": (_cmd_twist, "twist a curve-with-points by its base point", "--input"),
+    "map": (_cmd_map, "forward map: curve -> fiber point", "--input"),
+    "map-inverse": (_cmd_map_inverse, "inverse map: fiber point -> curve", _FIBER + "--point"),
+    "param-conic": (_cmd_param_conic, "rational point on a sum-zero conic", "--alpha --beta --u"),
+    "cubic-to-weierstrass": (_cmd_cubic_to_weierstrass, "map a diagonal cubic point to the "
+                             "Weierstrass model", "--alpha --beta --point"),
+    "search": (_cmd_search, "bounded census (JSON lines, one entry per curve)",
+               _FIBER + "--height --mode --workers --worker-index"),
+    "cross-check": (_cmd_cross_check, "dual enumeration and bijection report", _FIBER + "--height"),
+}
 
-    fiber_flags = argparse.ArgumentParser(add_help=False)
-    fiber_flags.add_argument("--alphas", required=True, help="comma-separated x-coordinates")
-    fiber_flags.add_argument("--r", type=int, required=True)
-    fiber_flags.add_argument("--s", type=int, required=True)
 
-    parser = _Parser(prog="superfiber", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"superfiber {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _is_flag(token: str) -> bool:
+    # argparse's rule: a token longer than "-" that starts with it is a flag and
+    # not a value, unless it is a negative number or has a space
+    return token[:1] == "-" and len(token) > 1 and not (
+        re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token)
 
-    p = sub.add_parser("repro-elkies", parents=[common],
-                       help="recompute the rank-17 dataset tables bit-exactly")
-    p.set_defaults(func=_cmd_repro_elkies)
 
-    p = sub.add_parser("fiber-eqs", parents=[common, fiber_flags],
-                       help="defining equations of the fiber")
-    p.set_defaults(func=_cmd_fiber_eqs)
-
-    p = sub.add_parser("verify-point", parents=[common, fiber_flags],
-                       help="test whether a point lies on the fiber")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_cmd_verify_point)
-
-    p = sub.add_parser("genus", parents=[common],
-                       help="genus, gonality bound and finiteness threshold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_cmd_genus)
-
-    p = sub.add_parser("twist", parents=[common],
-                       help="twist a curve-with-points by its base point")
-    p.add_argument("--input", required=True, help="JSON file ('-' for stdin)")
-    p.set_defaults(func=_cmd_twist)
-
-    p = sub.add_parser("map", parents=[common],
-                       help="forward map: curve with points -> fiber point")
-    p.add_argument("--input", required=True, help="JSON file ('-' for stdin)")
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("map-inverse", parents=[common, fiber_flags],
-                       help="inverse map: fiber point -> curve with points")
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_map_inverse)
-
-    p = sub.add_parser("param-conic", parents=[common],
-                       help="rational point on a sum-zero conic")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=_cmd_param_conic)
-
-    p = sub.add_parser("cubic-to-weierstrass", parents=[common],
-                       help="map a diagonal cubic point to the Weierstrass model")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_cubic_to_weierstrass)
-
-    p = sub.add_parser("search", parents=[common, fiber_flags],
-                       help="bounded census (JSON lines, one entry per curve)")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=("curve-box", "fiber-pairs"), default="curve-box")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--worker-index", type=int, default=0)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("cross-check", parents=[common, fiber_flags],
-                       help="dual enumeration and bijection report")
-    p.add_argument("--height", type=int, required=True)
-    p.set_defaults(func=_cmd_cross_check)
-
-    return parser
+def _parse(argv):
+    """argv's namespace as argparse made it (every flag, command and func), or None
+    once -h or --version is answered; a bad argv raises ValueError in argparse's words."""
+    tokens, extra = list(sys.argv[1:] if argv is None else argv), []
+    command, flags, values = None, (), {"command": ...}
+    while tokens and tokens[0] != "--":
+        token = tokens.pop(0)
+        name, eq, value = token.partition("=")
+        if token in ("-h", "--help"):  # every command, or every flag of this one
+            about = {n: _FLAGS[n][2] for n in flags} or {n: c[1] for n, c in COMMANDS.items()}
+            sys.stdout.write(f"usage: superfiber {command or '<command>'} [-h] [flags]\n\n"
+                             + "".join(f"  {n:<20}  {line}\n" for n, line in about.items()))
+            return None
+        elif token == "--version" and command is None:
+            sys.stdout.write(f"superfiber {__version__}\n")
+            return None
+        elif command is None and not _is_flag(token):
+            if token not in COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {shown(token)} "
+                                 f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command, flags = token, [*COMMANDS[token][2].split(), "--format", "--manifest"]
+            values = {flag: _FLAGS[flag][1] for flag in flags}
+        elif name not in flags:
+            extra.append(token)
+        else:  # the value follows "=", or is the next token unless that is a flag ("--" too)
+            if not eq:
+                value = tokens.pop(0) if tokens and not _is_flag(tokens[0]) else "--"
+            kind = _FLAGS[name][0]
+            if value == "--":  # never a value, in either form
+                raise ValueError(f"argument {name}: expected one argument")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"argument {name}: invalid int value: {shown(value)}") from None
+            elif kind is not str and value not in kind:
+                raise ValueError(f"argument {name}: invalid choice: {shown(value)} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+            values[name] = value
+    extra += tokens  # "--" and what follows it
+    # then the missing flags, then the unrecognized tokens: clipped, line breaks escaped
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise ValueError("unrecognized arguments: " + " ".join(re.sub(
+            "[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]", lambda m: repr(m[0])[1:-1], clip(token))
+            for token in extra))
+    return SimpleNamespace(command=command, func=COMMANDS[command][0],
+                           **{name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
+        if args is None:
+            return 0
         dataset_self_check(ELKIES)
         payload = args.func(args)
         output = _render(args.command, payload, args.format)

@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from .errors import AllZero
 
 Rational = Fraction
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -113,7 +113,7 @@ def _nth_root(n: int, s: int) -> tuple[int, bool]:
     return (x - 1 if power > n else x), power == n
 
 
-def int_nth_root(n: int, s: int) -> Optional[int]:
+def int_nth_root(n: int, s: int) -> int | None:
     """Exact integer s-th root of n >= 0, or None if n is not a perfect power.
 
     For s = 2 this is one math.isqrt and one product.  For s >= 3 floats
@@ -133,7 +133,7 @@ def int_nth_root(n: int, s: int) -> Optional[int]:
     return root if is_power else None
 
 
-def sth_root_exact(x: RationalLike, s: int) -> Optional[Fraction]:
+def sth_root_exact(x: RationalLike, s: int) -> Fraction | None:
     """Exact rational s-th root of x, or None if no rational root exists.
 
     For even s the non-negative root is returned; for odd s the root has

@@ -19,7 +19,7 @@ and gonality at least (s-1) * s^(n-2).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DimensionMismatch, NotAdmissible
 from .exact import (

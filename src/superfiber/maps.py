@@ -28,7 +28,7 @@ and the quartic model are evaluated at the parameter u.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     BasePointVanishing,
@@ -260,7 +260,7 @@ def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> Weierstr
 # quartic model of the n = 3, s = 2 fiber
 
 
-def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> Optional[FiberPoint]:
+def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> FiberPoint | None:
     """Fiber point [X(u) : Y(u) : Z(u) : v] of an n = 3, s = 2 fiber: X, Y, Z
     parameterize the first quadric as conic_param does, and the second gives
     v^2 = q(u), a quartic in u.  None when q(u) is not a rational square."""

@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
 from .errors import TrivialPoint
 from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
@@ -98,7 +98,7 @@ def _rows(rows: Sequence[int], partition: tuple[int, int]) -> Sequence[int]:
 
 
 def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
-                     b: Rational) -> Optional[list[Rational]]:
+                     b: Rational) -> list[Rational] | None:
     """Membership test of the curve-box census with its witness: the s-th
     roots of a*alpha_i^r + b, non-negative for even s, which are the
     curve's fiber point [y_0 : ... : y_n].  None when a*b = 0, some value

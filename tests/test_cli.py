@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -40,11 +41,15 @@ def run_cli(*args, stdin=None):
 
 def test_start_up_imports_no_dataclasses():
     # value classes are exact.record, so no command pays for importing
-    # dataclasses (which imports inspect) or for generating its methods
+    # dataclasses (which imports inspect) or for generating its methods; the
+    # CLI parses argv from its own flag table, not argparse (which imports
+    # gettext, and locale at its first message); annotations use
+    # collections.abc, not typing
     src = os.path.dirname(os.path.dirname(superfiber.__file__))
+    absent = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from superfiber.cli import main; "
             "code = main(['genus', '--n', '2', '--s', '2']); "
-            "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(code, sorted({absent!r} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code, src],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -637,6 +642,173 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             assert python_words not in err, argv
         assert message is None or err == message, (argv, err)
         assert len(err) < 300, argv
+
+
+# each command's flags, and the two every command takes
+FLAGS = {
+    "repro-elkies": (),
+    "fiber-eqs": ("--alphas", "--r", "--s"),
+    "verify-point": ("--alphas", "--r", "--s", "--point"),
+    "genus": ("--n", "--s"),
+    "twist": ("--input",),
+    "map": ("--input",),
+    "map-inverse": ("--alphas", "--r", "--s", "--point"),
+    "param-conic": ("--alpha", "--beta", "--u"),
+    "cubic-to-weierstrass": ("--alpha", "--beta", "--point"),
+    "search": ("--alphas", "--r", "--s", "--height", "--mode", "--workers", "--worker-index"),
+    "cross-check": ("--alphas", "--r", "--s", "--height"),
+}
+COMMON_FLAGS = ("--format", "--manifest")
+
+
+def test_flags_keep_argparse_rules():
+    genus = '{"genus":0,"gonality_lower_bound":1,"n0":4}\n'
+    search = ("search", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--height", "5")
+    refused = {
+        # a token is a value unless it starts with "-", is longer than that, is
+        # no negative number and has no space
+        ("genus", "--n", "-5", "--s", "2"): "need n >= 2 and s >= 2",
+        ("genus", "--n", "-1.5", "--s", "2"): "argument --n: invalid int value: '-1.5'",
+        ("genus", "--n", "-1 2", "--s", "2"): "argument --n: invalid int value: '-1 2'",
+        ("genus", "--n", "-", "--s", "2"): "argument --n: invalid int value: '-'",
+        ("genus", "--n", "", "--s", "2"): "argument --n: invalid int value: ''",
+        ("genus", "--n", "-x", "--s", "2"): "argument --n: expected one argument",
+        ("genus", "--n", "--s=2 3"): "argument --n: invalid int value: '--s=2 3'",
+        ("genus", "--n", "-h"): "argument --n: expected one argument",
+        ("genus", "--s", "2", "--n"): "argument --n: expected one argument",
+        # "--" is never a value, in either form
+        ("genus", "--n", "--", "2", "--s", "2"): "argument --n: expected one argument",
+        ("genus", "--n=--", "--s", "2"): "argument --n: expected one argument",
+        # the leftmost bad value first, then the missing flags in table order,
+        # then the unrecognized tokens
+        ("genus", "--s", "y", "--n", "x", "extra"): "argument --s: invalid int value: 'y'",
+        ("genus", "--n=2", "--s", "2", "--format", "xml", "--n", "x"):
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'table')",
+        (*search, "--mode", "pairs"):
+            "argument --mode: invalid choice: 'pairs' (choose from 'curve-box', 'fiber-pairs')",
+        ("verify-point", "extra", "--format", "table"):
+            "the following arguments are required: --alphas, --r, --s, --point",
+        ("--bogus",): "the following arguments are required: command",
+        ("genus", "--n", "2", "--s", "2", "--mode", "x", "-5"):
+            "unrecognized arguments: --mode x -5",
+        ("--bogus", "genus", "--n", "2", "--s", "2", "extra"):
+            "unrecognized arguments: --bogus extra",
+        # "--" ends the flags, and it and what follows are unrecognized
+        ("genus", "--n", "2", "--", "--s", "2"): "the following arguments are required: --s",
+        ("genus", "--n", "2", "--s", "2", "--"): "unrecognized arguments: --",
+        ("genus", "--n", "2", "--s", "2", "--", "--n", "3"): "unrecognized arguments: -- --n 3",
+        # flags are spelled in full
+        ("genus", "--n", "2", "--s", "2", "--form=table"): "unrecognized arguments: --form=table",
+        (*search, "--work", "2"): "unrecognized arguments: --work 2",
+        # each echoed token is clipped, and a line break in it is escaped
+        ("genus", "--n", "2", "--s", "2", "x" * 30 + "\n"):
+            f"unrecognized arguments: {'x' * 20}...",
+        ("genus", "--n", "2", "--s", "2", "x\ny", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+            r"unrecognized arguments: x\ny \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+        ("genus", "--n", "2\n" + "7" * 30, "--s", "2"):
+            "argument --n: invalid int value: '2\\n777777777777777777...'",
+        ("x\n" * 30,): "argument command: invalid choice: '" + "x\\n" * 10 + "...' (choose from "
+                       + ", ".join(map(repr, FLAGS)) + ")",
+    }
+    for argv, message in refused.items():
+        assert run_main(*argv) == (64, "", f"error: {message}\n"), argv
+    # --flag value and --flag=value, and the last of a repeated flag wins
+    for argv in (("genus", "--n", "2", "--s", "2"), ("genus", "--n=2", "--s=2"),
+                 ("genus", "--s", "2", "--n=7", "--n", "2")):
+        assert run_main(*argv) == (0, genus, ""), argv
+    assert run_main("param-conic", "--alpha", "3", "--beta", "-1", "--u", "2")[0] == 0
+
+
+def test_help_and_version_print_from_the_table():
+    for argv in (("-h",), ("--help",), ("--bogus", "-h")):
+        code, out, err = run_main(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: superfiber "), argv
+        assert all(command in out for command in FLAGS), argv
+    for command, flags in FLAGS.items():
+        for help_flag in ("-h", "--help"):
+            code, out, err = run_main(command, help_flag)
+            assert (code, err) == (0, "") and out.startswith(f"usage: superfiber {command} ")
+            assert all(flag in out for flag in (*flags, *COMMON_FLAGS)), command
+    assert run_main("--version") == (0, f"superfiber {superfiber.__version__}\n", "")
+
+
+# the seeded fuzz's tokens: mostly small numbers, and odd ones (every line
+# break str.splitlines knows, other control characters, unicode digits and
+# minus signs, a 30-digit run, the empty string, "--" and "-")
+SMALL = ("0", "1", "-1", "2", "3", "4", "5", "-5", "6", "1/2", "-3/4")
+ODD = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+       "\x00", "\t", "\x1b", "٣", "९", "−", "‐", "7" * 30, "", "--", "-", " ", "x")
+# the int flags' small values
+SMALL_INTS = {"--r": range(1, 6), "--s": range(2, 6), "--n": range(2, 10),
+              "--height": range(1, 10), "--workers": range(1, 4), "--worker-index": range(4)}
+
+
+def _fuzz_token(rng):
+    token = rng.choice(SMALL)
+    if rng.random() < 0.15:
+        odd = rng.choice(ODD)
+        token = rng.choice((odd, odd + token, token + odd))
+    return token
+
+
+def _fuzz_value(rng, flag, files, directory):
+    if flag in ("--alphas", "--point"):
+        return ",".join(_fuzz_token(rng) for _ in range(rng.randint(3, 5)))
+    if flag == "--input":  # "" names the directory itself
+        return str(directory / rng.choice((*files, "missing.json", "")))
+    if flag == "--manifest":
+        return str(directory / "run.json")
+    choices = {"--format": ("json", "table"), "--mode": ("curve-box", "fiber-pairs")}
+    if flag in choices:
+        return rng.choice(choices[flag]) if rng.random() < 0.9 else rng.choice(ODD)
+    if flag in SMALL_INTS and rng.random() < 0.7:
+        return str(rng.choice(SMALL_INTS[flag]))
+    return _fuzz_token(rng)
+
+
+def fuzz_argvs(rng, directory, count):
+    """count seeded argvs over every command and its flags, with the --input
+    files they name written to directory."""
+    point = {"x": "2", "y": "3"}
+    files = {"cwp.json": json.dumps(VALID_CWP),
+             "base1.json": json.dumps({**VALID_CWP, "base_index": 1}),
+             "off-curve.json": json.dumps({**VALID_CWP, "points": [point, {"x": "0", "y": "2"}]}),
+             "empty.json": json.dumps({"points": []}), "array.json": "[3]",
+             "not-json.json": "curve", "not-utf8.json": b'{"curve": "\xff"}',
+             "long-int.json": '{"curve": {"r": ' + "7" * 30 + "}}"}
+    for name, raw in files.items():
+        (directory / name).write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(sorted(FLAGS)) if rng.random() < 0.97 else rng.choice(ODD)
+        argv = [command]
+        flags = [flag for flag in FLAGS.get(command, ()) if rng.random() < 0.97]
+        flags += [flag for flag in COMMON_FLAGS if rng.random() < 0.2]
+        if rng.random() < 0.2:
+            rng.shuffle(flags)
+        for flag in flags:
+            value = _fuzz_value(rng, flag, files, directory)
+            # a list starting with "-" is a flag unless joined to its name
+            joined = rng.random() < (0.8 if flag in ("--alphas", "--point") else 0.5)
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        if rng.random() < 0.15:
+            argv.append(rng.choice((*ODD, "x\ny", "extra")))
+        argvs.append(argv)
+    return argvs
+
+
+def test_seeded_argvs_keep_the_one_line_contract(tmp_path):
+    # main returns a documented code for any argv; a refusal is one error
+    # line of under 300 bytes and nothing on stdout
+    for argv in fuzz_argvs(random.Random(14), tmp_path, 500):
+        code, out, err = run_main(*argv)
+        assert isinstance(code, int) and code in (0, 2, 64, 74), argv
+        if code == 0:
+            assert err == "", argv
+            continue
+        assert out == "" and err.startswith("error: ") and err.endswith("\n"), argv
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 300, (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_degenerate_conic_and_cubic_exit_2():
