@@ -428,9 +428,11 @@ def test_any_argv_ends_in_a_documented_exit(data, command, fmt, manifest, tmp_pa
         argv.append(f"--input={tmp / 'cwp.json'}")
     if manifest:
         argv.append(f"--manifest={tmp / manifest}")
-    code, _, err = run_main(*argv)
+    code, out, err = run_main(*argv)
     event(f"{command}: exit {code}")
     assert code in (0, 2, 64, 74), argv
+    if manifest == "missing/run.json":  # the manifest is written before stdout
+        assert out == "", argv
     if code:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     else:
@@ -841,6 +843,38 @@ def test_table_fallback_rendering():
 def test_missing_input_file_exit_74():
     result = run_cli("map", "--input", "/nonexistent/cwp.json")
     assert result.returncode == 74
+
+
+def test_the_process_prints_what_main_returns(tmp_path):
+    # python -m superfiber ends at its last flushed byte, with no interpreter
+    # teardown: each exit code, and every byte it writes through a pipe, is main's
+    alphas = ",".join(map(str, range(1500)))
+    codes = set()
+    for argv in (("genus", "--n", "16", "--s", "2"),
+                 ("map-inverse", "--alphas", "0,1,2", "--r", "2", "--s", "2", "--point", "1,1,2"),
+                 ("genus", "--n", "16"),
+                 ("repro-elkies", f"--manifest={tmp_path / 'missing' / 'run.json'}"),
+                 ("-h",),
+                 # more than a pipe buffer holds
+                 ("fiber-eqs", f"--alphas={alphas}", "--r", "2", "--s", "2", "--format", "table")):
+        code, out, err = run_main(*argv)
+        done = subprocess.run(CMD + list(argv), capture_output=True, timeout=300)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode()), argv
+        codes.add(code)
+    assert codes == {0, 2, 64, 74}
+    assert len(done.stdout) == 72389
+
+
+@pytest.mark.parametrize("redirect", (">/dev/full", ">&-"), ids=("full", "closed"))
+def test_a_stdout_that_cannot_take_the_output_exits_74(redirect):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    for argv in (("genus", "--n", "2", "--s", "2"), ("-h",)):
+        done = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *CMD, *argv],
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 74, (argv, done.stderr)
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, argv
+        assert "Traceback" not in done.stderr, argv
 
 
 def test_manifest_written_and_stable(tmp_path):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers_rank import add, certified_rank, combination, f2_rank, kummer_rows
 from superfiber import (
     ELKIES,
     ElkiesDataset,
@@ -138,3 +141,38 @@ def test_self_check_rejects_wrong_table_size():
 
 def test_genus_matches_formula():
     assert fiber_genus(16, 2) == ELKIES.expected_genus
+
+
+# the rank-17 claim, certified by the Kummer map mod p (tests/helpers_rank.py)
+TORSION = ((-1, 0), (0, 1), (2, 3))  # of y^2 = x^3 + 1, whose torsion is Z/6
+
+
+def test_elkies_points_are_certified_independent():
+    assert certified_rank(ELKIES.b0, ELKIES.points, 101) == 17
+
+
+def test_a_dependent_triple_certifies_two():
+    P0, P1 = ELKIES.points[:2]
+    P2 = add(P0, P1, ELKIES.b0)
+    assert P2[1] ** 2 == P2[0] ** 3 + ELKIES.b0
+    assert certified_rank(ELKIES.b0, (P0, P1, P2), 101) == 2
+
+
+def test_torsion_certifies_nothing():
+    # 1 is a cube, so (-1, 0) is a rational 2-torsion point: the rows' F_2-rank
+    # of 1 is that of E(Q)[2], not a rank
+    assert f2_rank(kummer_rows(1, TORSION, 101)) == 1
+    assert certified_rank(1, TORSION, 101) == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(indices=st.lists(st.integers(0, 16), min_size=3, max_size=3, unique=True),
+       coefficients=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
+                             min_size=1, max_size=4))
+def test_combinations_never_certify_more_than_their_coefficients(indices, coefficients):
+    # the combinations generate a group of rank at most that of their
+    # coefficient matrix, and their image in E(Q)/2E(Q) is that matrix mod 2
+    points = [ELKIES.points[i] for i in indices]
+    combos = [combination(c, points, ELKIES.b0) for c in coefficients]
+    masks = [sum((c_j & 1) << j for j, c_j in enumerate(c)) for c in coefficients]
+    assert certified_rank(ELKIES.b0, combos, 101) <= f2_rank(masks)
