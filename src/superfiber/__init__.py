@@ -2,22 +2,7 @@
 its twists, and the fiber curves parameterizing members with many
 rational points."""
 
-from .errors import (
-    AllZero,
-    BasePointVanishing,
-    CoordinateVanishing,
-    DegenerateParameter,
-    DegenerateSpec,
-    DimensionMismatch,
-    DomainError,
-    MismatchReport,
-    NotAdmissible,
-    NotOnCubic,
-    NotOnFiber,
-    PointNotOnCurve,
-    TrivialPoint,
-    WrongShape,
-)
+from .errors import DomainError, TrivialPoint
 from .exact import (
     ProjectivePoint,
     Rational,

@@ -315,7 +315,8 @@ def _write(text: str) -> None:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code, with what it wrote to
-    stdout flushed; a stdout that cannot take it is an I/O error (74)."""
+    stdout and stderr flushed; a stdout that cannot take it is an I/O
+    error (74).  Every refusal is one `error: <message>` line."""
     try:
         args = _parse(argv)
         if args is None:
@@ -325,16 +326,23 @@ def main(argv=None) -> int:
         output = _render(args.command, payload, args.format)
         if args.manifest:  # before stdout, so that a manifest refusal leaves stdout empty
             _write_manifest(args, output.encode("utf-8"))
-        _write(output)
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
+        try:
+            _write(output)
+        except OSError:
+            # the manifest records output that never arrived; a device such as
+            # /dev/null is no record, and stays
+            if args.manifest and os.path.isfile(args.manifest):
+                os.remove(args.manifest)
+            raise
+    except (DomainError, ValueError, OSError) as exc:
+        code = (DOMAIN_ERROR if isinstance(exc, DomainError)
+                else USAGE_ERROR if isinstance(exc, ValueError) else IO_ERROR)
+        if sys.stderr is not None:  # None when Python found fd 2 closed at start
+            try:
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # a stderr that cannot take the line does not change the code
+                pass
+        return code
     # a report that checks something says whether it held
     return DOMAIN_ERROR if isinstance(payload, dict) and payload.get("ok") is False else 0
 
@@ -343,10 +351,8 @@ def entrypoint() -> None:
     """The console script and `python -m superfiber`: the process ends with
     main's code at its last flushed byte."""
     code = main()
-    # main has flushed stdout, and nothing else needs the interpreter's
-    # teardown (no atexit handler, no thread, no open file), so the process
-    # skips it: clearing every module and freeing every object costs each
-    # command milliseconds after its output is complete
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    # main has flushed stdout and stderr, and nothing else needs the
+    # interpreter's teardown (no atexit handler, no thread, no open file), so
+    # the process skips it: clearing every module and freeing every object
+    # costs each command milliseconds after its output is complete
     os._exit(code)

@@ -15,7 +15,7 @@ from the points and compares bit-exactly.
 
 from __future__ import annotations
 
-from .errors import MismatchReport
+from .errors import DomainError
 from .exact import normalize_projective, record
 from .fiber import XCoordinates, fiber_contains, fiber_equation_triples, fiber_genus
 
@@ -94,12 +94,12 @@ def dataset_self_check(dataset: ElkiesDataset = ELKIES) -> None:
     """Cheap structural invariants, run before any CLI command: every
     point on the curve, x-coordinates pairwise distinct, table sizes."""
     xs = [x for x, _ in dataset.points]
-    if len(set(xs)) != len(xs):
-        raise MismatchReport(["x-coordinates are not pairwise distinct"])
-    if off_curve := _points_off_curve(dataset):
-        raise MismatchReport(off_curve)
-    if len(dataset.points) != 17 or len(dataset.expected_equations) != 15:
-        raise MismatchReport(["dataset table sizes are wrong"])
+    failures = (["x-coordinates are not pairwise distinct"] if len(set(xs)) != len(xs)
+                else _points_off_curve(dataset))
+    if not failures and (len(dataset.points) != 17 or len(dataset.expected_equations) != 15):
+        failures = ["dataset table sizes are wrong"]
+    if failures:
+        raise DomainError(f"{len(failures)} mismatch(es): {'; '.join(failures)}")
 
 
 def _check(name: str, failures: list[str]) -> dict:

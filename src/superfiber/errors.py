@@ -1,62 +1,16 @@
 """Domain error types shared across the package.
 
-Everything derived from DomainError means "the mathematics rejected the
-input" (the CLI maps these to exit code 2), as opposed to malformed
-flags or I/O problems.
+A DomainError means "the mathematics rejected the input" (the CLI maps
+it to exit code 2), as opposed to malformed flags or I/O problems; its
+message says which rule the input broke.
 """
 
 from __future__ import annotations
 
 
 class DomainError(Exception):
-    """Base class for mathematical domain violations."""
-
-
-class AllZero(DomainError):
-    """All projective coordinates are zero."""
-
-
-class BasePointVanishing(DomainError):
-    """The designated base point has y = 0, so it cannot define a twist."""
-
-
-class PointNotOnCurve(DomainError):
-    """Point does not satisfy y^s = a*x^r + b."""
-
-
-class NotAdmissible(DomainError):
-    """x-coordinates do not have pairwise distinct r-th powers."""
-
-
-class DimensionMismatch(DomainError):
-    """Projective point length does not match the fiber dimension."""
-
-
-class NotOnFiber(DomainError):
-    """Point does not satisfy every fiber equation."""
-
-
-class DegenerateParameter(DomainError):
-    """Conic parameterization produced the zero vector."""
-
-
-class DegenerateSpec(DomainError):
-    """Conic coefficients with alpha or beta zero, or cubic coefficients
-    with alpha, beta or alpha + beta zero.  A conic with alpha + beta zero
-    is valid; only its parameter u = 1 is degenerate (DegenerateParameter)."""
-
-
-class CoordinateVanishing(DomainError):
-    """A cubic point outside the mapped locus: X*Y*Z = 0, or U + V = 0 on
-    the diagonal model."""
-
-
-class NotOnCubic(DomainError):
-    """Point does not satisfy the diagonal cubic equation."""
-
-
-class WrongShape(DomainError):
-    """Operation requires a specific (n, s); got something else."""
+    """A mathematical domain violation: a tuple that is not admissible, a
+    point off its curve, fiber or cubic, or a degenerate coefficient."""
 
 
 class TrivialPoint(DomainError):
@@ -69,12 +23,3 @@ class TrivialPoint(DomainError):
         self.a = a
         self.b = b
         super().__init__(f"trivial fiber point: recovered a={a}, b={b}")
-
-
-class MismatchReport(DomainError):
-    """Raised when the embedded dataset reproduction finds mismatches."""
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-        lines = "; ".join(self.failures)
-        super().__init__(f"{len(self.failures)} mismatch(es): {lines}")

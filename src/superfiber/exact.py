@@ -18,7 +18,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import AllZero
+from .errors import DomainError
 
 Rational = Fraction
 RationalLike = Fraction | int | str
@@ -261,14 +261,14 @@ class ProjectivePoint:
 def normalize_projective(coords: Sequence[RationalLike]) -> ProjectivePoint:
     """Canonical projective representative of a coordinate tuple.
 
-    Raises AllZero when every coordinate vanishes.  Scaling the input by
+    Raises DomainError when every coordinate vanishes.  Scaling the input by
     any nonzero rational yields the identical output.
     """
     values = [rational(c) for c in coords]
     if len(values) < 2:
         raise ValueError("projective point needs at least 2 coordinates")
     if all(v == 0 for v in values):
-        raise AllZero("all projective coordinates are zero")
+        raise DomainError("all projective coordinates are zero")
     scale = math.lcm(*(v.denominator for v in values))
     ints = [int(v * scale) for v in values]
     g = math.gcd(*ints)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import BasePointVanishing, PointNotOnCurve
+from .errors import DomainError
 from .exact import Rational, RationalLike, rational, rational_str, record, refuse_power
 
 
@@ -101,7 +101,7 @@ class CurveWithPoints:
             raise ValueError("x-coordinates must be mutually distinct")
         for i, p in enumerate(self.points):
             if not contains_point(self.curve, p):
-                raise PointNotOnCurve(f"point {i} ({p.x}, {p.y}) is not on the curve")
+                raise DomainError(f"point {i} ({p.x}, {p.y}) is not on the curve")
 
     @property
     def base(self) -> AffinePoint:
@@ -154,7 +154,7 @@ def twist(cwp: CurveWithPoints) -> dict:
     points of rescale(cwp, 1/y_0), as the twist command prints it."""
     base = cwp.base
     if base.y == 0:
-        raise BasePointVanishing(f"base point ({base.x}, 0) cannot define a twist")
+        raise DomainError(f"base point ({base.x}, 0) cannot define a twist")
     curve, s = cwp.curve, cwp.curve.params.s
     return {"twist": {"r": curve.params.r, "s": s, "c0": rational_str(base.y ** s),
                       "a": rational_str(curve.a), "b": rational_str(curve.b), "base": base.to_obj()},

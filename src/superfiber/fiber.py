@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DimensionMismatch, NotAdmissible
+from .errors import DomainError
 from .exact import (
     ProjectivePoint,
     Rational,
@@ -68,9 +68,7 @@ class XCoordinates:
         if len(powers) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
         if len(set(powers)) < len(powers):
-            raise NotAdmissible(
-                "x-coordinates must have pairwise distinct r-th powers"
-            )
+            raise DomainError("x-coordinates must have pairwise distinct r-th powers")
         # alpha_i^r, computed once; not a field, since alphas and r fix it
         object.__setattr__(self, "_powers", powers)
 
@@ -166,7 +164,7 @@ def fiber_coordinates(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> l
     coords = [rational(c) for c in Y]
     refuse_power(coords, s, "Y^s")
     if len(coords) != a_n.n + 1:
-        raise DimensionMismatch(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
+        raise DomainError(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
     return coords
 
 

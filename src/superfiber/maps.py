@@ -30,18 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import (
-    BasePointVanishing,
-    CoordinateVanishing,
-    DegenerateParameter,
-    DegenerateSpec,
-    DimensionMismatch,
-    NotOnCubic,
-    NotOnFiber,
-    PointNotOnCurve,
-    TrivialPoint,
-    WrongShape,
-)
+from .errors import DomainError, TrivialPoint
 from .exact import (
     ProjectivePoint,
     Rational,
@@ -60,11 +49,11 @@ def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
     """Map a curve with points to (x-coordinates, fiber point).
 
     The image is [y_0 : ... : y_n] in point order, whatever base_index
-    says.  Raises BasePointVanishing when the first point's y is zero and
-    NotAdmissible when the x-coordinates have colliding r-th powers.
+    says.  Raises DomainError when the first point's y is zero or the
+    x-coordinates have colliding r-th powers.
     """
     if cwp.points[0].y == 0:
-        raise BasePointVanishing("forward map needs a first point with y != 0")
+        raise DomainError("forward map needs a first point with y != 0")
     a_n = XCoordinates(tuple(p.x for p in cwp.points), cwp.curve.params.r)
     # [y_i * y_0^(s-1)] is [y_i] scaled by y_0^(s-1) != 0: the same canonical point
     return a_n, normalize_projective([p.y for p in cwp.points])
@@ -81,10 +70,11 @@ def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWi
     b = (w[1] * z0 - w[0] * z1) / denom
     points = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, coords))
     try:
-        # the per-point check a*alpha_i^r + b = Y_i^s is the fiber equation set
+        # the per-point check a*alpha_i^r + b = Y_i^s is the fiber equation set, and
+        # a point off the curve is the one DomainError it can raise here
         cwp = CurveWithPoints(Curve(params, a, b), points, base_index=0)
-    except PointNotOnCurve:
-        raise NotOnFiber("point does not satisfy the fiber equations") from None
+    except DomainError:
+        raise DomainError("point does not satisfy the fiber equations") from None
     if a == 0 or b == 0:
         raise TrivialPoint(a, b)
     return cwp
@@ -127,7 +117,7 @@ class ConicSpec:
 
     def __post_init__(self):
         if self.alpha == 0 or self.beta == 0:
-            raise DegenerateSpec("conic coefficients alpha, beta must be nonzero")
+            raise DomainError("conic coefficients alpha, beta must be nonzero")
 
     @property
     def gamma(self) -> Rational:
@@ -148,7 +138,7 @@ def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
     uu = rational(u)
     X, Y, Z = _conic_values(spec, uu)
     if X == 0 and Y == 0 and Z == 0:
-        raise DegenerateParameter(f"parameter u={uu} collapses to the zero vector")
+        raise DomainError(f"parameter u={uu} collapses to the zero vector")
     return normalize_projective([X, Y, Z])
 
 
@@ -165,9 +155,9 @@ class CubicSpec:
 
     def __post_init__(self):
         if self.alpha == 0 or self.beta == 0:
-            raise DegenerateSpec("cubic coefficients alpha, beta must be nonzero")
+            raise DomainError("cubic coefficients alpha, beta must be nonzero")
         if self.alpha + self.beta == 0:
-            raise DegenerateSpec("alpha + beta must be nonzero (gamma != 0)")
+            raise DomainError("alpha + beta must be nonzero (gamma != 0)")
 
     @property
     def gamma(self) -> Rational:
@@ -190,12 +180,12 @@ class DiagonalCubicPoint:
 def _cubic_input(spec: CubicSpec, P: Sequence[RationalLike]):
     coords = [rational(c) for c in P]
     if len(coords) != 3:
-        raise DimensionMismatch("cubic points live in P^2")
+        raise DomainError("cubic points live in P^2")
     X, Y, Z = coords
     if X * Y * Z == 0:
-        raise CoordinateVanishing("the map is defined only where X*Y*Z != 0")
+        raise DomainError("the map is defined only where X*Y*Z != 0")
     if not spec.contains(coords):
-        raise NotOnCubic(f"[{X} : {Y} : {Z}] is not on the cubic")
+        raise DomainError(f"[{X} : {Y} : {Z}] is not on the cubic")
     return X, Y, Z
 
 
@@ -249,7 +239,7 @@ def fermat_to_weierstrass(spec: CubicSpec, P: Sequence[RationalLike]) -> Weierst
 def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> WeierstrassPoint:
     """Second leg of the chain: T = 12*abc*W/(U+V), S = 36*abc*(U-V)/(U+V)."""
     if dp.U + dp.V == 0:
-        raise CoordinateVanishing("U + V must be nonzero")
+        raise DomainError("U + V must be nonzero")
     abc = spec.alpha * spec.beta * spec.gamma
     T = 12 * abc * dp.W / (dp.U + dp.V)
     S = 36 * abc * (dp.U - dp.V) / (dp.U + dp.V)
@@ -265,7 +255,7 @@ def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> FiberPoint | N
     parameterize the first quadric as conic_param does, and the second gives
     v^2 = q(u), a quartic in u.  None when q(u) is not a rational square."""
     if a_3.n != 3:
-        raise WrongShape("quartic model needs n = 3 and s = 2")
+        raise DomainError("quartic model needs n = 3 and s = 2")
     eq2, eq3 = fiber_equations(a_3, 2)
     # v from the unnormalized X(u), Y(u): normalizing may flip their signs, not v's
     X, Y, Z = _conic_values(ConicSpec(eq2.c0, eq2.c1), rational(u))

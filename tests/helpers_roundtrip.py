@@ -33,6 +33,7 @@ from superfiber import (
     ConicSpec,
     Curve,
     CurveWithPoints,
+    DomainError,
     ELKIES,
     FamilyParams,
     TrivialPoint,
@@ -42,7 +43,6 @@ from superfiber import (
     normalize_projective,
     phi_inverse,
 )
-from superfiber.errors import NotAdmissible
 
 S4_SEEDS = (
     (3, -27, ((-21, 6), (-6, 3), (-3, 0))),
@@ -67,7 +67,7 @@ def random_admissible_alphas(rng: random.Random, r: int, count: int,
                 values.append(candidate)
         try:
             return XCoordinates(tuple(values), r)
-        except NotAdmissible:
+        except DomainError:  # not admissible
             continue
 
 

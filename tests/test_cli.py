@@ -444,7 +444,7 @@ def test_point_off_curve_exits_2():
     for command in ("map", "twist"):
         code, out, err = run_with_input(command, off)
         assert (code, out) == (2, "")
-        assert err == "error: PointNotOnCurve: point 1 (2, 4) is not on the curve\n"
+        assert err == "error: point 1 (2, 4) is not on the curve\n"
 
 
 def test_genus_refuses_values_too_long_to_print():
@@ -484,13 +484,13 @@ def test_map_inverse_trivial_point_is_domain_error():
         "--point", "1,1,1",
     )
     assert result.returncode == 2
-    assert "TrivialPoint" in result.stderr
+    assert result.stderr == "error: trivial fiber point: recovered a=0, b=1\n"
 
 
 def test_not_admissible_exit_code():
     result = run_cli("fiber-eqs", "--alphas", "1,-1,2", "--r", "2", "--s", "2")
     assert result.returncode == 2
-    assert "NotAdmissible" in result.stderr
+    assert result.stderr == "error: x-coordinates must have pairwise distinct r-th powers\n"
 
 
 def test_cubic_to_weierstrass():
@@ -505,7 +505,7 @@ def test_cubic_to_weierstrass_domain_error():
         "cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1,2"
     )
     assert result.returncode == 2
-    assert "NotOnCubic" in result.stderr
+    assert result.stderr == "error: [1 : 1 : 2] is not on the cubic\n"
 
 
 def test_search_jsonl_and_workers():
@@ -594,9 +594,45 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
     files = {"not-utf8.json": b'{"curve": "\xff"}', "not-json.json": b"curve",
              "long-int.json": b'{"curve": {"r": ' + b"7" * 5000 + b"}}",
              "long-r.json": json.dumps({**VALID_CWP, "curve": {**VALID_CWP["curve"],
-                                                               "r": "x" * 5000}}).encode()}
+                                                               "r": "x" * 5000}}).encode(),
+             "off-curve.json": json.dumps({**VALID_CWP, "points": [{"x": "0", "y": "1"},
+                                                                   {"x": "2", "y": "4"}]}).encode(),
+             "base-y-0.json": json.dumps({**VALID_CWP, "points": VALID_CWP["points"][::-1]}).encode()}
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
+    # each domain refusal that an argv can reach: exit 2, and its message alone
+    domain = {
+        ("fiber-eqs", "--alphas=1,-1,2", "--r", "2", "--s", "2"):
+            "error: x-coordinates must have pairwise distinct r-th powers\n",
+        ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=0,0,0"):
+            "error: all projective coordinates are zero\n",
+        ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,1"):
+            "error: expected 3 coordinates, got 4\n",
+        ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,2"):
+            "error: point does not satisfy the fiber equations\n",
+        ("map-inverse", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--point=1,1,1"):
+            "error: trivial fiber point: recovered a=0, b=1\n",
+        **{(command, "--input", str(tmp_path / "off-curve.json")):
+           "error: point 1 (2, 4) is not on the curve\n" for command in ("map", "twist")},
+        ("map", "--input", str(tmp_path / "base-y-0.json")):
+            "error: forward map needs a first point with y != 0\n",
+        ("twist", "--input", str(tmp_path / "base-y-0.json")):
+            "error: base point (-1, 0) cannot define a twist\n",
+        ("param-conic", "--alpha", "0", "--beta", "1", "--u", "2"):
+            "error: conic coefficients alpha, beta must be nonzero\n",
+        ("param-conic", "--alpha", "1", "--beta", "-1", "--u", "1"):
+            "error: parameter u=1 collapses to the zero vector\n",
+        ("cubic-to-weierstrass", "--alpha", "2", "--beta", "0", "--point", "1,1,1"):
+            "error: cubic coefficients alpha, beta must be nonzero\n",
+        ("cubic-to-weierstrass", "--alpha", "1", "--beta", "-1", "--point", "1,1,1"):
+            "error: alpha + beta must be nonzero (gamma != 0)\n",
+        ("cubic-to-weierstrass", "--alpha", "8", "--beta", "-7", "--point", "1,0,2"):
+            "error: the map is defined only where X*Y*Z != 0\n",
+        ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1,2"):
+            "error: [1 : 1 : 2] is not on the cubic\n",
+        ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1"):
+            "error: cubic points live in P^2\n",
+    }
     cases = {
         ("genus", "--n", "16"): "error: the following arguments are required: --s\n",
         ("frobnicate",): None,
@@ -635,10 +671,12 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             f"error: not a rational: '{'x' * 20}...'\n",
         ("twist", "--input", str(tmp_path / "long-r.json")):
             f"error: malformed --input JSON: TypeError: r must be an integer, got '{'x' * 20}...'\n",
+        **domain,
     }
     for argv, message in cases.items():
         code, out, err = run_main(*argv)
         assert code in (2, 64, 74) and out == "", argv
+        assert (code == 2) == (argv in domain), argv
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
         for python_words in ("Traceback", "Invalid literal", "set_int_max_str_digits"):
             assert python_words not in err, argv
@@ -816,11 +854,11 @@ def test_seeded_argvs_keep_the_one_line_contract(tmp_path):
 def test_degenerate_conic_and_cubic_exit_2():
     for argv, message in (
         (("param-conic", "--alpha", "0", "--beta", "1", "--u", "0"),
-         "error: DegenerateSpec: conic coefficients alpha, beta must be nonzero\n"),
+         "error: conic coefficients alpha, beta must be nonzero\n"),
         (("cubic-to-weierstrass", "--alpha", "2", "--beta", "0", "--point", "1,1,1"),
-         "error: DegenerateSpec: cubic coefficients alpha, beta must be nonzero\n"),
+         "error: cubic coefficients alpha, beta must be nonzero\n"),
         (("cubic-to-weierstrass", "--alpha", "1", "--beta", "-1", "--point", "1,1,1"),
-         "error: DegenerateSpec: alpha + beta must be nonzero (gamma != 0)\n"),
+         "error: alpha + beta must be nonzero (gamma != 0)\n"),
     ):
         assert run_main(*argv) == (2, "", message)
 
@@ -831,7 +869,7 @@ def test_map_inverse_off_fiber_is_domain_error():
         "--point", "1,1,2",
     )
     assert result.returncode == 2
-    assert "NotOnFiber" in result.stderr
+    assert result.stderr == "error: point does not satisfy the fiber equations\n"
 
 
 def test_table_fallback_rendering():
@@ -875,6 +913,30 @@ def test_a_stdout_that_cannot_take_the_output_exits_74(redirect):
         assert done.returncode == 74, (argv, done.stderr)
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, argv
         assert "Traceback" not in done.stderr, argv
+
+
+def test_a_closed_stderr_keeps_the_exit_code():
+    # the error line cannot be written, and the process still exits with main's code
+    for argv, code in ((("genus", "--n", "2"), 64),
+                       (("fiber-eqs", "--alphas=1,-1,2", "--r", "2", "--s", "2"), 2)):
+        done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *CMD, *argv],
+                              stdout=subprocess.PIPE, timeout=60)
+        assert (done.returncode, done.stdout) == (code, b""), argv
+
+
+def test_a_stdout_that_fails_leaves_no_manifest(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    manifest, device = tmp_path / "run.json", tmp_path / "null"
+    device.symlink_to(os.devnull)
+    for path in (manifest, device):
+        argv = ("genus", "--n", "2", "--s", "2", f"--manifest={path}")
+        done = subprocess.run(["sh", "-c", 'exec "$@" >/dev/full', "sh", *CMD, *argv],
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 74, done.stderr
+        assert done.stderr == "error: [Errno 28] No space left on device\n"
+    # a run manifest is removed, and a manifest path that names a device is kept
+    assert not manifest.exists() and device.is_symlink()
 
 
 def test_manifest_written_and_stable(tmp_path):

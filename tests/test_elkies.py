@@ -4,11 +4,17 @@ from hypothesis import strategies as st
 
 from helpers_rank import add, certified_rank, combination, f2_rank, kummer_rows
 from superfiber import (
+    CubicSpec,
+    DomainError,
     ELKIES,
     ElkiesDataset,
-    MismatchReport,
+    SearchConfig,
+    XCoordinates,
     dataset_self_check,
+    fermat_to_weierstrass,
+    fiber_equations,
     fiber_genus,
+    search_fiber_points,
     verify_reproduction,
 )
 
@@ -116,27 +122,27 @@ def test_perturbed_genus_fails_genus_check():
 
 def test_self_check_rejects_broken_dataset():
     bad = _with_perturbed_point(0, 5)
-    with pytest.raises(MismatchReport) as refused:
+    with pytest.raises(DomainError) as refused:
         dataset_self_check(bad)
     # one wording for an off-curve point, whichever check finds it
-    assert refused.value.failures == tuple(_failures(verify_reproduction(bad),
-                                                     "points_on_curve"))
-    assert refused.value.failures[0].startswith("point 0: (")
+    failures = _failures(verify_reproduction(bad), "points_on_curve")
+    assert str(refused.value) == f"{len(failures)} mismatch(es): {'; '.join(failures)}"
+    assert str(refused.value).startswith("1 mismatch(es): point 0: (")
 
 
 def test_self_check_rejects_repeated_x_coordinate():
     points = ELKIES.points
     bad = _altered(points=(points[0], points[0], *points[2:]))
-    with pytest.raises(MismatchReport) as refused:
+    with pytest.raises(DomainError) as refused:
         dataset_self_check(bad)
-    assert refused.value.failures == ("x-coordinates are not pairwise distinct",)
+    assert str(refused.value) == "1 mismatch(es): x-coordinates are not pairwise distinct"
 
 
 def test_self_check_rejects_wrong_table_size():
     bad = _altered(expected_equations=ELKIES.expected_equations[:14])
-    with pytest.raises(MismatchReport) as refused:
+    with pytest.raises(DomainError) as refused:
         dataset_self_check(bad)
-    assert refused.value.failures == ("dataset table sizes are wrong",)
+    assert str(refused.value) == "1 mismatch(es): dataset table sizes are wrong"
 
 
 def test_genus_matches_formula():
@@ -163,6 +169,22 @@ def test_torsion_certifies_nothing():
     # of 1 is that of E(Q)[2], not a rank
     assert f2_rank(kummer_rows(1, TORSION, 101)) == 1
     assert certified_rank(1, TORSION, 101) == 0
+
+
+@pytest.mark.parametrize("alphas, r, rank", (((0, 2, 3), 3, 2), ((1, 2, 4), 3, 1),
+                                             ((0, 4, -5), 3, 1), ((0, 1, 3), 3, 1),
+                                             ((0, 1, 2), 2, 1), ((1, 2, 3), 2, 1)))
+def test_s3_rung_search_points_certify_a_rank(alphas, r, rank):
+    # the s = 3 rung c0*Y_0^3 + c1*Y_1^3 + ci*Y_2^3 = 0 is CubicSpec(c0, c1), and
+    # fermat_to_weierstrass sends its points with X*Y*Z != 0 to the Mordell
+    # curve S^2 = T^3 - D: the H = 60 search points bound its rank from below
+    a_n = XCoordinates(alphas, r)
+    equation = fiber_equations(a_n, 3)[0]
+    spec = CubicSpec(equation.c0, equation.c1)
+    images = [fermat_to_weierstrass(spec, P.coords)
+              for P in search_fiber_points(a_n, 3, SearchConfig(60)) if P[0] * P[1] * P[2] != 0]
+    points = [(image.T, image.S) for image in images]
+    assert certified_rank(-images[0].discriminant_term, points, 101) == rank
 
 
 @settings(deadline=None, max_examples=40)

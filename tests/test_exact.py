@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superfiber import (
-    AllZero,
+    DomainError,
     ProjectivePoint,
     int_nth_root,
     normalize_projective,
@@ -31,7 +31,7 @@ def test_normalize_single_nonzero_entry():
 
 
 def test_normalize_all_zero_rejected():
-    with pytest.raises(AllZero):
+    with pytest.raises(DomainError, match="all projective coordinates are zero"):
         normalize_projective([0, 0])
     with pytest.raises(ValueError):
         normalize_projective([3])  # projective points need >= 2 coordinates

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from superfiber import (
     AffinePoint,
-    BasePointVanishing,
     Curve,
     CurveWithPoints,
+    DomainError,
     FamilyParams,
-    PointNotOnCurve,
     contains_point,
     curve_genus,
     rescale,
@@ -71,7 +70,7 @@ def test_curve_genus_monotone_nondecreasing():
 
 def test_curve_with_points_validation():
     curve = Curve(FamilyParams(3, 2), 1, 1)
-    with pytest.raises(PointNotOnCurve):
+    with pytest.raises(DomainError, match=r"point 0 \(1, 1\) is not on the curve"):
         CurveWithPoints(curve, (AffinePoint(1, 1),))
     with pytest.raises(ValueError):
         CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(0, -1)))  # duplicate x
@@ -86,7 +85,7 @@ def test_twist_curve_examples():
     assert (tc["a"], tc["b"], tc["base"]) == ("1", "1", {"x": "2", "y": "3"})
     identity = twist(CurveWithPoints(curve, (AffinePoint(0, 1), AffinePoint(2, 3))))
     assert identity["twist"]["c0"] == "1"
-    with pytest.raises(BasePointVanishing):
+    with pytest.raises(DomainError, match=r"base point \(-1, 0\) cannot define a twist"):
         twist(CurveWithPoints(curve, (AffinePoint(-1, 0), AffinePoint(0, 1))))
 
 

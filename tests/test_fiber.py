@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superfiber import (
-    DimensionMismatch,
+    DomainError,
     ELKIES,
-    NotAdmissible,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,
@@ -39,7 +38,7 @@ def test_is_admissible_examples():
 
 
 def test_x_coordinates_validation():
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(DomainError, match="x-coordinates must have pairwise distinct r-th powers"):
         XCoordinates([1, -1, 2], 2)
     with pytest.raises(ValueError):
         XCoordinates([0, 1], 2)  # n >= 2 needed
@@ -168,7 +167,7 @@ def test_fiber_contains():
     a_2 = XCoordinates([0, 1, 2], 2)
     assert fiber_contains(a_2, 2, [1, 1, 1])
     assert not fiber_contains(a_2, 2, [1, 1, 2])  # 3 - 4 + 4 = 3 != 0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DomainError, match="expected 3 coordinates, got 4"):
         fiber_contains(a_2, 2, [1, 1, 1, 1])
 
 
