@@ -9,7 +9,6 @@ from .exact import (
     int_nth_root,
     normalize_projective,
     rational,
-    rational_str,
     sth_root_exact,
 )
 from .family import (
@@ -24,7 +23,6 @@ from .family import (
 )
 from .fiber import (
     FiberEquation,
-    FiberPoint,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,

@@ -86,11 +86,6 @@ def refuse_power(values: Sequence[RationalLike], exponent: int, what: str) -> No
         raise ValueError(f"{what} exceeds {limit} digits")
 
 
-def rational_str(q: RationalLike) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(rational(q))
-
-
 def _nth_root(n: int, s: int) -> tuple[int, bool]:
     # (floor(n ** (1/s)), whether n is its s-th power) for s >= 3 and n >= 2^s.
     # Floats give the root of n >> s*e, for the least shift e >= 0 that puts
@@ -159,10 +154,6 @@ def sth_root_exact(x: RationalLike, s: int) -> Fraction | None:
     return None if rd is None else Fraction(-rn if num < 0 else rn, rd)
 
 
-class FrozenRecordError(AttributeError):
-    """An attribute of a record was assigned or deleted."""
-
-
 # the annotations of the fields that record parses or checks, as every module
 # of the package writes them: as text, under `from __future__ import annotations`
 _PARSED_FIELDS = {"Rational": lambda value, name: rational(value),
@@ -221,7 +212,7 @@ def record(cls):
         return f"{cls.__qualname__}({body})"
 
     def frozen(self, name, value=None):  # both __setattr__ and __delattr__
-        raise FrozenRecordError(f"cannot change {cls.__name__}.{name}: records are immutable")
+        raise AttributeError(f"cannot change {cls.__name__}.{name}: records are immutable")
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__hash__ = lambda self: hash(fields(self))
@@ -247,12 +238,6 @@ class ProjectivePoint:
 
     def __iter__(self):
         return iter(self.coords)
-
-    def __str__(self) -> str:
-        return "[" + " : ".join(str(c) for c in self.coords) + "]"
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.coords)
 
     def to_obj(self) -> list[str]:
         return [str(c) for c in self.coords]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
-from .exact import Rational, RationalLike, rational, rational_str, record, refuse_power
+from .exact import Rational, RationalLike, rational, record, refuse_power
 
 
 @record
@@ -45,8 +45,8 @@ class Curve:
         return {
             "r": self.params.r,
             "s": self.params.s,
-            "a": rational_str(self.a),
-            "b": rational_str(self.b),
+            "a": str(self.a),
+            "b": str(self.b),
         }
 
     @staticmethod
@@ -60,7 +60,7 @@ class AffinePoint:
     y: Rational
 
     def to_obj(self) -> dict:
-        return {"x": rational_str(self.x), "y": rational_str(self.y)}
+        return {"x": str(self.x), "y": str(self.y)}
 
     @staticmethod
     def from_obj(obj: dict) -> "AffinePoint":
@@ -126,10 +126,7 @@ class CurveWithPoints:
 def curve_genus(params: FamilyParams) -> int:
     """Genus of a smooth member: ((r-1)(s-1) + 1 - gcd(r, s)) / 2."""
     r, s = params.r, params.s
-    num = (r - 1) * (s - 1) + 1 - gcd(r, s)
-    if num % 2:
-        raise AssertionError("superelliptic genus formula produced a half-integer")
-    return num // 2
+    return ((r - 1) * (s - 1) + 1 - gcd(r, s)) // 2
 
 
 def rescale(cwp: CurveWithPoints, t: RationalLike) -> CurveWithPoints:
@@ -156,6 +153,6 @@ def twist(cwp: CurveWithPoints) -> dict:
     if base.y == 0:
         raise DomainError(f"base point ({base.x}, 0) cannot define a twist")
     curve, s = cwp.curve, cwp.curve.params.s
-    return {"twist": {"r": curve.params.r, "s": s, "c0": rational_str(base.y ** s),
-                      "a": rational_str(curve.a), "b": rational_str(curve.b), "base": base.to_obj()},
+    return {"twist": {"r": curve.params.r, "s": s, "c0": str(base.y ** s),
+                      "a": str(curve.a), "b": str(curve.b), "base": base.to_obj()},
             "points": [p.to_obj() for p in rescale(cwp, 1 / base.y).points]}

@@ -29,14 +29,10 @@ from .exact import (
     digit_limit,
     normalize_projective,
     rational,
-    rational_str,
     record,
     refuse_power,
 )
 from .family import FamilyParams
-
-# A fiber point is just a canonical projective tuple [Y_0 : ... : Y_n].
-FiberPoint = ProjectivePoint
 
 
 def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rational, ...]:
@@ -82,11 +78,7 @@ class XCoordinates:
         return self._powers
 
     def to_obj(self) -> dict:
-        return {"alphas": [rational_str(a) for a in self.alphas], "r": self.r}
-
-    @staticmethod
-    def from_obj(obj: dict) -> "XCoordinates":
-        return XCoordinates(obj["alphas"], obj["r"])
+        return {"alphas": [str(a) for a in self.alphas], "r": self.r}
 
 
 @record
@@ -176,7 +168,7 @@ def fiber_contains(a_n: XCoordinates, s: int, Y: Sequence[RationalLike]) -> bool
     return all(c * z[i] == A * z[1] - B * z[0] for i, (A, B) in enumerate(pairs, start=2))
 
 
-def canonical_fiber_point(Y: Sequence[RationalLike], s: int) -> FiberPoint:
+def canonical_fiber_point(Y: Sequence[RationalLike], s: int) -> ProjectivePoint:
     """Canonical representative of a fiber point.
 
     For even s each coordinate appears only through Y_i^s and sign flips
@@ -197,10 +189,7 @@ def _fiber_shape(n: int, s: int) -> None:
 def fiber_genus(n: int, s: int) -> int:
     """Genus of the fiber: 1 + s^(n-1) * ((n-1)(s-1) - 2) / 2."""
     _fiber_shape(n, s)
-    num = s ** (n - 1) * ((n - 1) * (s - 1) - 2)
-    if num % 2:
-        raise AssertionError("fiber genus formula produced a half-integer")
-    return 1 + num // 2
+    return 1 + s ** (n - 1) * ((n - 1) * (s - 1) - 2) // 2
 
 
 def lazarsfeld_bound(degrees: Sequence[int]) -> int:

@@ -37,15 +37,14 @@ from .exact import (
     RationalLike,
     normalize_projective,
     rational,
-    rational_str,
     record,
     sth_root_exact,
 )
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberPoint, XCoordinates, fiber_coordinates, fiber_equations
+from .fiber import XCoordinates, fiber_coordinates, fiber_equations
 
 
-def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, FiberPoint]:
+def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, ProjectivePoint]:
     """Map a curve with points to (x-coordinates, fiber point).
 
     The image is [y_0 : ... : y_n] in point order, whatever base_index
@@ -215,9 +214,9 @@ class WeierstrassPoint:
 
     def to_obj(self) -> dict:
         return {
-            "T": rational_str(self.T),
-            "S": rational_str(self.S),
-            "rhs_constant": rational_str(self.discriminant_term),
+            "T": str(self.T),
+            "S": str(self.S),
+            "rhs_constant": str(self.discriminant_term),
         }
 
 
@@ -250,7 +249,7 @@ def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> Weierstr
 # quartic model of the n = 3, s = 2 fiber
 
 
-def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> FiberPoint | None:
+def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> ProjectivePoint | None:
     """Fiber point [X(u) : Y(u) : Z(u) : v] of an n = 3, s = 2 fiber: X, Y, Z
     parameterize the first quadric as conic_param does, and the second gives
     v^2 = q(u), a quartic in u.  None when q(u) is not a rational square."""

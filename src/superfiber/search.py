@@ -54,10 +54,10 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .errors import TrivialPoint
-from .exact import (Rational, normalize_projective, rational_str, record, refuse_power,
+from .exact import (ProjectivePoint, Rational, normalize_projective, record, refuse_power,
                     sth_root_exact)
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberEquation, FiberPoint, XCoordinates, fiber_equations
+from .fiber import FiberEquation, XCoordinates, fiber_equations
 from .maps import phi_forward, phi_inverse
 
 
@@ -181,7 +181,7 @@ def _pair_search_equations(a_n: XCoordinates, s: int, H: int) -> list[FiberEquat
     return equations
 
 
-def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[FiberPoint]:
+def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[ProjectivePoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted; refuses H^s, then s < 2, then
     radicands past their cap, before any pair.  The rows reach each point
@@ -217,7 +217,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Fi
     return sorted(found, key=lambda P: P.coords)
 
 
-def pair_height(P: FiberPoint) -> int:
+def pair_height(P: ProjectivePoint) -> int:
     """Height of (Y_0, Y_1) in lowest terms: the bound at which the pair
     enumeration reaches the point."""
     return max(abs(c) for c in normalize_projective(P.coords[:2]))
@@ -319,8 +319,8 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
             report["matched"].append({
                 "fiber_point": P.to_obj(),
                 "curves": [c.to_obj() for c in groups.pop(P.coords)],
-                "recovered_a": rational_str(cwp.curve.a),
-                "recovered_b": rational_str(cwp.curve.b),
+                "recovered_a": str(cwp.curve.a),
+                "recovered_b": str(cwp.curve.b),
             })
             continue
         elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):

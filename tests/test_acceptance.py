@@ -75,7 +75,7 @@ def test_criterion_3_identity_suites():
         spec = ConicSpec(alpha, beta)
         if alpha + beta == 0 and u == 1:
             continue
-        X, Y, Z = conic_param(spec, u).fractions()
+        X, Y, Z = map(Fraction, conic_param(spec, u).coords)
         assert spec.alpha * X ** 2 + spec.beta * Y ** 2 + spec.gamma * Z ** 2 == 0
 
     # (b) 500 Fermat-cubic chains from the constraint-solving generator

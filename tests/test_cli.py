@@ -44,9 +44,9 @@ def test_start_up_imports_no_dataclasses():
     # dataclasses (which imports inspect) or for generating its methods; the
     # CLI parses argv from its own flag table, not argparse (which imports
     # gettext, and locale at its first message); annotations use
-    # collections.abc, not typing
+    # collections.abc, not typing; only --manifest imports hashlib
     src = os.path.dirname(os.path.dirname(superfiber.__file__))
-    absent = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
+    absent = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "hashlib"}
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from superfiber.cli import main; "
             "code = main(['genus', '--n', '2', '--s', '2']); "
             f"print(code, sorted({absent!r} & set(sys.modules)))")
@@ -554,6 +554,16 @@ def test_cross_check_that_is_not_ok_exits_2(monkeypatch):
     assert (code, err, payload["ok"]) == (2, "", False)
     assert payload["unmatched_curves"] == [{"r": 3, "s": 2, "a": "1", "b": "1"}]
 
+    # with no box curves the fiber point [1 : 3 : 0], whose class (1, 1) has
+    # an integer representative at H = 3, is unmatched
+    monkeypatch.undo()
+    monkeypatch.setattr("superfiber.search.curve_census_entries", lambda *args: [])
+    code, out, err = run_main("cross-check", "--alphas=0,2,-1", "--r", "3", "--s", "2",
+                              "--height", "3")
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (2, "", False)
+    assert payload["unmatched_fiber_points"] == [["1", "3", "0"]]
+
 
 def test_readme_example_session():
     # every `$ superfiber ...` line of the README followed by output prints that output
@@ -597,7 +607,8 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
                                                                "r": "x" * 5000}}).encode(),
              "off-curve.json": json.dumps({**VALID_CWP, "points": [{"x": "0", "y": "1"},
                                                                    {"x": "2", "y": "4"}]}).encode(),
-             "base-y-0.json": json.dumps({**VALID_CWP, "points": VALID_CWP["points"][::-1]}).encode()}
+             "base-y-0.json": json.dumps({**VALID_CWP, "points": VALID_CWP["points"][::-1]}).encode(),
+             "no-points.json": json.dumps({**VALID_CWP, "points": []}).encode()}
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
     # each domain refusal that an argv can reach: exit 2, and its message alone
@@ -653,6 +664,7 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         ("twist", "--input", str(tmp_path / "long-int.json")):
             f"error: malformed --input JSON: an integer of more than {limit} digits\n",
         ("genus", "--n", "100000000", "--s", "-3"): "error: need n >= 2 and s >= 2\n",
+        ("map", "--input", str(tmp_path / "no-points.json")): "error: need at least one point\n",
         # Python 3.11 reads --flag=-- as an empty list, which ended in a traceback
         ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
         ("genus", "--n=--", "--s", "2"): None,

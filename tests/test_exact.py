@@ -12,11 +12,10 @@ from superfiber import (
     int_nth_root,
     normalize_projective,
     rational,
-    rational_str,
     sth_root_exact,
 )
 from superfiber import exact
-from superfiber.exact import FrozenRecordError, record
+from superfiber.exact import record
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import XCoordinates
 
@@ -231,8 +230,6 @@ def test_exact_field_arithmetic_identity():
 
 
 def test_rational_parse_and_serialize():
-    assert rational_str(Fraction(-3, 4)) == "-3/4"
-    assert rational_str(Fraction(5)) == "5"
     assert rational("-3/4") == Fraction(-3, 4)
     assert rational("7") == 7
     # unicode minus from copied text is tolerated
@@ -246,9 +243,8 @@ def test_projective_point_helpers():
     assert len(P) == 3
     assert P[1] == -3
     assert list(P) == [1, -3, 2]
-    assert str(P) == "[1 : -3 : 2]"
     assert P.to_obj() == ["1", "-3", "2"]
-    assert P.fractions() == (Fraction(1), Fraction(-3), Fraction(2))
+    assert tuple(map(Fraction, P.coords)) == (Fraction(1), Fraction(-3), Fraction(2))
     assert P == ProjectivePoint((1, -3, 2))
     assert normalize_projective(P.to_obj()) == P
 
@@ -283,9 +279,9 @@ def test_record_refuses_bad_arguments_and_changes():
     with pytest.raises(TypeError):
         _OtherPair(1)
     P = _Pair(1, 2)
-    with pytest.raises(FrozenRecordError):
+    with pytest.raises(AttributeError, match="cannot change _Pair.x: records are immutable"):
         P.x = 3
-    with pytest.raises(FrozenRecordError):
+    with pytest.raises(AttributeError, match="cannot change _Pair.y: records are immutable"):
         del P.y
     with pytest.raises(AttributeError):
         P.z = 3

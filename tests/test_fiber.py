@@ -370,5 +370,5 @@ def test_canonical_fiber_point():
 
 def test_xcoordinates_json_round_trip():
     a_n = XCoordinates([0, Fraction(1, 2), 2], 3)
-    assert XCoordinates.from_obj(a_n.to_obj()) == a_n
+    assert XCoordinates(**a_n.to_obj()) == a_n
     assert a_n.to_obj() == {"alphas": ["0", "1/2", "2"], "r": 3}

@@ -189,7 +189,7 @@ def test_conic_param_identity_sweep_and_random():
     def check(alpha, beta, u):
         spec = ConicSpec(alpha, beta)
         P = conic_param(spec, u)
-        X, Y, Z = P.fractions()
+        X, Y, Z = map(Fraction, P.coords)
         assert spec.alpha * X ** 2 + spec.beta * Y ** 2 + spec.gamma * Z ** 2 == 0
 
     small = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
@@ -395,6 +395,10 @@ def test_cwp_equivalent_rejects_each_difference():
         # t = 2 scales a and b by 4, but y_1 by -2
         "point scale": (first, CurveWithPoints(Curve(FamilyParams(3, 2), 4, 4),
                                                (AffinePoint(0, 2), AffinePoint(2, -6)))),
+        # y^2 = x^3 - 125 through (5, 0), y^2 = x^3 - 121 through (5, 2): no t maps 0 to 2
+        "every y of the first is 0": (
+            CurveWithPoints(Curve(FamilyParams(3, 2), 1, -125), (AffinePoint(5, 0),)),
+            CurveWithPoints(Curve(FamilyParams(3, 2), 1, -121), (AffinePoint(5, 2),))),
     }
     for name, (one, other) in cases.items():
         assert cwp_equivalent(one, one), name
