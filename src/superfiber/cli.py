@@ -43,13 +43,8 @@ IO_ERROR = 74
 DOMAIN_ERROR = 2
 
 
-def _comma_list(text: str) -> list[str]:
-    # the values that receive these strings parse them
-    return [part for part in text.split(",") if part.strip() != ""]
-
-
 def _alphas(args) -> XCoordinates:
-    return XCoordinates(_comma_list(args.alphas), args.r)
+    return XCoordinates(args.alphas.split(","), args.r)
 
 
 def _cmd_repro_elkies(args):
@@ -70,7 +65,7 @@ def _cmd_fiber_eqs(args):
 
 def _cmd_verify_point(args):
     a_n = _alphas(args)
-    point = normalize_projective(_comma_list(args.point))
+    point = normalize_projective(args.point.split(","))
     on_fiber = fiber_contains(a_n, args.s, point.coords)
     return {
         **a_n.to_obj(),
@@ -99,6 +94,8 @@ def _decode_json(raw: bytes):
 
 def _read_cwp(args) -> CurveWithPoints:
     if args.input == "-":
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise OSError("stdin is closed")
         raw = sys.stdin.buffer.read()
     else:
         with open(args.input, "rb") as handle:
@@ -126,7 +123,7 @@ def _cmd_map(args):
 
 def _cmd_map_inverse(args):
     a_n = _alphas(args)
-    point = normalize_projective(_comma_list(args.point))
+    point = normalize_projective(args.point.split(","))
     return phi_inverse(a_n, point.coords, args.s).to_obj()
 
 
@@ -135,7 +132,7 @@ def _cmd_param_conic(args):
 
 
 def _cmd_cubic_to_weierstrass(args):
-    return fermat_to_weierstrass(CubicSpec(args.alpha, args.beta), _comma_list(args.point)).to_obj()
+    return fermat_to_weierstrass(CubicSpec(args.alpha, args.beta), args.point.split(",")).to_obj()
 
 
 def _cmd_search(args):
@@ -324,7 +321,8 @@ def main(argv=None) -> int:
         dataset_self_check(ELKIES)
         payload = args.func(args)
         output = _render(args.command, payload, args.format)
-        if args.manifest:  # before stdout, so that a manifest refusal leaves stdout empty
+        # before stdout, so that a manifest refusal (the empty path too) leaves stdout empty
+        if args.manifest is not None:
             _write_manifest(args, output.encode("utf-8"))
         try:
             _write(output)

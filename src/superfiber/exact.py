@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
 RationalLike = Fraction | int | str
 
 
@@ -156,8 +155,8 @@ def sth_root_exact(x: RationalLike, s: int) -> Fraction | None:
 
 # the annotations of the fields that record parses or checks, as every module
 # of the package writes them: as text, under `from __future__ import annotations`
-_PARSED_FIELDS = {"Rational": lambda value, name: rational(value),
-                  "tuple[Rational, ...]": lambda values, name: tuple(map(rational, values)),
+_PARSED_FIELDS = {"Fraction": lambda value, name: rational(value),
+                  "tuple[Fraction, ...]": lambda values, name: tuple(map(rational, values)),
                   "int": integer,
                   "tuple[int, int]": lambda values, name: tuple(integer(v, name) for v in values)}
 
@@ -167,7 +166,7 @@ def record(cls):
 
     A class-level value is a field's default.  Fields are given by position
     or keyword.  Then, in field order, rational() parses each field annotated
-    Rational and each element of a field annotated tuple[Rational, ...],
+    Fraction and each element of a field annotated tuple[Fraction, ...],
     stored as a tuple, so a bad value raises its ValueError, and integer()
     checks each field annotated int and each element of a field annotated
     tuple[int, int], stored as a tuple, so a bool or non-int raises its

@@ -10,10 +10,11 @@ by 1/y_0; rescale by y_0 is its inverse.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .exact import Rational, RationalLike, rational, record, refuse_power
+from .exact import RationalLike, rational, record, refuse_power
 
 
 @record
@@ -31,14 +32,14 @@ class FamilyParams:
 @record
 class Curve:
     params: FamilyParams
-    a: Rational
-    b: Rational
+    a: Fraction
+    b: Fraction
 
     @property
     def is_smooth(self) -> bool:
         return self.a != 0 and self.b != 0
 
-    def rhs(self, x: Rational) -> Rational:
+    def rhs(self, x: Fraction) -> Fraction:
         return self.a * x ** self.params.r + self.b
 
     def to_obj(self) -> dict:
@@ -56,8 +57,8 @@ class Curve:
 
 @record
 class AffinePoint:
-    x: Rational
-    y: Rational
+    x: Fraction
+    y: Fraction
 
     def to_obj(self) -> dict:
         return {"x": str(self.x), "y": str(self.y)}

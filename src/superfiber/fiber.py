@@ -20,11 +20,11 @@ and gonality at least (s-1) * s^(n-2).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .errors import DomainError
 from .exact import (
     ProjectivePoint,
-    Rational,
     RationalLike,
     digit_limit,
     normalize_projective,
@@ -35,7 +35,7 @@ from .exact import (
 from .family import FamilyParams
 
 
-def _exact_rth_powers(values: Sequence[Rational], r: int) -> tuple[int | Rational, ...]:
+def _exact_rth_powers(values: Sequence[Fraction], r: int) -> tuple[int | Fraction, ...]:
     # the one former of alpha^r refuses it; integral powers are kept as int, so
     # that a*w + b on int a and b stays in int arithmetic in the search kernels
     refuse_power(values, r, "alpha^r")
@@ -56,7 +56,7 @@ def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
 class XCoordinates:
     """An admissible tuple (alpha_0, ..., alpha_n), n >= 2, with its exponent r."""
 
-    alphas: tuple[Rational, ...]
+    alphas: tuple[Fraction, ...]
     r: int
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ class XCoordinates:
     def n(self) -> int:
         return len(self.alphas) - 1
 
-    def rth_powers(self) -> tuple[int | Rational, ...]:
+    def rth_powers(self) -> tuple[int | Fraction, ...]:
         """The exact powers alpha_i^r: an int where the power is integral,
         else a Fraction."""
         return self._powers
@@ -104,7 +104,7 @@ class FiberEquation:
         }
 
 
-def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Rational, list[tuple[Rational, Rational]]]:
+def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Fraction, list[tuple[Fraction, Fraction]]]:
     """Equations rewritten as c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s.
 
     Returns the shared pivot coefficient c = w_1 - w_0 and the raw pairs
@@ -132,7 +132,7 @@ def fiber_equations(a_n: XCoordinates, s: int) -> list[FiberEquation]:
 
 def fiber_equation_determinant(
     a_n: XCoordinates, s: int, i: int, Y: Sequence[RationalLike]
-) -> Rational:
+) -> Fraction:
     """Evaluate equation i at Y via the symmetric determinant form.
 
     det [[1, 1, 1], [w_0, w_1, w_i], [Y_0^s, Y_1^s, Y_i^s]] expanded by
@@ -149,7 +149,7 @@ def fiber_equation_determinant(
     return (w1 * zi - wi * z1) - (w0 * zi - wi * z0) + (w0 * z1 - w1 * z0)
 
 
-def fiber_coordinates(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> list[Rational]:
+def fiber_coordinates(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> list[Fraction]:
     """The coordinates of a candidate point of a_n's fiber, as rationals:
     refuses Y^s past the digit rule (exact.refuse_power), then a length
     other than n + 1."""

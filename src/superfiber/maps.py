@@ -29,11 +29,11 @@ and the quartic model are evaluated at the parameter u.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .errors import DomainError, TrivialPoint
 from .exact import (
     ProjectivePoint,
-    Rational,
     RationalLike,
     normalize_projective,
     rational,
@@ -111,19 +111,19 @@ def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
 class ConicSpec:
     """Conic alpha*X^2 + beta*Y^2 + gamma*Z^2 = 0 with gamma = -(alpha+beta)."""
 
-    alpha: Rational
-    beta: Rational
+    alpha: Fraction
+    beta: Fraction
 
     def __post_init__(self):
         if self.alpha == 0 or self.beta == 0:
             raise DomainError("conic coefficients alpha, beta must be nonzero")
 
     @property
-    def gamma(self) -> Rational:
+    def gamma(self) -> Fraction:
         return -(self.alpha + self.beta)
 
 
-def _conic_values(spec: ConicSpec, u: Rational) -> tuple[Rational, Rational, Rational]:
+def _conic_values(spec: ConicSpec, u: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     # X(u) = alpha*u^2 + 2*beta*u - beta, Y(u) = -alpha*u^2 + 2*alpha*u + beta and
     # Z(u) = alpha*u^2 + beta, before any normalization
     al, be = spec.alpha, spec.beta
@@ -149,8 +149,8 @@ def conic_param(spec: ConicSpec, u: RationalLike) -> ProjectivePoint:
 class CubicSpec:
     """Cubic alpha*X^3 + beta*Y^3 + gamma*Z^3 = 0 with gamma = -(alpha+beta) != 0."""
 
-    alpha: Rational
-    beta: Rational
+    alpha: Fraction
+    beta: Fraction
 
     def __post_init__(self):
         if self.alpha == 0 or self.beta == 0:
@@ -159,7 +159,7 @@ class CubicSpec:
             raise DomainError("alpha + beta must be nonzero (gamma != 0)")
 
     @property
-    def gamma(self) -> Rational:
+    def gamma(self) -> Fraction:
         return -(self.alpha + self.beta)
 
     def contains(self, P: Sequence[RationalLike]) -> bool:
@@ -171,9 +171,9 @@ class CubicSpec:
 class DiagonalCubicPoint:
     """Point (U, V, W) on U^3 + V^3 = alpha*beta*gamma * W^3."""
 
-    U: Rational
-    V: Rational
-    W: Rational
+    U: Fraction
+    V: Fraction
+    W: Fraction
 
 
 def _cubic_input(spec: CubicSpec, P: Sequence[RationalLike]):
@@ -205,9 +205,9 @@ def cubic_to_diagonal(spec: CubicSpec, P: Sequence[RationalLike]) -> DiagonalCub
 class WeierstrassPoint:
     """Point (T, S) on S^2 = T^3 - discriminant_term."""
 
-    T: Rational
-    S: Rational
-    discriminant_term: Rational
+    T: Fraction
+    S: Fraction
+    discriminant_term: Fraction
 
     def on_curve(self) -> bool:
         return self.S ** 2 == self.T ** 3 - self.discriminant_term
@@ -220,7 +220,7 @@ class WeierstrassPoint:
         }
 
 
-def _discriminant_term(spec: CubicSpec) -> Rational:
+def _discriminant_term(spec: CubicSpec) -> Fraction:
     return 432 * spec.alpha ** 2 * spec.beta ** 2 * (spec.alpha + spec.beta) ** 2
 
 

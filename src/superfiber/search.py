@@ -54,8 +54,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .errors import TrivialPoint
-from .exact import (ProjectivePoint, Rational, normalize_projective, record, refuse_power,
-                    sth_root_exact)
+from .exact import ProjectivePoint, normalize_projective, record, refuse_power, sth_root_exact
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from .fiber import FiberEquation, XCoordinates, fiber_equations
 from .maps import phi_forward, phi_inverse
@@ -97,8 +96,8 @@ def _rows(rows: Sequence[int], partition: tuple[int, int]) -> Sequence[int]:
     return rows[index::count]
 
 
-def curve_roots_over(a_n: XCoordinates, s: int, a: Rational,
-                     b: Rational) -> list[Rational] | None:
+def curve_roots_over(a_n: XCoordinates, s: int, a: Fraction,
+                     b: Fraction) -> list[Fraction] | None:
     """Membership test of the curve-box census with its witness: the s-th
     roots of a*alpha_i^r + b, non-negative for even s, which are the
     curve's fiber point [y_0 : ... : y_n].  None when a*b = 0, some value
@@ -206,7 +205,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Pr
             if root is None:
                 continue
             z1 = q ** s
-            coords: list[int | Rational] = [p, q, root / c2]
+            coords: list[int | Fraction] = [p, q, root / c2]
             for ci, k0i, k1i in later:
                 root = sth_root_exact(k0i * z0 + k1i * z1, s)
                 if root is None:
@@ -223,7 +222,7 @@ def pair_height(P: ProjectivePoint) -> int:
     return max(abs(c) for c in normalize_projective(P.coords[:2]))
 
 
-def integer_class_representatives(a: Rational, b: Rational, s: int,
+def integer_class_representatives(a: Fraction, b: Fraction, s: int,
                                   height: int) -> list[tuple[int, int]]:
     """All integer pairs (t*a, t*b) with t a nonzero s-th power in Q
     (negative allowed when s is odd) and max(|.|, |.|) <= height, sorted.

@@ -28,21 +28,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from superfiber import (
-    AffinePoint,
-    ConicSpec,
-    Curve,
-    CurveWithPoints,
-    DomainError,
-    ELKIES,
-    FamilyParams,
-    TrivialPoint,
-    XCoordinates,
-    conic_param,
-    fiber_equations,
-    normalize_projective,
-    phi_inverse,
-)
+from superfiber.elkies import ELKIES
+from superfiber.errors import DomainError, TrivialPoint
+from superfiber.exact import normalize_projective
+from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
+from superfiber.fiber import XCoordinates, fiber_equations
+from superfiber.maps import ConicSpec, conic_param, phi_inverse
 
 S4_SEEDS = (
     (3, -27, ((-21, 6), (-6, 3), (-3, 0))),

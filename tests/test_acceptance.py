@@ -8,29 +8,30 @@ import random
 import time
 from fractions import Fraction
 
-from superfiber import (
-    ConicSpec,
-    CubicSpec,
-    ELKIES,
+from superfiber.elkies import ELKIES, verify_reproduction
+from superfiber.exact import sth_root_exact
+from superfiber.fiber import (
     XCoordinates,
     canonical_fiber_point,
-    conic_param,
-    cross_check,
-    cubic_to_diagonal,
-    cwp_equivalent,
-    diagonal_to_weierstrass,
-    fermat_to_weierstrass,
     fiber_contains,
     fiber_equation_determinant,
     fiber_equations,
     fiber_genus,
     gonality_lower_bound,
     n0_threshold,
+)
+from superfiber.maps import (
+    ConicSpec,
+    CubicSpec,
+    conic_param,
+    cubic_to_diagonal,
+    cwp_equivalent,
+    diagonal_to_weierstrass,
+    fermat_to_weierstrass,
     phi_forward,
     phi_inverse,
-    sth_root_exact,
-    verify_reproduction,
 )
+from superfiber.search import cross_check
 from helpers_roundtrip import random_admissible_alphas, random_cwp, random_rational
 
 

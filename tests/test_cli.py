@@ -56,6 +56,18 @@ def test_start_up_imports_no_dataclasses():
     assert result.stdout == '{"genus":0,"gonality_lower_bound":1,"n0":4}\n0 []\n'
 
 
+def test_exact_imports_no_other_package_module():
+    # the package root defines only __version__, so a module loads just
+    # the modules it imports itself
+    src = os.path.dirname(os.path.dirname(superfiber.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import superfiber.exact; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'superfiber'))")
+    result = subprocess.run([sys.executable, "-S", "-c", code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['superfiber', 'superfiber.errors', 'superfiber.exact']\n"
+
+
 def test_genus_command_exact_bytes():
     result = run_cli("genus", "--n", "16", "--s", "2")
     assert result.returncode == 0
@@ -654,6 +666,14 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
            for workers in (("--workers", "3", "--worker-index", "3"), ("--workers", "0"),
                            ("--workers", "-3"), ("--workers", "1", "--worker-index", "7"))},
         ("param-conic", "--alpha=1", "--beta=-1", "--u="): "error: not a rational: ''\n",
+        # an empty comma item is an empty rational, not a skipped one
+        ("fiber-eqs", "--alphas=0,1,,2", "--r", "2", "--s", "2"): "error: not a rational: ''\n",
+        ("fiber-eqs", "--alphas=", "--r", "2", "--s", "2"): "error: not a rational: ''\n",
+        ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,"):
+            "error: not a rational: ''\n",
+        # an empty manifest path is a file that cannot be written
+        ("genus", "--n", "2", "--s", "2", "--manifest="):
+            "error: [Errno 2] No such file or directory: ''\n",
         ("fiber-eqs", "--alphas=" + "7" * 5000 + ",1,2", "--r", "2", "--s", "2"):
             f"error: not a rational: '{'7' * 20}...' (more than {limit} digits)\n",
         ("map", "--input", str(tmp_path / "not-utf8.json")):
@@ -888,6 +908,12 @@ def test_table_fallback_rendering():
     result = run_cli("genus", "--n", "4", "--s", "2", "--format", "table")
     assert result.returncode == 0
     assert "genus: 5" in result.stdout
+    # a list payload is one json.dumps line per item
+    search = ("search", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--height", "3")
+    for mode in ("curve-box", "fiber-pairs"):
+        assert run_main(*search, "--mode", mode, "--format", "table") == (0, (
+            '{"curve": {"r": 3, "s": 2, "a": "1", "b": "1"}, "fiber_point": ["1", "3", "0"], '
+            '"distinct_x_count": 3}\n'), ""), mode
 
 
 def test_missing_input_file_exit_74():
@@ -934,6 +960,15 @@ def test_a_closed_stderr_keeps_the_exit_code():
         done = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *CMD, *argv],
                               stdout=subprocess.PIPE, timeout=60)
         assert (done.returncode, done.stdout) == (code, b""), argv
+
+
+def test_a_closed_stdin_exits_74():
+    # --input - cannot read a stdin the process was started without
+    for command in ("map", "twist"):
+        done = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", *CMD, command, "--input", "-"],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (74, "", "error: stdin is closed\n"), \
+            command
 
 
 def test_a_stdout_that_fails_leaves_no_manifest(tmp_path):

@@ -3,20 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_rank import add, certified_rank, combination, f2_rank, kummer_rows
-from superfiber import (
-    CubicSpec,
-    DomainError,
-    ELKIES,
-    ElkiesDataset,
-    SearchConfig,
-    XCoordinates,
-    dataset_self_check,
-    fermat_to_weierstrass,
-    fiber_equations,
-    fiber_genus,
-    search_fiber_points,
-    verify_reproduction,
-)
+from superfiber.elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
+from superfiber.errors import DomainError
+from superfiber.fiber import XCoordinates, fiber_equations, fiber_genus
+from superfiber.maps import CubicSpec, fermat_to_weierstrass
+from superfiber.search import SearchConfig, search_fiber_points
 
 
 def test_dataset_self_check_passes():

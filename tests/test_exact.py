@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superfiber import (
-    DomainError,
+from superfiber import exact
+from superfiber.errors import DomainError
+from superfiber.exact import (
     ProjectivePoint,
     int_nth_root,
     normalize_projective,
     rational,
+    record,
     sth_root_exact,
 )
-from superfiber import exact
-from superfiber.exact import record
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import XCoordinates
 

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superfiber import (
+from superfiber.errors import DomainError
+from superfiber.exact import digit_limit
+from superfiber.family import (
     AffinePoint,
     Curve,
     CurveWithPoints,
-    DomainError,
     FamilyParams,
     contains_point,
     curve_genus,
     rescale,
     twist,
 )
-from superfiber.exact import digit_limit
 from helpers_roundtrip import random_cwp
 
 

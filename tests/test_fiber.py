@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superfiber import (
-    DomainError,
-    ELKIES,
+from superfiber.elkies import ELKIES
+from superfiber.errors import DomainError
+from superfiber.exact import normalize_projective
+from superfiber.fiber import (
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,
@@ -23,9 +24,8 @@ from superfiber import (
     is_admissible,
     lazarsfeld_bound,
     n0_threshold,
-    normalize_projective,
-    phi_forward,
 )
+from superfiber.maps import phi_forward
 from helpers_roundtrip import random_admissible_alphas, random_cwp, random_rational
 
 

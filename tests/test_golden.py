@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from superfiber import ELKIES
 from superfiber.cli import main
+from superfiber.elkies import ELKIES
 
 GOLDEN = Path(__file__).parent / "golden"
 ELKIES_FLAGS = ["--alphas=" + ",".join(ELKIES.x_coordinates().to_obj()["alphas"]),

@@ -7,37 +7,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superfiber import (
-    AffinePoint,
+from superfiber.elkies import ELKIES
+from superfiber.errors import DomainError, TrivialPoint
+from superfiber.exact import digit_limit, normalize_projective, sth_root_exact
+from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams, rescale
+from superfiber.fiber import XCoordinates, canonical_fiber_point, fiber_contains, fiber_equations
+from superfiber.maps import (
     ConicSpec,
     CubicSpec,
-    Curve,
-    CurveWithPoints,
     DiagonalCubicPoint,
-    DomainError,
-    ELKIES,
-    FamilyParams,
-    SearchConfig,
-    TrivialPoint,
-    XCoordinates,
-    canonical_fiber_point,
     conic_param,
     cubic_to_diagonal,
     cwp_equivalent,
     diagonal_to_weierstrass,
     fermat_to_weierstrass,
-    fiber_contains,
-    fiber_equations,
     lift_quartic_parameter,
-    normalize_projective,
     phi_forward,
     phi_inverse,
-    rescale,
-    search_fiber_points,
-    sth_root_exact,
 )
-from superfiber.exact import digit_limit
-from superfiber.search import pair_height
+from superfiber.search import SearchConfig, pair_height, search_fiber_points
 from helpers_roundtrip import (chord_tangent_points, cubic_third_point, random_cwp,
                               random_rational)
 

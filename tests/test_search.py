@@ -8,46 +8,43 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from superfiber import (
-    AffinePoint,
-    ELKIES,
-    ConicSpec,
-    CubicSpec,
-    Curve,
-    CurveWithPoints,
-    FamilyParams,
-    SearchConfig,
+from superfiber import search
+from superfiber.elkies import ELKIES
+from superfiber.exact import int_nth_root, normalize_projective, record, sth_root_exact
+from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
+from superfiber.fiber import (
     XCoordinates,
     canonical_fiber_point,
-    conic_param,
-    cross_check,
-    cwp_equivalent,
-    curve_roots_over,
-    enumerate_curves,
     fiber_contains,
     fiber_equations,
-    fermat_to_weierstrass,
+    fiber_genus,
     geometry_report,
-    int_nth_root,
-    integer_class_representatives,
     is_admissible,
+)
+from superfiber.maps import (
+    ConicSpec,
+    CubicSpec,
+    DiagonalCubicPoint,
+    WeierstrassPoint,
+    conic_param,
+    cwp_equivalent,
+    fermat_to_weierstrass,
     lift_quartic_parameter,
-    normalize_projective,
     phi_forward,
     phi_inverse,
-    search_fiber_points,
-    sth_root_exact,
 )
-from superfiber import search
-from superfiber.exact import record
-from superfiber.fiber import fiber_genus
-from superfiber.maps import DiagonalCubicPoint, WeierstrassPoint
 from superfiber.search import (
     MAX_CANDIDATES,
     MAX_RADICAND_BITS,
+    SearchConfig,
+    cross_check,
     curve_census_entries,
+    curve_roots_over,
+    enumerate_curves,
     fiber_census_entries,
+    integer_class_representatives,
     pair_height,
+    search_fiber_points,
 )
 from helpers_roundtrip import random_admissible_alphas
 
@@ -741,8 +738,8 @@ def test_curve_roots_over_refuses_a_vanishing_base_root():
 class _Parsed:
     # annotations as text, as the package's modules write them under
     # `from __future__ import annotations`
-    q: "Rational"
-    qs: "tuple[Rational, ...]"
+    q: "Fraction"
+    qs: "tuple[Fraction, ...]"
     n: "int"
     tag: "str" = ""
 
