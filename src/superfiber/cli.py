@@ -148,34 +148,27 @@ def _cmd_cross_check(args):
     return cross_check(_alphas(args), args.s, args.height)
 
 
-def _table_lines(command: str, payload) -> list[str]:
-    if command == "repro-elkies":
+def _render(command: str, payload, fmt: str) -> str:
+    """payload's printed lines, each ended by a newline; a list is one line per
+    item in either format, so an empty list prints nothing."""
+    if isinstance(payload, list):
+        lines = [json.dumps(item, separators=(",", ":") if fmt == "json" else None)
+                 for item in payload]
+    elif fmt == "json":
+        lines = [json.dumps(payload, separators=(",", ":"))]
+    elif command == "repro-elkies":
         lines = []
         for check in payload["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            lines.append(f"{status}  {check['name']}")
+            lines.append(f"{'PASS' if check['passed'] else 'FAIL'}  {check['name']}")
             lines.extend(f"      {f}" for f in check["failures"])
         lines.append("OK" if payload["ok"] else "MISMATCH")
-        return lines
-    if command == "fiber-eqs":
-        s = payload["s"]
-        c = payload["solved_form"]["c"]
-        return [
-            f"({c}) * Y_{i + 2}^{s} = {A} * Y_1^{s} - {B} * Y_0^{s}"
-            for i, (A, B) in enumerate(payload["solved_form"]["pairs"])
-        ]
-    if isinstance(payload, dict):
-        return [f"{key}: {json.dumps(value)}" for key, value in payload.items()]
-    return [json.dumps(item) for item in payload]
-
-
-def _render(command: str, payload, fmt: str) -> str:
-    if fmt == "table":
-        return "\n".join(_table_lines(command, payload)) + "\n"
-    # a list is JSON lines, one item per line
-    if isinstance(payload, list):
-        return "".join(json.dumps(item, separators=(",", ":")) + "\n" for item in payload)
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    elif command == "fiber-eqs":
+        s, c = payload["s"], payload["solved_form"]["c"]
+        lines = [f"({c}) * Y_{i + 2}^{s} = {A} * Y_1^{s} - {B} * Y_0^{s}"
+                 for i, (A, B) in enumerate(payload["solved_form"]["pairs"])]
+    else:
+        lines = [f"{key}: {json.dumps(value)}" for key, value in payload.items()]
+    return "".join(line + "\n" for line in lines)
 
 
 def _write_manifest(args, output: bytes) -> None:

@@ -14,12 +14,5 @@ class DomainError(Exception):
 
 
 class TrivialPoint(DomainError):
-    """Fiber point whose recovered curve degenerates (a*b = 0).
-
-    Carries the degenerate coefficients so callers can report them.
-    """
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        super().__init__(f"trivial fiber point: recovered a={a}, b={b}")
+    """Fiber point whose recovered curve degenerates (a*b = 0); its message
+    gives the recovered (a, b)."""

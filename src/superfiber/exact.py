@@ -175,9 +175,15 @@ def record(cls):
     is the one that runs.  A record equals only a record of its own class
     with an equal field tuple, and hashes as that tuple; what __post_init__
     sets with object.__setattr__ is not a field.  Unlike dataclass(frozen=True), this imports nothing and
-    generates no code, which every process paid for at start-up.
+    generates no code, which every process paid for at start-up.  An
+    annotation that is not text raises TypeError here, since the parsed
+    fields are known by their text.
     """
     annotations = cls.__dict__.get("__annotations__", {})
+    for name, ann in annotations.items():
+        if not isinstance(ann, str):
+            raise TypeError(f"{cls.__name__}.{name}: a record's annotations must be text "
+                            "(from __future__ import annotations)")
     names = tuple(annotations)
     parsed = [(name, _PARSED_FIELDS[ann]) for name, ann in annotations.items()
               if ann in _PARSED_FIELDS]

@@ -16,7 +16,7 @@ i exactly because Y lies on the fiber.  Composing the two is the
 identity modulo the rescaling (a, b, y) ~ (t^s*a, t^s*b, t*y).
 
 Fiber points with recovered a*b = 0 are the trivial ones; the inverse
-map rejects them with a TrivialPoint error carrying (a, b).
+map rejects them with a TrivialPoint error whose message gives (a, b).
 
 Low-dimensional fibers admit classical models, implemented here as
 well: a rational parameterization of sum-zero conics, the map from a
@@ -75,7 +75,7 @@ def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWi
     except DomainError:
         raise DomainError("point does not satisfy the fiber equations") from None
     if a == 0 or b == 0:
-        raise TrivialPoint(a, b)
+        raise TrivialPoint(f"trivial fiber point: recovered a={a}, b={b}")
     return cwp
 
 

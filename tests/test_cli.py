@@ -914,6 +914,10 @@ def test_table_fallback_rendering():
         assert run_main(*search, "--mode", mode, "--format", "table") == (0, (
             '{"curve": {"r": 3, "s": 2, "a": "1", "b": "1"}, "fiber_point": ["1", "3", "0"], '
             '"distinct_x_count": 3}\n'), ""), mode
+        # and an empty census prints nothing, in table form too
+        empty = ("search", "--alphas=0,1,2", "--r", "2", "--s", "2", "--height", "2")
+        for fmt in ("json", "table"):
+            assert run_main(*empty, "--mode", mode, "--format", fmt) == (0, "", ""), (mode, fmt)
 
 
 def test_missing_input_file_exit_74():

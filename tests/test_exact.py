@@ -236,6 +236,9 @@ def test_rational_parse_and_serialize():
     assert rational("−4") == -4
     with pytest.raises(ValueError):
         rational("x")
+    # a token an error line echoes is cut after its first 20 characters
+    assert exact.clip("x" * 20) == "x" * 20
+    assert exact.clip("x" * 21) == "x" * 20 + "..."
 
 
 def test_projective_point_helpers():
@@ -249,16 +252,18 @@ def test_projective_point_helpers():
     assert normalize_projective(P.to_obj()) == P
 
 
+# annotations as text, as record requires: this module has no
+# `from __future__ import annotations`
 @record
 class _Pair:
-    x: int
-    y: int = 0
+    x: "int"
+    y: "int" = 0
 
 
 @record
 class _OtherPair:
-    x: int
-    y: int
+    x: "int"
+    y: "int"
 
 
 def test_record_fields_equality_hash_and_repr():
@@ -278,6 +283,8 @@ def test_record_refuses_bad_arguments_and_changes():
             _Pair(*args, **kwargs)
     with pytest.raises(TypeError):
         _OtherPair(1)
+    with pytest.raises(TypeError, match="x must be an integer"):
+        _Pair(True)
     P = _Pair(1, 2)
     with pytest.raises(AttributeError, match="cannot change _Pair.x: records are immutable"):
         P.x = 3
@@ -286,6 +293,15 @@ def test_record_refuses_bad_arguments_and_changes():
     with pytest.raises(AttributeError):
         P.z = 3
     assert P == _Pair(1, 2)
+
+
+def test_record_refuses_an_annotation_that_is_not_text():
+    # without the future import an annotation is the class itself, which no
+    # parsed field's text matches, so record would store the field unparsed
+    source = "@record\nclass Plain:\n    x: int\n"
+    code = compile(source, "<plain>", "exec", dont_inherit=True)
+    with pytest.raises(TypeError, match=r"^Plain\.x: a record's annotations must be text"):
+        exec(code, {"record": record})
 
 
 def test_xcoordinates_powers_are_not_a_field():
