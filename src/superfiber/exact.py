@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError
@@ -82,6 +82,15 @@ def refuse_power(values: Sequence[RationalLike], exponent: int, what: str) -> No
     limit = digit_limit()
     if any(exponent * (max(abs(q.numerator), q.denominator).bit_length() - 1) > 4 * limit
            for q in values):
+        raise ValueError(f"{what} exceeds {limit} digits")
+
+
+def refuse_digits(values: Iterable[Fraction | int], what: str) -> None:
+    """The one rule on values a command prints: raise ValueError("<what> exceeds L
+    digits") at a numerator or denominator of 10^L or more (none below 2^(3L))."""
+    limit = digit_limit()
+    if any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+           for q in values for n in (q.numerator, q.denominator)):
         raise ValueError(f"{what} exceeds {limit} digits")
 
 
@@ -245,6 +254,7 @@ class ProjectivePoint:
         return iter(self.coords)
 
     def to_obj(self) -> list[str]:
+        refuse_digits(self.coords, "point")
         return [str(c) for c in self.coords]
 
 

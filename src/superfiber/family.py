@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .exact import RationalLike, rational, record, refuse_power
+from .exact import RationalLike, rational, record, refuse_digits, refuse_power
 
 
 @record
@@ -43,6 +43,7 @@ class Curve:
         return self.a * x ** self.params.r + self.b
 
     def to_obj(self) -> dict:
+        refuse_digits((self.a, self.b), "curve a or b")
         return {
             "r": self.params.r,
             "s": self.params.s,

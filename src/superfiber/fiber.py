@@ -26,10 +26,10 @@ from .errors import DomainError
 from .exact import (
     ProjectivePoint,
     RationalLike,
-    digit_limit,
     normalize_projective,
     rational,
     record,
+    refuse_digits,
     refuse_power,
 )
 from .family import FamilyParams
@@ -218,16 +218,13 @@ def n0_threshold(s: int) -> int:
 
 
 def geometry_report(n: int, s: int) -> dict:
-    """Genus, gonality lower bound and finiteness threshold of the fiber.
-    Past the formulas' n and s check, a report that would not print within
-    L digits is a ValueError, refused by s^(n-1) before anything is computed."""
+    """Genus, gonality lower bound and finiteness threshold of the fiber.  Past
+    the formulas' n and s check, a report that would not print is a ValueError:
+    first by s^(n-1) <= genus, before anything is computed, then exact.refuse_digits."""
     _fiber_shape(n, s)
     what = f"genus report for n={n}, s={s}"
-    # what the first test refuses has genus >= s^(n-1) > 16^L: the second would too
     refuse_power([s], n - 1, what)
     report = {"genus": fiber_genus(n, s), "gonality_lower_bound": gonality_lower_bound(n, s),
               "n0": n0_threshold(s)}
-    limit = digit_limit()
-    if any(abs(value) >= 10 ** limit for value in report.values()):
-        raise ValueError(f"{what} exceeds {limit} digits")
+    refuse_digits(report.values(), what)
     return report

@@ -315,11 +315,12 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
         if P[0] == 0:
             bucket = "base_vanishing_points"
         elif P.coords in groups:
+            recovered = cwp.curve.to_obj()
             report["matched"].append({
                 "fiber_point": P.to_obj(),
                 "curves": [c.to_obj() for c in groups.pop(P.coords)],
-                "recovered_a": str(cwp.curve.a),
-                "recovered_b": str(cwp.curve.b),
+                "recovered_a": recovered["a"],
+                "recovered_b": recovered["b"],
             })
             continue
         elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_rank import add, certified_rank, combination, f2_rank, kummer_rows
+from helpers_rank import (add, certified_rank, combination, cubic, descent_rank, f2_rank, halve,
+                          kummer_rows, rung_image, rung_roots)
 from superfiber.elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
-from superfiber.errors import DomainError
+from superfiber.errors import DomainError, TrivialPoint
 from superfiber.fiber import XCoordinates, fiber_equations, fiber_genus
-from superfiber.maps import CubicSpec, fermat_to_weierstrass
+from superfiber.maps import CubicSpec, fermat_to_weierstrass, phi_inverse
 from superfiber.search import SearchConfig, search_fiber_points
 
 
@@ -150,7 +151,7 @@ def test_elkies_points_are_certified_independent():
 
 def test_a_dependent_triple_certifies_two():
     P0, P1 = ELKIES.points[:2]
-    P2 = add(P0, P1, ELKIES.b0)
+    P2 = add(P0, P1, (0, 0, ELKIES.b0))
     assert P2[1] ** 2 == P2[0] ** 3 + ELKIES.b0
     assert certified_rank(ELKIES.b0, (P0, P1, P2), 101) == 2
 
@@ -178,6 +179,29 @@ def test_s3_rung_search_points_certify_a_rank(alphas, r, rank):
     assert certified_rank(-images[0].discriminant_term, points, 101) == rank
 
 
+@pytest.mark.parametrize("alphas, r, rank", (((0, 4, -5, -6), 3, 1), ((0, 1, 2, 3), 3, 1),
+                                             ((1, 2, 7, 3), 2, 2)))
+def test_s2_rung_search_points_certify_a_rank_by_halving(alphas, r, rank):
+    # the s = 2 genus-1 rung F_3 2-covers E (tests/helpers_rank.py), so each
+    # nontrivial H = 300 point's pi(P) - T lies in 2E(Q) and certifies nothing,
+    # and its halves bound the rank of E from below
+    a_n = XCoordinates(alphas, r)
+    w = a_n.rth_powers()
+    roots = rung_roots(w)
+    x_t, y_t = rung_image(w, (1, 1, 1, 1), 0)
+    images = []
+    for P in search_fiber_points(a_n, 2, SearchConfig(300)):
+        try:
+            a = phi_inverse(a_n, P.coords, 2).curve.a
+        except TrivialPoint:
+            continue
+        images.append(add(rung_image(w, P.coords, a), (x_t, -y_t), cubic(roots)))
+    halves = [halve(Q, roots) for Q in images]
+    assert halve((x_t, y_t), roots) is None and None not in halves
+    assert descent_rank(roots, images, 101) == 0
+    assert descent_rank(roots, halves, 101) == rank
+
+
 @settings(deadline=None, max_examples=40)
 @given(indices=st.lists(st.integers(0, 16), min_size=3, max_size=3, unique=True),
        coefficients=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
@@ -186,6 +210,6 @@ def test_combinations_never_certify_more_than_their_coefficients(indices, coeffi
     # the combinations generate a group of rank at most that of their
     # coefficient matrix, and their image in E(Q)/2E(Q) is that matrix mod 2
     points = [ELKIES.points[i] for i in indices]
-    combos = [combination(c, points, ELKIES.b0) for c in coefficients]
+    combos = [combination(c, points, (0, 0, ELKIES.b0)) for c in coefficients]
     masks = [sum((c_j & 1) << j for j, c_j in enumerate(c)) for c in coefficients]
     assert certified_rank(ELKIES.b0, combos, 101) <= f2_rank(masks)
