@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError
-from .exact import clip, digit_limit, normalize_projective, shown
+from .exact import clip, digit_limit, normalize_projective, printed, shown
 from .family import CurveWithPoints, twist
 from .fiber import (
     XCoordinates,
@@ -59,7 +59,8 @@ def _cmd_fiber_eqs(args):
         **a_n.to_obj(),
         "s": args.s,
         "equations": [eq.to_obj() for eq in eqs],
-        "solved_form": {"c": str(c), "pairs": [[str(A), str(B)] for A, B in pairs]},
+        "solved_form": {"c": printed([c], "solved form")[0],
+                        "pairs": [printed(pair, "solved form") for pair in pairs]},
     }
 
 
@@ -124,7 +125,11 @@ def _cmd_map(args):
 def _cmd_map_inverse(args):
     a_n = _alphas(args)
     point = normalize_projective(args.point.split(","))
-    return phi_inverse(a_n, point.coords, args.s).to_obj()
+    cwp = phi_inverse(a_n, point.coords, args.s)
+    if not cwp.curve.is_smooth:
+        curve = cwp.curve.to_obj()
+        raise DomainError(f"trivial fiber point: recovered a={curve['a']}, b={curve['b']}")
+    return cwp.to_obj()
 
 
 def _cmd_param_conic(args):

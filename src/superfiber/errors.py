@@ -1,4 +1,4 @@
-"""Domain error types shared across the package.
+"""The domain error type shared across the package.
 
 A DomainError means "the mathematics rejected the input" (the CLI maps
 it to exit code 2), as opposed to malformed flags or I/O problems; its
@@ -12,7 +12,3 @@ class DomainError(Exception):
     """A mathematical domain violation: a tuple that is not admissible, a
     point off its curve, fiber or cubic, or a degenerate coefficient."""
 
-
-class TrivialPoint(DomainError):
-    """Fiber point whose recovered curve degenerates (a*b = 0); its message
-    gives the recovered (a, b)."""

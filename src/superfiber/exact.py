@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Sequence
 from fractions import Fraction
 
 from .errors import DomainError
@@ -85,13 +85,15 @@ def refuse_power(values: Sequence[RationalLike], exponent: int, what: str) -> No
         raise ValueError(f"{what} exceeds {limit} digits")
 
 
-def refuse_digits(values: Iterable[Fraction | int], what: str) -> None:
-    """The one rule on values a command prints: raise ValueError("<what> exceeds L
-    digits") at a numerator or denominator of 10^L or more (none below 2^(3L))."""
+def printed(values: Collection[Fraction | int], what: str) -> list[str]:
+    """The one place a number a command prints turns into text: the "p/q" or "p"
+    of each value, or ValueError("<what> exceeds L digits") at a numerator or
+    denominator of 10^L or more (none below 2^(3L))."""
     limit = digit_limit()
     if any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
            for q in values for n in (q.numerator, q.denominator)):
         raise ValueError(f"{what} exceeds {limit} digits")
+    return [str(q) for q in values]
 
 
 def _nth_root(n: int, s: int) -> tuple[int, bool]:
@@ -244,18 +246,8 @@ class ProjectivePoint:
 
     coords: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
     def to_obj(self) -> list[str]:
-        refuse_digits(self.coords, "point")
-        return [str(c) for c in self.coords]
+        return printed(self.coords, "point")
 
 
 def normalize_projective(coords: Sequence[RationalLike]) -> ProjectivePoint:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
-from .exact import RationalLike, rational, record, refuse_digits, refuse_power
+from .exact import RationalLike, printed, rational, record, refuse_power
 
 
 @record
@@ -43,13 +43,8 @@ class Curve:
         return self.a * x ** self.params.r + self.b
 
     def to_obj(self) -> dict:
-        refuse_digits((self.a, self.b), "curve a or b")
-        return {
-            "r": self.params.r,
-            "s": self.params.s,
-            "a": str(self.a),
-            "b": str(self.b),
-        }
+        a, b = printed((self.a, self.b), "curve a or b")
+        return {"r": self.params.r, "s": self.params.s, "a": a, "b": b}
 
     @staticmethod
     def from_obj(obj: dict) -> "Curve":
@@ -62,7 +57,8 @@ class AffinePoint:
     y: Fraction
 
     def to_obj(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y)}
+        x, y = printed((self.x, self.y), "point")
+        return {"x": x, "y": y}
 
     @staticmethod
     def from_obj(obj: dict) -> "AffinePoint":
@@ -155,6 +151,6 @@ def twist(cwp: CurveWithPoints) -> dict:
     if base.y == 0:
         raise DomainError(f"base point ({base.x}, 0) cannot define a twist")
     curve, s = cwp.curve, cwp.curve.params.s
-    return {"twist": {"r": curve.params.r, "s": s, "c0": str(base.y ** s),
-                      "a": str(curve.a), "b": str(curve.b), "base": base.to_obj()},
+    c0, a, b = printed((base.y ** s, curve.a, curve.b), "twist c0, a or b")
+    return {"twist": {"r": curve.params.r, "s": s, "c0": c0, "a": a, "b": b, "base": base.to_obj()},
             "points": [p.to_obj() for p in rescale(cwp, 1 / base.y).points]}

@@ -27,9 +27,9 @@ from .exact import (
     ProjectivePoint,
     RationalLike,
     normalize_projective,
+    printed,
     rational,
     record,
-    refuse_digits,
     refuse_power,
 )
 from .family import FamilyParams
@@ -78,7 +78,7 @@ class XCoordinates:
         return self._powers
 
     def to_obj(self) -> dict:
-        return {"alphas": [str(a) for a in self.alphas], "r": self.r}
+        return {"alphas": printed(self.alphas, "alphas"), "r": self.r}
 
 
 @record
@@ -96,12 +96,8 @@ class FiberEquation:
     ci: int
 
     def to_obj(self) -> dict:
-        return {
-            "i": self.i,
-            "c0": str(self.c0),
-            "c1": str(self.c1),
-            "ci": str(self.ci),
-        }
+        c0, c1, ci = printed((self.c0, self.c1, self.ci), "fiber equation")
+        return {"i": self.i, "c0": c0, "c1": c1, "ci": ci}
 
 
 def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Fraction, list[tuple[Fraction, Fraction]]]:
@@ -220,11 +216,12 @@ def n0_threshold(s: int) -> int:
 def geometry_report(n: int, s: int) -> dict:
     """Genus, gonality lower bound and finiteness threshold of the fiber.  Past
     the formulas' n and s check, a report that would not print is a ValueError:
-    first by s^(n-1) <= genus, before anything is computed, then exact.refuse_digits."""
+    first by s^(n-1) <= genus, before anything is computed, then by exact.printed's
+    rule; the values print as JSON numbers, not as its text."""
     _fiber_shape(n, s)
     what = f"genus report for n={n}, s={s}"
     refuse_power([s], n - 1, what)
     report = {"genus": fiber_genus(n, s), "gonality_lower_bound": gonality_lower_bound(n, s),
               "n0": n0_threshold(s)}
-    refuse_digits(report.values(), what)
+    printed(report.values(), what)
     return report

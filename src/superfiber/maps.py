@@ -16,7 +16,8 @@ i exactly because Y lies on the fiber.  Composing the two is the
 identity modulo the rescaling (a, b, y) ~ (t^s*a, t^s*b, t*y).
 
 Fiber points with recovered a*b = 0 are the trivial ones; the inverse
-map rejects them with a TrivialPoint error whose message gives (a, b).
+map returns their curve too, which is not smooth, so its caller decides
+what a point outside the family of smooth members means.
 
 Low-dimensional fibers admit classical models, implemented here as
 well: a rational parameterization of sum-zero conics, the map from a
@@ -31,11 +32,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import DomainError, TrivialPoint
+from .errors import DomainError
 from .exact import (
     ProjectivePoint,
     RationalLike,
     normalize_projective,
+    printed,
     rational,
     record,
     sth_root_exact,
@@ -59,7 +61,8 @@ def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, ProjectivePoint]:
 
 
 def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWithPoints:
-    """Recover the curve and its points from a nontrivial fiber point."""
+    """Recover the curve and its points from a fiber point; the curve is
+    smooth exactly when the point is nontrivial (a*b != 0)."""
     coords = fiber_coordinates(a_n, Y, s)
     params = FamilyParams(a_n.r, s)
     w = a_n.rth_powers()
@@ -71,12 +74,9 @@ def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWi
     try:
         # the per-point check a*alpha_i^r + b = Y_i^s is the fiber equation set, and
         # a point off the curve is the one DomainError it can raise here
-        cwp = CurveWithPoints(Curve(params, a, b), points, base_index=0)
+        return CurveWithPoints(Curve(params, a, b), points, base_index=0)
     except DomainError:
         raise DomainError("point does not satisfy the fiber equations") from None
-    if a == 0 or b == 0:
-        raise TrivialPoint(f"trivial fiber point: recovered a={a}, b={b}")
-    return cwp
 
 
 def cwp_equivalent(first: CurveWithPoints, second: CurveWithPoints) -> bool:
@@ -213,11 +213,8 @@ class WeierstrassPoint:
         return self.S ** 2 == self.T ** 3 - self.discriminant_term
 
     def to_obj(self) -> dict:
-        return {
-            "T": str(self.T),
-            "S": str(self.S),
-            "rhs_constant": str(self.discriminant_term),
-        }
+        T, S, rhs = printed((self.T, self.S, self.discriminant_term), "Weierstrass point")
+        return {"T": T, "S": S, "rhs_constant": rhs}
 
 
 def _discriminant_term(spec: CubicSpec) -> Fraction:

@@ -53,7 +53,6 @@ import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from .errors import TrivialPoint
 from .exact import ProjectivePoint, normalize_projective, record, refuse_power, sth_root_exact
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from .fiber import FiberEquation, XCoordinates, fiber_equations
@@ -219,7 +218,7 @@ def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Pr
 def pair_height(P: ProjectivePoint) -> int:
     """Height of (Y_0, Y_1) in lowest terms: the bound at which the pair
     enumeration reaches the point."""
-    return max(abs(c) for c in normalize_projective(P.coords[:2]))
+    return max(abs(c) for c in normalize_projective(P.coords[:2]).coords)
 
 
 def integer_class_representatives(a: Fraction, b: Fraction, s: int,
@@ -233,7 +232,7 @@ def integer_class_representatives(a: Fraction, b: Fraction, s: int,
     """
     if a == 0 and b == 0:
         return []
-    p, q = normalize_projective([a, b])
+    p, q = normalize_projective([a, b]).coords
     lam = Fraction(a, p) if p else Fraction(b, q)
     bound = height // max(abs(p), abs(q))
     # p >= 0, and q > 0 when p = 0, so the pairs come out in increasing m
@@ -255,15 +254,9 @@ def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[C
     """Fiber-pair census: phi_inverse of each point, whose points are the
     fiber point's coordinates; trivial and base-vanishing points are skipped
     since they recover no census curve."""
-    entries = []
-    for P in search_fiber_points(a_n, s, cfg):
-        if P[0] == 0:
-            continue
-        try:
-            entries.append(phi_inverse(a_n, P.coords, s))
-        except TrivialPoint:
-            pass
-    return entries
+    cwps = (phi_inverse(a_n, P.coords, s) for P in search_fiber_points(a_n, s, cfg)
+            if P.coords[0] != 0)
+    return [cwp for cwp in cwps if cwp.curve.is_smooth]
 
 
 def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
@@ -307,12 +300,10 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
               "matched": [], "trivial_points": [], "base_vanishing_points": [],
               "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
     for P in search_fiber_points(a_n, s, fiber_cfg):
-        try:
-            cwp = phi_inverse(a_n, P.coords, s)
-        except TrivialPoint:
-            report["trivial_points"].append(P.to_obj())
-            continue
-        if P[0] == 0:
+        cwp = phi_inverse(a_n, P.coords, s)
+        if not cwp.curve.is_smooth:
+            bucket = "trivial_points"
+        elif P.coords[0] == 0:
             bucket = "base_vanishing_points"
         elif P.coords in groups:
             recovered = cwp.curve.to_obj()

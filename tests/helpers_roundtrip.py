@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 
 from superfiber.elkies import ELKIES
-from superfiber.errors import DomainError, TrivialPoint
+from superfiber.errors import DomainError
 from superfiber.exact import normalize_projective
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import XCoordinates, fiber_equations
@@ -76,10 +76,8 @@ def rescale(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:
 def _inverse_of(a_n: XCoordinates, coords, s: int) -> CurveWithPoints | None:
     if coords[0] == 0:
         return None
-    try:
-        return phi_inverse(a_n, coords, s)
-    except TrivialPoint:
-        return None
+    cwp = phi_inverse(a_n, coords, s)
+    return cwp if cwp.curve.is_smooth else None
 
 
 def conic_cwp(rng: random.Random, r: int | None = None) -> CurveWithPoints:

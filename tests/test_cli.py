@@ -268,11 +268,17 @@ def test_cross_check_of_scaled_alphas_is_bounded_by_the_height():
     assert cutoff == json.loads(small)["cutoff_fiber_points"]
     assert len(cutoff) == 8 and cutoff[0] == ["3", "7", "13"]
     # Y_2^2 = 8*Y_1^2 - 7*Y_0^2: (1, 2, 5) recovers a = 3/2^15000, which would
-    # not print, but cross-check prints only the point
-    code, out, err = run_main("cross-check", f"--alphas=0,{2 ** 5000},{2 ** 5001}", "--r", "3",
-                              "--s", "2", "--height", "7")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["cutoff_fiber_points"] == [["1", "2", "5"], ["1", "4", "11"]]
+    # not print, but cross-check prints only the point; so is the trivial point
+    # (0, 1, 2) of Y_2^2 = 4*Y_1^2 - 3*Y_0^2 at r = 2, which recovers a = 1/2^16000
+    cases = (("3", 5000, {"cutoff_fiber_points": [["1", "2", "5"], ["1", "4", "11"]]}),
+             ("2", 8000, {"trivial_points": [["0", "1", "2"], ["1", "1", "1"]],
+                          "cutoff_fiber_points": [["3", "7", "13"], ["5", "7", "11"]]}))
+    for r, scale, points in cases:
+        code, out, err = run_main("cross-check", f"--alphas=0,{2 ** scale},{2 ** (scale + 1)}",
+                                  "--r", r, "--s", "2", "--height", "7")
+        assert (code, err) == (0, ""), r
+        report = json.loads(out)
+        assert {bucket: report[bucket] for bucket in points} == points
 
 
 def test_heights_past_the_candidate_cap_exit_64_in_one_line():
@@ -584,12 +590,20 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
     # own parse errors reached stderr for the tokens and files below
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
-    big_point = ",".join(map(str, conic_param(ConicSpec(3, -4), Fraction(2 ** 4000 + 1, 3))))
-    # three points of y^2 = x^2 + 1 whose normalized fiber point would not print
-    ts = [Fraction(2 ** 4000 + k, 3 ** 2520 + 2 * k) for k in (1, 3, 5)]
-    big_image = {**VALID_CWP, "curve": {"r": 2, "s": 2, "a": "1", "b": "1"},
-                 "points": [{"x": str(2 * t / (1 - t * t)), "y": str((1 + t * t) / (1 - t * t))}
-                            for t in ts]}
+    big_point = ",".join(conic_param(ConicSpec(3, -4), Fraction(2 ** 4000 + 1, 3)).to_obj())
+    def hyperbola(*ts):  # points of y^2 = x^2 + 1
+        return {**VALID_CWP, "curve": {"r": 2, "s": 2, "a": "1", "b": "1"},
+                "points": [{"x": str(2 * t / (1 - t * t)), "y": str((1 + t * t) / (1 - t * t))}
+                           for t in ts]}
+    # three points whose normalized fiber point would not print
+    big_image = hyperbola(*(Fraction(2 ** 4000 + k, 3 ** 2520 + 2 * k) for k in (1, 3, 5)))
+    # twist's c0 = y_0^2 of 4,817 digits on y^2 = x^3/4 + 2^8001 + 1; and a c0 of
+    # 4,198 digits whose twisted point y_1/y_0 has 4,665
+    big_c0 = {"curve": {"r": 3, "s": 2, "a": "1/4", "b": str(2 ** 8001 + 1)},
+              "points": [{"x": str(2 ** 5334), "y": str(2 ** 8000 + 1)}]}
+    big_twisted = hyperbola(Fraction(1, 3 ** 2200), Fraction(1, 5 ** 1840))
+    # X^3 + Y^3 = ... with X, Y, Z of 701 digits: T, S and the constant would not print
+    X, Y, Z = 10 ** 700 + 7, 10 ** 700 + 3, 10 ** 700 + 1
     files = {"not-utf8.json": b'{"curve": "\xff"}', "not-json.json": b"curve",
              "long-int.json": b'{"curve": {"r": ' + b"7" * 5000 + b"}}",
              "long-r.json": json.dumps({**VALID_CWP, "curve": {**VALID_CWP["curve"],
@@ -598,7 +612,9 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
                                                                    {"x": "2", "y": "4"}]}).encode(),
              "base-y-0.json": json.dumps({**VALID_CWP, "points": VALID_CWP["points"][::-1]}).encode(),
              "no-points.json": json.dumps({**VALID_CWP, "points": []}).encode(),
-             "big-image.json": json.dumps(big_image).encode()}
+             "big-image.json": json.dumps(big_image).encode(),
+             "big-c0.json": json.dumps(big_c0).encode(),
+             "big-twisted.json": json.dumps(big_twisted).encode()}
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
     # each domain refusal that an argv can reach: exit 2, and its message alone
@@ -662,6 +678,15 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", f"--point={big_point}"):
             f"error: curve a or b exceeds {limit} digits\n",
         ("map", "--input", str(tmp_path / "big-image.json")): f"error: point exceeds {limit} digits\n",
+        # A_2 = 2^16000 of 4,817 digits, and the values of the files and X, Y, Z above
+        ("fiber-eqs", f"--alphas=0,1,{2 ** 8000}", "--r", "2", "--s", "2"):
+            f"error: fiber equation exceeds {limit} digits\n",
+        ("twist", "--input", str(tmp_path / "big-c0.json")):
+            f"error: twist c0, a or b exceeds {limit} digits\n",
+        ("twist", "--input", str(tmp_path / "big-twisted.json")):
+            f"error: point exceeds {limit} digits\n",
+        ("cubic-to-weierstrass", "--alpha", str(Z ** 3 - Y ** 3), "--beta", str(X ** 3 - Z ** 3),
+         "--point", f"{X},{Y},{Z}"): f"error: Weierstrass point exceeds {limit} digits\n",
         ("map", "--input", str(tmp_path / "not-utf8.json")):
             "error: malformed --input JSON: 'utf-8' codec can't decode byte 0xff in position 11:"
             " invalid start byte\n",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers_rank import (add, certified_rank, combination, cubic, descent_rank, f2_rank, halve,
                           kummer_rows, rung_image, rung_roots)
 from superfiber.elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
-from superfiber.errors import DomainError, TrivialPoint
+from superfiber.errors import DomainError
 from superfiber.fiber import XCoordinates, fiber_equations, fiber_genus
 from superfiber.maps import CubicSpec, fermat_to_weierstrass, phi_inverse
 from superfiber.search import SearchConfig, search_fiber_points
@@ -174,7 +174,7 @@ def test_s3_rung_search_points_certify_a_rank(alphas, r, rank):
     equation = fiber_equations(a_n, 3)[0]
     spec = CubicSpec(equation.c0, equation.c1)
     images = [fermat_to_weierstrass(spec, P.coords)
-              for P in search_fiber_points(a_n, 3, SearchConfig(60)) if P[0] * P[1] * P[2] != 0]
+              for P in search_fiber_points(a_n, 3, SearchConfig(60)) if 0 not in P.coords]
     points = [(image.T, image.S) for image in images]
     assert certified_rank(-images[0].discriminant_term, points, 101) == rank
 
@@ -191,11 +191,9 @@ def test_s2_rung_search_points_certify_a_rank_by_halving(alphas, r, rank):
     x_t, y_t = rung_image(w, (1, 1, 1, 1), 0)
     images = []
     for P in search_fiber_points(a_n, 2, SearchConfig(300)):
-        try:
-            a = phi_inverse(a_n, P.coords, 2).curve.a
-        except TrivialPoint:
-            continue
-        images.append(add(rung_image(w, P.coords, a), (x_t, -y_t), cubic(roots)))
+        curve = phi_inverse(a_n, P.coords, 2).curve
+        if curve.is_smooth:
+            images.append(add(rung_image(w, P.coords, curve.a), (x_t, -y_t), cubic(roots)))
     halves = [halve(Q, roots) for Q in images]
     assert halve((x_t, y_t), roots) is None and None not in halves
     assert descent_rank(roots, images, 101) == 0

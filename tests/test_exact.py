@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -243,13 +245,40 @@ def test_rational_parse_and_serialize():
 
 def test_projective_point_helpers():
     P = normalize_projective([1, -3, 2])
-    assert len(P) == 3
-    assert P[1] == -3
-    assert list(P) == [1, -3, 2]
+    assert P.coords == (1, -3, 2)
     assert P.to_obj() == ["1", "-3", "2"]
     assert tuple(map(Fraction, P.coords)) == (Fraction(1), Fraction(-3), Fraction(2))
     assert P == ProjectivePoint((1, -3, 2))
     assert normalize_projective(P.to_obj()) == P
+
+
+def _str_calls(node: ast.AST, function: str):
+    # (function, line) of each str() call below node, and of each str passed to a
+    # call as its argument (map(str, ...)), isinstance's type aside
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            args = [] if ast.unparse(child.func) == "isinstance" else child.args
+            if any(isinstance(f, ast.Name) and f.id == "str"
+                   for f in [child.func, *args, *(k.value for k in child.keywords)]):
+                yield function, child.lineno
+        yield from _str_calls(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def test_every_printed_number_becomes_text_in_exact_printed():
+    # str() of a number past L digits ends in the interpreter's own error after
+    # the work, so printed() is the one place a number becomes text, where the
+    # digit rule refuses it; the manifest's str() reads argv values, each parsed
+    # from text of at most L digits
+    allowed = {("exact.py", "printed"), ("cli.py", "_write_manifest")}
+    found = [(path.name, function, line)
+             for path in sorted(Path(exact.__file__).parent.glob("*.py"))
+             for function, line in _str_calls(ast.parse(path.read_text()), "")
+             if (path.name, function) not in allowed]
+    assert found == []
+    limit = exact.digit_limit()
+    assert exact.printed([Fraction(-2, 3), 10 ** limit - 1], "x") == ["-2/3", "9" * limit]
+    with pytest.raises(ValueError, match=f"^x exceeds {limit} digits$"):
+        exact.printed([Fraction(1, 10 ** limit)], "x")
 
 
 # annotations as text, as record requires: this module has no
