@@ -608,6 +608,41 @@ def test_cross_check_partitions_both_censuses(alphas, r, s, height):
     assert report["ok"] is (report["unmatched_curves"] == report["unmatched_fiber_points"] == [])
 
 
+def _floor_root(n: int, s: int) -> int:
+    root = int(n ** (1 / s))
+    while root ** s > n:
+        root -= 1
+    while (root + 1) ** s <= n:
+        root += 1
+    return root
+
+
+@settings(deadline=None, max_examples=30)
+@given(alphas=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                      min_size=3, max_size=4, unique=True),
+       r=st.sampled_from((2, 3)), s=st.sampled_from((2, 3, 4)), height=st.integers(1, 12))
+# random boxes are mostly empty; these hold curves (a_4 at H = 225 has H' = 120)
+@example(alphas=[Fraction(x) for x in (0, 4, -5, -6, 6)], r=3, s=2, height=225)
+@example(alphas=[Fraction(1), Fraction(2), Fraction(7)], r=2, s=2, height=100)
+@example(alphas=[Fraction(0), Fraction(1), Fraction(2)], r=3, s=3, height=100)
+@example(alphas=[Fraction(1, 2), Fraction(1), Fraction(3)], r=2, s=2, height=60)
+def test_curve_box_is_the_fiber_census_below_a_bound_it_does_not_choose(alphas, r, s, height):
+    # a box curve's roots satisfy |D*y_j|^s <= D^s*H*(|w_j| + 1), where D is the
+    # lcm of the denominators of w_0 and w_1 (w = alpha^r) and D*y_j is an
+    # integer, so its fiber point's reduced (Y_0, Y_1) has height at most H'.
+    # The box at H is then the integer representatives, up to H, of the curves
+    # that the fiber census at H' recovers; cross_check raises its fiber bound
+    # from the box's own curves, so it cannot see a curve the box misses
+    assume(is_admissible(alphas, r))
+    a_n = XCoordinates(alphas, r)
+    w = a_n.rth_powers()[:2]
+    D = math.lcm(*(Fraction(x).denominator for x in w))
+    fiber_height = max(_floor_root(int(D ** s * height * (abs(x) + 1)), s) for x in w)
+    union = sorted(pair for cwp in fiber_census_entries(a_n, s, SearchConfig(fiber_height))
+                   for pair in integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height))
+    assert union == [(c.a, c.b) for c in enumerate_curves(a_n, s, SearchConfig(height))]
+
+
 def test_cross_check_exact_bijection():
     a_2 = XCoordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 2)
