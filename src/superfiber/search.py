@@ -296,7 +296,7 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
                          f" box curves, exceeds the candidate cap: (2H+1)^2 > {MAX_CANDIDATES}"
                          ) from None
 
-    report = {"alphas": a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
+    report = {**a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
               "matched": [], "trivial_points": [], "base_vanishing_points": [],
               "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
     for P in search_fiber_points(a_n, s, fiber_cfg):

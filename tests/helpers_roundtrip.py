@@ -33,7 +33,7 @@ from superfiber.errors import DomainError
 from superfiber.exact import normalize_projective
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import XCoordinates, fiber_equations
-from superfiber.maps import ConicSpec, conic_param, phi_inverse
+from superfiber.maps import ConicSpec, CubicSpec, conic_param, phi_inverse
 
 S4_SEEDS = (
     (3, -27, ((-21, 6), (-6, 3), (-3, 0))),
@@ -62,7 +62,7 @@ def random_admissible_alphas(rng: random.Random, r: int, count: int,
             continue
 
 
-def rescale(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:
+def random_rescaling(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:
     """Random (t, m) rescaling; exercises coordinate growth without
     changing which fiber class the data represents."""
     r, s = cwp.curve.params.r, cwp.curve.params.s
@@ -71,6 +71,18 @@ def rescale(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:
     curve = Curve(FamilyParams(r, s), cwp.curve.a * t ** s / m ** r, cwp.curve.b * t ** s)
     pts = tuple(AffinePoint(m * p.x, t * p.y) for p in cwp.points)
     return CurveWithPoints(curve, pts, cwp.base_index)
+
+
+def random_cubic_instance(rng: random.Random) -> tuple[CubicSpec, tuple[Fraction, ...]]:
+    """A diagonal cubic alpha*X^3 + beta*Y^3 + gamma*Z^3 = 0 through a point
+    with X*Y*Z != 0, by solving for the coefficients: alpha = (Y^3 - Z^3)*t,
+    beta = -(X^3 - Z^3)*t."""
+    while True:
+        X, Y, Z, t = (random_rational(rng, 9, nonzero=True) for _ in range(4))
+        alpha = (Y ** 3 - Z ** 3) * t
+        beta = -(X ** 3 - Z ** 3) * t
+        if alpha != 0 and beta != 0 and alpha + beta != 0:
+            return CubicSpec(alpha, beta), (X, Y, Z)
 
 
 def _inverse_of(a_n: XCoordinates, coords, s: int) -> CurveWithPoints | None:
@@ -183,7 +195,7 @@ def random_cwp(rng: random.Random) -> CurveWithPoints:
     """A random valid instance with base y != 0, randomly rescaled."""
     cwp = FAMILIES[rng.randrange(len(FAMILIES))](rng)
     if rng.random() < 0.75:
-        cwp = rescale(cwp, rng)
+        cwp = random_rescaling(cwp, rng)
     assert cwp.base.y != 0
     return cwp
 

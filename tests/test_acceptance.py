@@ -22,7 +22,6 @@ from superfiber.fiber import (
 )
 from superfiber.maps import (
     ConicSpec,
-    CubicSpec,
     conic_param,
     cubic_to_diagonal,
     cwp_equivalent,
@@ -32,7 +31,8 @@ from superfiber.maps import (
     phi_inverse,
 )
 from superfiber.search import cross_check
-from helpers_roundtrip import random_admissible_alphas, random_cwp, random_rational
+from helpers_roundtrip import (random_admissible_alphas, random_cubic_instance, random_cwp,
+                              random_rational)
 
 
 def _report(number: int, label: str, started: float, budget: float) -> None:
@@ -44,8 +44,14 @@ def _report(number: int, label: str, started: float, budget: float) -> None:
 def test_criterion_1_rank17_bit_exact_reproduction():
     started = time.perf_counter()
     report = verify_reproduction(ELKIES)
-    assert report["ok"], [f for c in report["checks"] for f in c["failures"]]
-    assert len(report["checks"]) == 5
+    assert report["ok"] is True, [f for c in report["checks"] for f in c["failures"]]
+    assert [c["name"] for c in report["checks"]] == [
+        "points_on_curve", "shared_coefficient_c", "equation_pairs", "y_vector_on_fiber",
+        "fiber_genus"]
+    assert all(c["passed"] and c["failures"] == [] for c in report["checks"])
+    # the dict is what repro-elkies prints, keys in this order
+    assert list(report) == ["ok", "checks"]
+    assert all(list(c) == ["name", "passed", "failures"] for c in report["checks"])
 
     # the golden constant is anchored to the embedded table twice over:
     # c = alpha_1^3 - alpha_0^3 and c = A_i - B_i for every printed pair
@@ -68,37 +74,38 @@ def test_criterion_3_identity_suites():
     started = time.perf_counter()
     rng = random.Random(20260810)
 
-    # (a) 1000 conic parameterization identities
-    for _ in range(1000):
-        alpha = random_rational(rng, 60, nonzero=True)
-        beta = random_rational(rng, 60, nonzero=True)
-        u = random_rational(rng, 60)
-        spec = ConicSpec(alpha, beta)
-        if alpha + beta == 0 and u == 1:
+    # (a) conic parameterization identities: 1000 random draws, a sweep of
+    # small coefficients at four parameters, and 200 draws of up to seven digits
+    small = [Fraction(p, q) for p in range(-3, 4) if p for q in (1, 2, 3)]
+    conics = [(alpha, beta, Fraction(u)) for alpha in small for beta in small
+              for u in (0, 2, Fraction(-1, 2), Fraction(5, 3))]
+    conics += [(random_rational(rng, 60, nonzero=True), random_rational(rng, 60, nonzero=True),
+                random_rational(rng, 60)) for _ in range(1000)]
+    conics += [(Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 1000)),
+                Fraction(-rng.randint(1, 10 ** 6), rng.randint(1, 1000)),
+                Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
+               for _ in range(200)]
+    for alpha, beta, u in conics:
+        if alpha + beta == 0 and u == 1:  # the one parameter that collapses to zero
             continue
-        X, Y, Z = map(Fraction, conic_param(spec, u).coords)
+        spec = ConicSpec(alpha, beta)
+        X, Y, Z = conic_param(spec, u).coords
         assert spec.alpha * X ** 2 + spec.beta * Y ** 2 + spec.gamma * Z ** 2 == 0
 
     # (b) 500 Fermat-cubic chains from the constraint-solving generator
-    count = 0
-    while count < 500:
-        X = random_rational(rng, 9, nonzero=True)
-        Y = random_rational(rng, 9, nonzero=True)
-        Z = random_rational(rng, 9, nonzero=True)
-        t = random_rational(rng, 9, nonzero=True)
-        alpha = (Y ** 3 - Z ** 3) * t
-        beta = -(X ** 3 - Z ** 3) * t
-        if alpha == 0 or beta == 0 or alpha + beta == 0:
-            continue
-        cubic = CubicSpec(alpha, beta)
-        assert cubic.contains((X, Y, Z))
-        dp = cubic_to_diagonal(cubic, (X, Y, Z))
-        assert dp.U ** 3 + dp.V ** 3 == cubic.alpha * cubic.beta * cubic.gamma * dp.W ** 3
-        wp = fermat_to_weierstrass(cubic, (X, Y, Z))
-        assert wp.S ** 2 == wp.T ** 3 - 432 * alpha ** 2 * beta ** 2 * (alpha + beta) ** 2
+    for _ in range(500):
+        cubic, P = random_cubic_instance(rng)
+        alpha, beta = cubic.alpha, cubic.beta
+        assert cubic.contains(P)
+        dp = cubic_to_diagonal(cubic, P)
+        assert dp.U ** 3 + dp.V ** 3 == alpha * beta * cubic.gamma * dp.W ** 3
+        wp = fermat_to_weierstrass(cubic, P)
+        assert wp.discriminant_term == 432 * alpha ** 2 * beta ** 2 * (alpha + beta) ** 2
+        assert wp.S ** 2 == wp.T ** 3 - wp.discriminant_term and wp.on_curve()
+        # U + V is never zero on the accepted domain, so the chain is defined
+        assert dp.U + dp.V != 0
         chained = diagonal_to_weierstrass(cubic, dp)
         assert (chained.T, chained.S) == (wp.T, wp.S)
-        count += 1
 
     # (c) 200 random forward/inverse round trips, r, s <= 5, n <= 6
     for _ in range(200):
@@ -126,7 +133,7 @@ def test_criterion_3_identity_suites():
         )
         assert fiber_equation_determinant(a_n, s, i, Ycoords) == expanded
 
-    _report(3, "1000 conic + 500 cubic-chain + 200 round-trip + 500 determinant identities",
+    _report(3, "2496 conic + 500 cubic-chain + 200 round-trip + 500 determinant identities",
             started, 30.0)
 
 
@@ -136,9 +143,13 @@ def test_criterion_4_dual_enumeration_equivalence():
     a_2 = XCoordinates([0, 2, -1], 3)
     report = cross_check(a_2, 2, 2)
     assert report["ok"]
-    assert len(report["matched"]) == 1
-    assert report["matched"][0]["fiber_point"] == ["1", "3", "0"]
-    assert [(c["a"], c["b"]) for c in report["matched"][0]["curves"]] == [("1", "1")]
+    (match,) = report["matched"]
+    assert match["fiber_point"] == ["1", "3", "0"]
+    assert [(c["a"], c["b"]) for c in match["curves"]] == [("1", "1")]
+    assert (match["recovered_a"], match["recovered_b"]) == ("1", "1")
+    assert report["trivial_points"] == [["1", "1", "1"]]
+    assert report["cutoff_fiber_points"] == report["unmatched_curves"] \
+        == report["unmatched_fiber_points"] == []
 
     rng = random.Random(41)
     for _ in range(10):
@@ -182,6 +193,8 @@ def test_criterion_6_trivial_point_and_thresholds():
         s = rng.randint(2, 5)
         a_n = random_admissible_alphas(rng, r, n + 1)
         assert fiber_contains(a_n, s, [1] * (n + 1))
+        if s % 2 == 0:  # at even s the trivial point holds under any signs
+            assert fiber_contains(a_n, s, [rng.choice((1, -1)) for _ in range(n + 1)])
 
     for s in range(2, 11):
         assert n0_threshold(s) == (4 if s == 2 else 3)
@@ -190,4 +203,5 @@ def test_criterion_6_trivial_point_and_thresholds():
     for s in (2, 3, 4):
         values = [gonality_lower_bound(n, s) for n in range(2, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
-    _report(6, "trivial points, n0 thresholds, gonality growth", started, 5.0)
+        assert values[-1] >= 2 ** 18
+    _report(6, "trivial points and their signs, n0 thresholds, gonality growth", started, 5.0)

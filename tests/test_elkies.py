@@ -22,30 +22,6 @@ def test_dataset_shape():
     assert ELKIES.b0 == 24537619889008718205152851658505801
 
 
-def test_shared_coefficient_anchored_by_table():
-    # c equals alpha_1^3 - alpha_0^3 and every printed pair difference
-    x0, x1 = ELKIES.points[0][0], ELKIES.points[1][0]
-    assert ELKIES.expected_c == x1 ** 3 - x0 ** 3
-    for A, B in ELKIES.expected_equations:
-        assert A - B == ELKIES.expected_c
-
-
-def test_verify_reproduction_all_checks_pass():
-    report = verify_reproduction(ELKIES)
-    assert report["ok"] is True
-    assert [c["name"] for c in report["checks"]] == [
-        "points_on_curve",
-        "shared_coefficient_c",
-        "equation_pairs",
-        "y_vector_on_fiber",
-        "fiber_genus",
-    ]
-    assert all(c["passed"] and c["failures"] == [] for c in report["checks"])
-    # the dict is what repro-elkies prints, keys in this order
-    assert list(report) == ["ok", "checks"]
-    assert all(list(c) == ["name", "passed", "failures"] for c in report["checks"])
-
-
 def _failing(report):
     return {c["name"] for c in report["checks"] if not c["passed"]}
 

@@ -61,6 +61,10 @@ CASES = {
     # fills every bucket but matched: [0:1:4] is base-vanishing, [3:4:11] cutoff
     "cross-check-base-vanishing-h6.json": ["cross-check", "--alphas=1,2,7", "--r", "2",
                                            "--s", "2", "--height", "6"],
+    # y^2 = x^3 + 225 passes through five of these x's; its minimal integer
+    # representative (1, 225) sits outside the H = 20 box while the fiber point
+    # (pair height 17) is inside the pair search, so the point must be
+    # explained as cutoff, not left unmatched
     "cross-check-a4-h20.json": ["cross-check", *A4, "--height", "20"],
     # the fiber bound is raised from 60 to 161 to cover the box curves
     "cross-check-raised-bound-h60.json": ["cross-check", "--alphas=0,30,1", "--r", "3",
