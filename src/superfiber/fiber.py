@@ -35,23 +35,6 @@ from .exact import (
 from .family import FamilyParams
 
 
-def _exact_rth_powers(values: Sequence[Fraction], r: int) -> tuple[int | Fraction, ...]:
-    # the one former of alpha^r refuses it; integral powers are kept as int, so
-    # that a*w + b on int a and b stays in int arithmetic in the search kernels
-    refuse_power(values, r, "alpha^r")
-    if r < 2:
-        raise ValueError(f"exponents must be >= 2, got r={r}")
-    return tuple(w.numerator if w.denominator == 1 else w for w in (v ** r for v in values))
-
-
-def is_admissible(alphas: Sequence[RationalLike], r: int) -> bool:
-    """True iff the r-th powers of the given values are pairwise distinct."""
-    powers = _exact_rth_powers([rational(a) for a in alphas], r)
-    if len(powers) < 2:
-        raise ValueError("need at least two x-coordinates")
-    return len(set(powers)) == len(powers)
-
-
 @record
 class XCoordinates:
     """An admissible tuple (alpha_0, ..., alpha_n), n >= 2, with its exponent r."""
@@ -60,9 +43,16 @@ class XCoordinates:
     r: int
 
     def __post_init__(self):
-        powers = _exact_rth_powers(self.alphas, self.r)
-        if len(powers) < 3:
+        # the one former of alpha^r refuses it first
+        refuse_power(self.alphas, self.r, "alpha^r")
+        if self.r < 2:
+            raise ValueError(f"exponents must be >= 2, got r={self.r}")
+        if len(self.alphas) < 3:
             raise ValueError("a fiber needs n >= 2, i.e. at least 3 x-coordinates")
+        # integral powers are kept as int, so that a*w + b on int a and b stays
+        # in int arithmetic in the search kernels
+        powers = tuple(w.numerator if w.denominator == 1 else w
+                       for w in (a ** self.r for a in self.alphas))
         if len(set(powers)) < len(powers):
             raise DomainError("x-coordinates must have pairwise distinct r-th powers")
         # alpha_i^r, computed once; not a field, since alphas and r fix it

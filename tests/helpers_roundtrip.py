@@ -28,6 +28,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from superfiber.elkies import ELKIES
 from superfiber.errors import DomainError
 from superfiber.exact import normalize_projective
@@ -60,6 +62,17 @@ def random_admissible_alphas(rng: random.Random, r: int, count: int,
             return XCoordinates(tuple(values), r)
         except DomainError:  # not admissible
             continue
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+def admissible_x_coordinates(values=SMALL_FRACTIONS, max_size: int = 4):
+    """A hypothesis strategy of admissible XCoordinates, n >= 2, by
+    construction: r in {2, 3} first, then alphas unique by their r-th power."""
+    return st.sampled_from((2, 3)).flatmap(
+        lambda r: st.lists(values, min_size=3, max_size=max_size,
+                           unique_by=lambda q: q ** r).map(lambda alphas: XCoordinates(alphas, r)))
 
 
 def random_rescaling(cwp: CurveWithPoints, rng: random.Random) -> CurveWithPoints:

@@ -104,15 +104,6 @@ def run_with_input(command, value):
         return run_main(command, "--input", path)
 
 
-@settings(deadline=None, max_examples=50)
-@given(command=st.sampled_from(("map", "twist")), value=JSON_VALUES)
-def test_any_json_input_ends_in_a_documented_exit(command, value):
-    code, _, err = run_with_input(command, value)
-    assert code in (0, 2, 64, 74)
-    if code:
-        assert err.endswith("\n") and err.count("\n") == 1, err
-
-
 def test_deeply_nested_input_exits_64_in_one_line(monkeypatch):
     deep = "[" * 100000 + "]" * 100000
     with tempfile.TemporaryDirectory() as tmp:
@@ -282,7 +273,7 @@ CWP_JSON = (st.fixed_dictionaries({
 }) | st.builds(_with_token, st.sampled_from(CWP_FIELDS), TOKENS))
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(data=st.data(), command=st.sampled_from(sorted(ARGV)),
        fmt=st.sampled_from(("json", "table")),
        manifest=st.sampled_from((None, "run.json", "missing/run.json")))
@@ -290,7 +281,8 @@ def test_any_argv_ends_in_a_documented_exit(data, command, fmt, manifest, tmp_pa
     tmp = tmp_path_factory.mktemp("argv")
     argv = [command, f"--format={fmt}", *data.draw(ARGV[command])]
     if command in ("map", "twist"):
-        (tmp / "cwp.json").write_text(json.dumps(data.draw(CWP_JSON)), encoding="utf-8")
+        (tmp / "cwp.json").write_text(json.dumps(data.draw(CWP_JSON | JSON_VALUES)),
+                                      encoding="utf-8")
         argv.append(f"--input={tmp / 'cwp.json'}")
     if manifest:
         argv.append(f"--manifest={tmp / manifest}")

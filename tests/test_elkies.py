@@ -171,7 +171,7 @@ def test_s2_rung_search_points_certify_a_rank_by_halving(alphas, r, rank):
     assert descent_rank(roots, halves, 101) == rank
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(indices=st.lists(st.integers(0, 16), min_size=3, max_size=3, unique=True),
        coefficients=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
                              min_size=1, max_size=4))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from superfiber.errors import DomainError
@@ -146,7 +146,6 @@ def test_twist_prints_points_past_the_digit_rule():
     assert rescale(twisted, Fraction(1, A)) == cwp
 
 
-@settings(deadline=None)
 @given(seed=st.integers(0, 2 ** 32), t=st.fractions(min_value=-50, max_value=50, max_denominator=50))
 def test_rescale_inverts_by_its_reciprocal(seed, t):
     assume(t != 0)

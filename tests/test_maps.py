@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from superfiber.elkies import ELKIES
@@ -317,7 +317,6 @@ def test_cwp_equivalent_without_nonzero_y():
     assert not cwp_equivalent(at_five(1, -125), at_five(2, -250))
 
 
-@settings(deadline=None)
 @given(seed=st.integers(0, 2 ** 32), t=st.fractions(min_value=-50, max_value=50, max_denominator=50))
 def test_rescale_keeps_the_fiber_point_and_the_class(seed, t):
     assume(t != 0)
