@@ -13,8 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 import superfiber
 from superfiber.cli import main
@@ -27,11 +25,21 @@ VALID_CWP = {
     "points": [{"x": "0", "y": "1"}, {"x": "2", "y": "3"}, {"x": "-1", "y": "0"}],
     "base_index": 0,
 }
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=10,
-)
+# each command's flags, and the two every command takes
+FLAGS = {
+    "repro-elkies": (),
+    "fiber-eqs": ("--alphas", "--r", "--s"),
+    "verify-point": ("--alphas", "--r", "--s", "--point"),
+    "genus": ("--n", "--s"),
+    "twist": ("--input",),
+    "map": ("--input",),
+    "map-inverse": ("--alphas", "--r", "--s", "--point"),
+    "param-conic": ("--alpha", "--beta", "--u"),
+    "cubic-to-weierstrass": ("--alpha", "--beta", "--point"),
+    "search": ("--alphas", "--r", "--s", "--height", "--mode", "--workers", "--worker-index"),
+    "cross-check": ("--alphas", "--r", "--s", "--height"),
+}
+COMMON_FLAGS = ("--format", "--manifest")
 
 
 def run_main(*argv):
@@ -197,106 +205,6 @@ def test_cross_check_of_scaled_alphas_is_bounded_by_the_height():
         assert {bucket: report[bucket] for bucket in points} == points
 
 
-# rational tokens, bad ones in one branch of four: zero denominators,
-# exponent notation, nan, the empty string and junk (the unicode minus is
-# accepted)
-TOKENS = st.one_of(*[st.sampled_from(("0", "1", "-1", "2", "3", "1/2", "-3/4", " 5 ", "−2"))] * 3,
-                   st.sampled_from(("1/0", "0/0", "1e3", "nan", "", "x")))
-# mostly valid values, so that most draws get past the first check
-EXPONENTS = st.integers(2, 4) | st.integers(-2, 6)
-HEIGHTS = st.integers(1, 20) | st.integers(-2, 20)
-TOKEN_LISTS = (st.lists(TOKENS, min_size=3, max_size=5)
-               | st.lists(TOKENS, max_size=5)).map(",".join)
-# the rational fields of VALID_CWP: ("curve", key) or (point index, key)
-CWP_FIELDS = [("curve", key) for key in "ab"] + [(i, key) for i in range(3) for key in "xy"]
-
-
-def _flag(name, strategy):
-    # --flag=value, so that a value with a leading minus is not read as a flag
-    return strategy.map(f"--{name}={{}}".format)
-
-
-def _with_token(field, token):
-    value = json.loads(json.dumps(VALID_CWP))
-    owner, key = field
-    (value["curve"] if owner == "curve" else value["points"][owner])[key] = token
-    return value
-
-
-def _argv(*flags):
-    # one argv tuple from the flag strategies, fiber flags spliced in
-    return st.tuples(*flags).map(lambda parts: tuple(
-        flag for part in parts for flag in ((part,) if isinstance(part, str) else part)))
-
-
-FIBER_FLAGS = _argv(_flag("alphas", TOKEN_LISTS), _flag("r", EXPONENTS), _flag("s", EXPONENTS))
-
-
-@st.composite
-def _admissible_fiber_flags(draw):
-    # 3-5 small integers of distinct sizes, so their r-th powers are distinct
-    # and searches and cross-checks can get past input validation and succeed;
-    # a permutation, not a filtered list, so that no draw is rejected
-    sizes = draw(st.permutations(range(7)))[:draw(st.integers(3, 5))]
-    alphas = [draw(st.sampled_from((size, -size))) for size in sizes]
-    r, s = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3)))
-    return f"--alphas={','.join(map(str, alphas))}", f"--r={r}", f"--s={s}"
-
-
-ADMISSIBLE_FLAGS = _argv(_admissible_fiber_flags(), _flag("height", st.integers(1, 20)))
-SEARCH_MODE = _flag("mode", st.sampled_from(("curve-box", "fiber-pairs")))
-# the flags of all 11 commands; map and twist also get an --input file
-ARGV = {
-    "repro-elkies": st.just(()),
-    "fiber-eqs": FIBER_FLAGS,
-    "verify-point": _argv(FIBER_FLAGS, _flag("point", TOKEN_LISTS)),
-    "genus": _argv(_flag("n", st.integers(-2, 40)), _flag("s", EXPONENTS)),
-    "twist": st.just(()),
-    "map": st.just(()),
-    "map-inverse": _argv(FIBER_FLAGS, _flag("point", TOKEN_LISTS)),
-    "param-conic": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS), _flag("u", TOKENS)),
-    "cubic-to-weierstrass": _argv(_flag("alpha", TOKENS), _flag("beta", TOKENS),
-                                  _flag("point", TOKEN_LISTS)),
-    "search": _argv(ADMISSIBLE_FLAGS, SEARCH_MODE,
-                    st.sampled_from(((), ("--workers=2", "--worker-index=0"),
-                                     ("--workers=2", "--worker-index=1"))))
-              | _argv(FIBER_FLAGS, _flag("height", HEIGHTS), SEARCH_MODE,
-                      _flag("workers", st.integers(1, 3) | st.integers(-1, 4)),
-                      _flag("worker-index", st.integers(0, 1) | st.integers(-1, 4))),
-    "cross-check": ADMISSIBLE_FLAGS | _argv(FIBER_FLAGS, _flag("height", HEIGHTS)),
-}
-# any fields, or VALID_CWP with one rational replaced by a token
-CWP_JSON = (st.fixed_dictionaries({
-    "curve": st.fixed_dictionaries({"r": EXPONENTS, "s": EXPONENTS, "a": TOKENS, "b": TOKENS}),
-    "points": st.lists(st.fixed_dictionaries({"x": TOKENS, "y": TOKENS}), max_size=4),
-    "base_index": st.integers(-1, 4),
-}) | st.builds(_with_token, st.sampled_from(CWP_FIELDS), TOKENS))
-
-
-@settings(max_examples=300)
-@given(data=st.data(), command=st.sampled_from(sorted(ARGV)),
-       fmt=st.sampled_from(("json", "table")),
-       manifest=st.sampled_from((None, "run.json", "missing/run.json")))
-def test_any_argv_ends_in_a_documented_exit(data, command, fmt, manifest, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("argv")
-    argv = [command, f"--format={fmt}", *data.draw(ARGV[command])]
-    if command in ("map", "twist"):
-        (tmp / "cwp.json").write_text(json.dumps(data.draw(CWP_JSON | JSON_VALUES)),
-                                      encoding="utf-8")
-        argv.append(f"--input={tmp / 'cwp.json'}")
-    if manifest:
-        argv.append(f"--manifest={tmp / manifest}")
-    code, out, err = run_main(*argv)
-    event(f"{command}: exit {code}")
-    assert code in (0, 2, 64, 74), argv
-    if manifest == "missing/run.json":  # the manifest is written before stdout
-        assert out == "", argv
-    if code:
-        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
-    else:
-        assert err == "", argv
-
-
 def test_genus_refuses_values_too_long_to_print():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
@@ -453,6 +361,48 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             ("frobnicate",): None,
             ("fiber-eqz", "--alphas", "0,1,2"): None,
             ("genus", "--n", "x", "--s", "2"): "error: argument --n: invalid int value: 'x'\n",
+            # the parser keeps argparse's rules: a token is a value unless it
+            # starts with "-", is longer than that, is no negative number and
+            # has no space
+            ("genus", "--n", "-5", "--s", "2"): "error: need n >= 2 and s >= 2\n",
+            ("genus", "--n", "-1.5", "--s", "2"): "error: argument --n: invalid int value: '-1.5'\n",
+            ("genus", "--n", "-1 2", "--s", "2"): "error: argument --n: invalid int value: '-1 2'\n",
+            ("genus", "--n", "-", "--s", "2"): "error: argument --n: invalid int value: '-'\n",
+            ("genus", "--n", "", "--s", "2"): "error: argument --n: invalid int value: ''\n",
+            ("genus", "--n", "-x", "--s", "2"): "error: argument --n: expected one argument\n",
+            ("genus", "--n", "--s=2 3"): "error: argument --n: invalid int value: '--s=2 3'\n",
+            ("genus", "--n", "-h"): "error: argument --n: expected one argument\n",
+            ("genus", "--s", "2", "--n"): "error: argument --n: expected one argument\n",
+            # "--" is never a value, in either form (Python 3.11's argparse read
+            # --flag=-- as an empty list, which ended in a traceback)
+            ("genus", "--n", "--", "2", "--s", "2"): "error: argument --n: expected one argument\n",
+            ("genus", "--n=--", "--s", "2"): "error: argument --n: expected one argument\n",
+            ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
+            ("map", "--input=--"): None,
+            # the leftmost bad value first, then the missing flags in table
+            # order, then the unrecognized tokens
+            ("genus", "--s", "y", "--n", "x", "extra"): "error: argument --s: invalid int value: 'y'\n",
+            ("genus", "--n=2", "--s", "2", "--format", "xml", "--n", "x"):
+                "error: argument --format: invalid choice: 'xml' (choose from 'json', 'table')\n",
+            (*search, "--mode", "pairs"): "error: argument --mode: invalid choice: 'pairs'"
+                                          " (choose from 'curve-box', 'fiber-pairs')\n",
+            ("verify-point", "extra", "--format", "table"):
+                "error: the following arguments are required: --alphas, --r, --s, --point\n",
+            ("--bogus",): "error: the following arguments are required: command\n",
+            ("genus", "--n", "2", "--s", "2", "--mode", "x", "-5"):
+                "error: unrecognized arguments: --mode x -5\n",
+            ("--bogus", "genus", "--n", "2", "--s", "2", "extra"):
+                "error: unrecognized arguments: --bogus extra\n",
+            # "--" ends the flags, and it and what follows are unrecognized
+            ("genus", "--n", "2", "--", "--s", "2"):
+                "error: the following arguments are required: --s\n",
+            ("genus", "--n", "2", "--s", "2", "--"): "error: unrecognized arguments: --\n",
+            ("genus", "--n", "2", "--s", "2", "--", "--n", "3"):
+                "error: unrecognized arguments: -- --n 3\n",
+            # flags are spelled in full
+            ("genus", "--n", "2", "--s", "2", "--form=table"):
+                "error: unrecognized arguments: --form=table\n",
+            (*search, "--work", "2"): "error: unrecognized arguments: --work 2\n",
             ("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0"): None,
             **{(*search, *workers): "error: need 0 <= worker_index < worker_count\n"
                for workers in (("--workers", "3", "--worker-index", "3"), ("--workers", "0"),
@@ -535,10 +485,6 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
                 f"error: fiber bound 665857, raised from height 2 to cover the box curves, {cap}\n",
             ("cross-check", "--alphas=0,532,1", "--r", "3", "--height", "5", "--s", "2"):
                 f"error: fiber bound 13719, raised from height 5 to cover the box curves, {cap}\n",
-            # Python 3.11 reads --flag=-- as an empty list, which ended in a traceback
-            ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
-            ("genus", "--n=--", "--s", "2"): None,
-            ("map", "--input=--"): None,
             # an over-long token is shown by its first 20 characters, then ...
             ("genus", "--n", "7" * 5000, "--s", "2"):
                 f"error: argument --n: invalid int value: '{'7' * 20}...'\n",
@@ -549,6 +495,15 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             # an unrecognized token with whitespace was echoed whole (5,032 bytes)
             ("genus", "--n", "2", "--s", "2", "x " * 2500):
                 "error: unrecognized arguments: x x x x x x x x x x ...\n",
+            # and a line break in an echoed token is escaped
+            ("genus", "--n", "2", "--s", "2", "x" * 30 + "\n"):
+                f"error: unrecognized arguments: {'x' * 20}...\n",
+            ("genus", "--n", "2", "--s", "2", "x\ny", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+                r"error: unrecognized arguments: x\ny \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" "\n",
+            ("genus", "--n", "2\n" + "7" * 30, "--s", "2"):
+                "error: argument --n: invalid int value: '2\\n777777777777777777...'\n",
+            ("x\n" * 30,): "error: argument command: invalid choice: '" + "x\\n" * 10
+                           + "...' (choose from " + ", ".join(map(repr, FLAGS)) + ")\n",
             ("param-conic", "--alpha", "1", "--beta", "2", "--u", "x" * 5000):
                 f"error: not a rational: '{'x' * 20}...'\n",
             **read("long-r.json", "error: malformed --input JSON: TypeError: r must be an integer,"
@@ -573,79 +528,13 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
             assert message is None or err == message, (argv, err)
 
 
-# each command's flags, and the two every command takes
-FLAGS = {
-    "repro-elkies": (),
-    "fiber-eqs": ("--alphas", "--r", "--s"),
-    "verify-point": ("--alphas", "--r", "--s", "--point"),
-    "genus": ("--n", "--s"),
-    "twist": ("--input",),
-    "map": ("--input",),
-    "map-inverse": ("--alphas", "--r", "--s", "--point"),
-    "param-conic": ("--alpha", "--beta", "--u"),
-    "cubic-to-weierstrass": ("--alpha", "--beta", "--point"),
-    "search": ("--alphas", "--r", "--s", "--height", "--mode", "--workers", "--worker-index"),
-    "cross-check": ("--alphas", "--r", "--s", "--height"),
-}
-COMMON_FLAGS = ("--format", "--manifest")
-
-
 def test_flags_keep_argparse_rules():
+    # --flag value and --flag=value, and the last of a repeated flag wins (the
+    # parser's refusals are rows of the refusal table)
     genus = '{"genus":0,"gonality_lower_bound":1,"n0":4}\n'
-    search = ("search", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--height", "5")
-    refused = {
-        # a token is a value unless it starts with "-", is longer than that, is
-        # no negative number and has no space
-        ("genus", "--n", "-5", "--s", "2"): "need n >= 2 and s >= 2",
-        ("genus", "--n", "-1.5", "--s", "2"): "argument --n: invalid int value: '-1.5'",
-        ("genus", "--n", "-1 2", "--s", "2"): "argument --n: invalid int value: '-1 2'",
-        ("genus", "--n", "-", "--s", "2"): "argument --n: invalid int value: '-'",
-        ("genus", "--n", "", "--s", "2"): "argument --n: invalid int value: ''",
-        ("genus", "--n", "-x", "--s", "2"): "argument --n: expected one argument",
-        ("genus", "--n", "--s=2 3"): "argument --n: invalid int value: '--s=2 3'",
-        ("genus", "--n", "-h"): "argument --n: expected one argument",
-        ("genus", "--s", "2", "--n"): "argument --n: expected one argument",
-        # "--" is never a value, in either form
-        ("genus", "--n", "--", "2", "--s", "2"): "argument --n: expected one argument",
-        ("genus", "--n=--", "--s", "2"): "argument --n: expected one argument",
-        # the leftmost bad value first, then the missing flags in table order,
-        # then the unrecognized tokens
-        ("genus", "--s", "y", "--n", "x", "extra"): "argument --s: invalid int value: 'y'",
-        ("genus", "--n=2", "--s", "2", "--format", "xml", "--n", "x"):
-            "argument --format: invalid choice: 'xml' (choose from 'json', 'table')",
-        (*search, "--mode", "pairs"):
-            "argument --mode: invalid choice: 'pairs' (choose from 'curve-box', 'fiber-pairs')",
-        ("verify-point", "extra", "--format", "table"):
-            "the following arguments are required: --alphas, --r, --s, --point",
-        ("--bogus",): "the following arguments are required: command",
-        ("genus", "--n", "2", "--s", "2", "--mode", "x", "-5"):
-            "unrecognized arguments: --mode x -5",
-        ("--bogus", "genus", "--n", "2", "--s", "2", "extra"):
-            "unrecognized arguments: --bogus extra",
-        # "--" ends the flags, and it and what follows are unrecognized
-        ("genus", "--n", "2", "--", "--s", "2"): "the following arguments are required: --s",
-        ("genus", "--n", "2", "--s", "2", "--"): "unrecognized arguments: --",
-        ("genus", "--n", "2", "--s", "2", "--", "--n", "3"): "unrecognized arguments: -- --n 3",
-        # flags are spelled in full
-        ("genus", "--n", "2", "--s", "2", "--form=table"): "unrecognized arguments: --form=table",
-        (*search, "--work", "2"): "unrecognized arguments: --work 2",
-        # each echoed token is clipped, and a line break in it is escaped
-        ("genus", "--n", "2", "--s", "2", "x" * 30 + "\n"):
-            f"unrecognized arguments: {'x' * 20}...",
-        ("genus", "--n", "2", "--s", "2", "x\ny", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
-            r"unrecognized arguments: x\ny \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
-        ("genus", "--n", "2\n" + "7" * 30, "--s", "2"):
-            "argument --n: invalid int value: '2\\n777777777777777777...'",
-        ("x\n" * 30,): "argument command: invalid choice: '" + "x\\n" * 10 + "...' (choose from "
-                       + ", ".join(map(repr, FLAGS)) + ")",
-    }
-    for argv, message in refused.items():
-        assert run_main(*argv) == (64, "", f"error: {message}\n"), argv
-    # --flag value and --flag=value, and the last of a repeated flag wins
     for argv in (("genus", "--n", "2", "--s", "2"), ("genus", "--n=2", "--s=2"),
                  ("genus", "--s", "2", "--n=7", "--n", "2")):
         assert run_main(*argv) == (0, genus, ""), argv
-    assert run_main("param-conic", "--alpha", "3", "--beta", "-1", "--u", "2")[0] == 0
 
 
 def test_help_and_version_print_from_the_table():

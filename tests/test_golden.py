@@ -3,16 +3,23 @@
 CASES: 26 argvs whose stdout is a readable file of tests/golden/; each
 exits 0 with an empty stderr.
 
-tests/golden/parity.jsonl: every operation of the benchmark's three
-workloads at seeds 0-2 and standard heights, and the 500 seeded fuzz argvs
-of tests/test_cli.py, one JSON line per argv with its exit code, stdout,
-stderr and manifest digest.  Each runs through main() in process, from a
-temporary directory, with its --input files and manifest under the
-relative directory corpus/, so that no line holds a path of the machine.
-A stdout of more than 200 bytes is kept as its length and sha256.  Every
-line also keeps the one-line contract: a documented exit code, and for a
-refusal an empty stdout and one short error: line.  Process-only cases
-(closed fds, /dev/full, os._exit) are tested in tests/test_cli.py.
+tests/golden/parity.jsonl: 605 lines, one JSON line per distinct argv with
+its exit code, stdout, stderr and manifest digest, in three parts:
+- the 58 distinct operations of the benchmark's three workloads at seeds 0-2
+  and standard heights;
+- the 500 seeded fuzz argvs of tests/test_cli.py (460 lines; the rest repeat
+  an argv above), the first 518 lines in all;
+- the 87 argvs of batch_argvs, appended after them: a --manifest under a
+  missing directory on every command, JSON --input shapes, and searches in
+  both modes (whole and as --workers 2 slices) and cross-checks over seeded
+  curves at heights up to 20.
+Each runs through main() in process, from a temporary directory, with its
+--input files and manifest under the relative directory corpus/, so that
+no line holds a path of the machine.  A stdout of more than 200 bytes is
+kept as its length and sha256.  Every line also keeps the one-line
+contract: a documented exit code, and for a refusal an empty stdout and one
+short error: line.  Process-only cases (closed fds, /dev/full, os._exit)
+are tested in tests/test_cli.py.
 
 A change that means to alter output regenerates both with
 `PYTHONPATH=src python tests/test_golden.py` and shows the diff.
@@ -29,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from superfiber.elkies import ELKIES
-from test_cli import fuzz_argvs, run_main
+from test_cli import FLAGS, VALID_CWP, _fuzz_token, fuzz_argvs, run_main
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -115,8 +122,73 @@ def corpus_argvs():
                                        WORK / f"{name}-{seed}")
             argvs += [list(op.argv) for op in workload.ops]
     argvs += fuzz_argvs(random.Random(14), WORK, 500)
+    argvs += batch_argvs(random.Random(15), WORK)
     unique = {json.dumps(argv): argv for argv in argvs}
     return list(unique.values())
+
+
+# the bad rationals that the fuzz's tokens lack
+BAD_TOKENS = ("1/0", "0/0", "1e3", "nan")
+# the rational fields of VALID_CWP: ("curve", key) or (point index, key)
+CWP_FIELDS = [("curve", key) for key in "ab"] + [(i, key) for i in range(3) for key in "xy"]
+
+
+def _flags_through_a_curve(rng):
+    """--alphas, --r, --s and --height of three alphas of distinct sizes (so
+    their r-th powers are distinct) on a seeded curve y^s = a*x^r + b with
+    nonzero y, at a height that holds (a, b), so the curve box finds it."""
+    while True:
+        r, s = rng.choice((2, 3)), rng.choice((2, 3))
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 20) for _ in range(2))
+        powers = {k ** s for k in range(-80, 81)} - {0}
+        xs = {}
+        for x in range(-6, 7):
+            if a * x ** r + b in powers:
+                xs.setdefault(abs(x), []).append(x)
+        if len(xs) >= 3:
+            break
+    sizes = rng.sample(sorted(xs), 3)
+    return [f"--alphas={','.join(str(rng.choice(xs[size])) for size in sizes)}",
+            f"--r={r}", f"--s={s}", f"--height={rng.randint(max(abs(a), abs(b)), 20)}"]
+
+
+def batch_argvs(rng, directory):
+    """What the fuzz argvs do not reach, with the --input files they read
+    written to directory under names of their own: a --manifest under a
+    missing directory on every command, JSON --input shapes, and searches
+    and cross-checks that get past input validation."""
+    argvs = []
+    # the first golden argv of each command exits 0, so it reaches its manifest
+    cwp = directory / "batch-cwp.json"
+    cwp.write_text(json.dumps(VALID_CWP), encoding="utf-8")
+    for command in sorted(FLAGS):
+        argv = next(argv for argv in CASES.values() if argv[0] == command)
+        argvs.append([str(cwp) if arg == CWP[1] else arg for arg in argv]
+                     + [f"--manifest={directory / 'missing' / 'run.json'}"])
+    # JSON values that are not objects, VALID_CWP with one rational swapped
+    # for a token, and exponents or base_index out of range
+    shapes = [None, False, 0, 2.5, "curve", [VALID_CWP]]
+    for owner, key in CWP_FIELDS:
+        shape = json.loads(json.dumps(VALID_CWP))
+        token = _fuzz_token(rng) if rng.random() < 0.5 else rng.choice(BAD_TOKENS)
+        (shape["curve"] if owner == "curve" else shape["points"][owner])[key] = token
+        shapes.append(shape)
+    for key in ("r", "s"):
+        shapes.append({**VALID_CWP, "curve": {**VALID_CWP["curve"], key: rng.randint(-1, 1)}})
+    shapes.append({**VALID_CWP, "base_index": rng.choice((-1, 3, 4))})
+    for i, shape in enumerate(shapes):
+        path = directory / f"batch-{i}.json"
+        path.write_text(json.dumps(shape), encoding="utf-8")
+        argvs += [[command, f"--input={path}"] for command in ("map", "twist")]
+    # searches in both modes, whole and as two worker slices, and cross-checks
+    for _ in range(6):
+        flags = _flags_through_a_curve(rng)
+        for mode in ("curve-box", "fiber-pairs"):
+            for workers in ((), ("--workers=2", "--worker-index=0"),
+                            ("--workers=2", "--worker-index=1")):
+                argvs.append(["search", *flags, f"--mode={mode}", *workers])
+        argvs.append(["cross-check", *flags])
+    return argvs
 
 
 def corpus_runs():
