@@ -50,24 +50,55 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from decimal import Decimal
 from fractions import Fraction
 
-from .exact import ProjectivePoint, normalize_projective, record, refuse_power, sth_root_exact
+from .exact import (ProjectivePoint, normalize_projective, record, refuse_power, shown,
+                    sth_root_exact)
 from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from .fiber import FiberEquation, XCoordinates, fiber_equations
 from .maps import phi_forward, phi_inverse
 
 
-# (2H + 1)^2 bounds the candidates of either stream at height H: the
-# curve box has (2H)^2, the leading pairs at most (H + 1)(2H + 1).  The cap
-# is on the whole box, not a worker's share, so a run is bounded by H alone.
-MAX_CANDIDATES = 10 ** 8
+# The work cap.  Each kernel bounds its root-test work before it builds
+# anything sized by H or s: its candidates at height H times _root_test_ns at
+# its largest radicand.  Measured on the calibration host (Python 3.11.7, a
+# shared 2-core host), the bound is at least the time per candidate at every
+# point of a grid of s = 2..999 and radicands of 13 to 1,030,000 bits, so an
+# accepted search's root tests take at most MAX_WORK ns there, 60 s.
+MAX_WORK = 60 * 10 ** 9
 
-# the fiber-pair radicands k0*Y_0^s + k1*Y_1^s have about
-# s*(bits(H) + bits(max |c|)) bits, and the kernel builds ci^(s-1) and a
-# table of them before any pair; past this cap it refuses them first
-MAX_RADICAND_BITS = 2 ** 20
+# a curve-box candidate whose base radicand a*alpha_0^r + b is a Fraction, as
+# it is when alpha_0^r is not an integer, costs up to this many int tests
+FRACTION_FACTOR = 10
+
+
+def _root_test_ns(s: int, bits: int) -> int:
+    # a candidate whose root test takes a radicand of the given bits: the
+    # loop's own cost, a linear term, and long division, quadratic in the bits
+    # (math.isqrt at s = 2; at s >= 3, Newton steps, about log2(bits) of them,
+    # whose quotients, roots of bits/s bits, shrink as s grows)
+    if s == 2:
+        return 400 + 8 * bits + bits * bits // 1536
+    return 2000 + 8 * bits + bits * bits * bits.bit_length() // (900 * (s - 1).bit_length())
+
+
+def _refuse_work(kernel: str, height: int, work: Callable[[int], int]) -> None:
+    # work(H), in ns, grows with H, so doubling and then a bisection on it find
+    # the largest height the cap admits (0 when it admits none); the line
+    # clips a height of many digits, and Decimal prints a work past float range
+    if work(height) <= MAX_WORK:
+        return
+    low, high = 0, 1
+    while work(high) <= MAX_WORK:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if work(mid) <= MAX_WORK else (low, mid)
+    raise ValueError(f"{kernel} search at height {shown(height)} needs about"
+                     f" {Decimal(work(height)) / 10 ** 9:.2g} s of root tests, past the"
+                     f" {MAX_WORK // 10 ** 9} s work cap: this tuple and s admit heights up to {low}")
 
 
 @record
@@ -81,9 +112,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.height_bound < 1:
             raise ValueError("height bound must be >= 1")
-        if (2 * self.height_bound + 1) ** 2 > MAX_CANDIDATES:
-            raise ValueError(f"height bound {self.height_bound} exceeds the candidate cap:"
-                             f" (2H+1)^2 > {MAX_CANDIDATES}")
         index, count = self.partition
         if not (count >= 1 and 0 <= index < count):
             raise ValueError("need 0 <= worker_index < worker_count")
@@ -114,11 +142,23 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Fraction,
     return roots
 
 
+def _refuse_box_work(a_n: XCoordinates, s: int, H: int) -> None:
+    # the work cap on the (2H)^2 candidates, whatever the partition, whose base
+    # radicands have at most bits(H) + bits(max |w|) bits, w = alpha_i^r as a
+    # height, at FRACTION_FACTOR times the cost where alpha_0^r is a Fraction
+    powers = a_n.rth_powers()
+    w_bits = max(max(abs(w.numerator), w.denominator).bit_length() for w in powers)
+    factor = 1 if powers[0].denominator == 1 else FRACTION_FACTOR
+    _refuse_work("curve-box", H,
+                 lambda h: factor * (2 * h) ** 2 * _root_test_ns(s, h.bit_length() + w_bits))
+
+
 def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
     """All census curves with coefficients in the (a, b) box of height H,
     in (a, b) order: the box is the product of a sorted value list."""
     params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
+    _refuse_box_work(a_n, s, H)
     values = [v for v in range(-H, H + 1) if v != 0]
     # bound here, not at definition, so that a wrapper installed on either
     # name before the call is the one that runs
@@ -169,20 +209,21 @@ def _pair_rows(height: int, s: int,
 
 def _pair_search_equations(a_n: XCoordinates, s: int, H: int) -> list[FiberEquation]:
     # the pair search's refusals, in order: height^s, s < 2 (fiber_equations),
-    # then radicands past the cap
+    # then the work cap on the row masks' (H + 1)^2 candidates (even s) or
+    # (H + 1)(2H + 1) (odd s), whose radicands k0*Y_0^s + k1*Y_1^s have about
+    # s*(bits(H) + bits(c)) bits, c the equations' coefficients
     refuse_power([H], s, "height^s")
     equations = fiber_equations(a_n, s)
-    coefficient_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
-    if s * (H.bit_length() + coefficient_bits) > MAX_RADICAND_BITS:
-        raise ValueError(f"fiber-pair radicands at s={s}, height {H} exceed the radicand cap:"
-                         f" s*(bits(H) + bits(c)) > {MAX_RADICAND_BITS}")
+    c_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
+    _refuse_work("fiber-pairs", H, lambda h: (h + 1) * (h + 1 if s % 2 == 0 else 2 * h + 1)
+                 * _root_test_ns(s, s * (h.bit_length() + c_bits)))
     return equations
 
 
 def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[ProjectivePoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
     as canonical representatives, sorted; refuses H^s, then s < 2, then
-    radicands past their cap, before any pair.  The rows reach each point
+    work past the work cap, before any pair.  The rows reach each point
     once, with Y_0 >= 0 and, for even s, every coordinate >= 0, so its
     normalize_projective is its canonical_fiber_point."""
     H = cfg.height_bound
@@ -276,8 +317,8 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     unmatched_curves / unmatched_fiber_points are genuine failures and
     should always be empty; ok says that they are.  The height meets the
     refusals of `search --mode fiber-pairs`, in its order, before the box
-    (the fiber bound only grows from it); a raised bound past the candidate
-    cap is a ValueError naming it.
+    (the fiber bound only grows from it); the pair search at a raised bound
+    past the work cap refuses that bound in the same line.
     """
     box = SearchConfig(height)
     _pair_search_equations(a_n, s, height)
@@ -288,18 +329,10 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
         groups.setdefault(image.coords, []).append(cwp.curve)
         fiber_bound = max(fiber_bound, pair_height(image))
 
-    try:
-        fiber_cfg = SearchConfig(fiber_bound)
-    except ValueError:
-        # only a raised bound can fail here: SearchConfig(height) passed
-        raise ValueError(f"fiber bound {fiber_bound}, raised from height {height} to cover the"
-                         f" box curves, exceeds the candidate cap: (2H+1)^2 > {MAX_CANDIDATES}"
-                         ) from None
-
     report = {**a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
               "matched": [], "trivial_points": [], "base_vanishing_points": [],
               "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
-    for P in search_fiber_points(a_n, s, fiber_cfg):
+    for P in search_fiber_points(a_n, s, SearchConfig(fiber_bound)):
         cwp = phi_inverse(a_n, P.coords, s)
         if not cwp.curve.is_smooth:
             bucket = "trivial_points"

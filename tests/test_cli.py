@@ -146,8 +146,8 @@ def test_huge_exponent_flags_end_at_once():
     huge = ("--s", "100000000")
     box = ("--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "3")
     tiny = ("--alphas=0,2,3", "--r", "3", *huge, "--height", "1")
-    radicands = ("error: fiber-pair radicands at s=100000000, height 1 exceed the radicand cap:"
-                 " s*(bits(H) + bits(c)) > 1048576\n")
+    radicands = ("error: fiber-pairs search at height 1 needs about 1.8e+6 s of root tests, past"
+                 " the 60 s work cap: this tuple and s admit heights up to 0\n")
     cases = (
         (("fiber-eqs", "--alphas=2,3,5", "--r", "100000000", "--s", "2"), "alpha^r"),
         (("verify-point", "--alphas=0,1,2", "--r", "2", *huge, "--point=2,3,5"), "Y^s"),
@@ -159,8 +159,8 @@ def test_huge_exponent_flags_end_at_once():
         (("cross-check", *tiny), radicands),
         # height^s passes here; cross-check used to run its whole box (16 s) first
         (("cross-check", f"--alphas={2 ** 100},0,1", "--r", "11", "--s", "1000", "--height", "1500"),
-         "error: fiber-pair radicands at s=1000, height 1500 exceed the radicand cap:"
-         " s*(bits(H) + bits(c)) > 1048576\n"),
+         "error: fiber-pairs search at height 1500 needs about 6.5e+6 s of root tests, past the"
+         " 60 s work cap: this tuple and s admit heights up to 3\n"),
         # root tests at large s: Newton started at 2^ceil(bits/s) took 13 s and 36 s
         # here, and both censuses are empty
         (("search", f"--alphas={2 ** 1000},0,1", "--r", "17", "--s", "999", "--height", "8"), None),
@@ -261,13 +261,13 @@ def test_readme_example_session():
 
 
 def test_every_bad_input_leaves_through_one_error_line(tmp_path):
-    # the one table of CLI refusals: each row is an argv, with the --input
-    # files it reads written under tmp_path, and its exit code and error:
-    # line, or None where the row checks the contract alone: that code, an
-    # empty stdout, one line of under 300 bytes, and none of the
+    # the one table of CLI refusals: each row is an exit code, an argv, with
+    # the --input files it reads written under tmp_path, and its error: line,
+    # or None where the row checks the contract alone: that code within 1 s,
+    # an empty stdout, one line of under 300 bytes, and none of the
     # interpreter's own words (argparse used to print its usage block and
     # exit by itself, and Python's own parse errors reached stderr for the
-    # tokens and files below)
+    # tokens and files below); no two rows share an argv
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     search = ("search", "--alphas", "0,2,-1", "--r", "3", "--s", "2", "--height", "5")
     a_4 = "--alphas=0,4,-5,-6,6"
@@ -318,214 +318,230 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw if isinstance(raw, bytes) else json.dumps(raw).encode())
 
-    def read(name, message, commands=("map", "twist")):
+    def read(code, name, message, commands=("map", "twist")):
         # a row for each command that reads the file
-        return {(command, "--input", str(tmp_path / name)): message for command in commands}
+        return [(code, (command, "--input", str(tmp_path / name)), message) for command in commands]
 
     not_integer = "error: malformed --input JSON: TypeError: {} must be an integer, got {!r}\n".format
     zero_denominator = "error: not a rational: '{}' (zero denominator)\n".format
-    cap = "exceeds the candidate cap: (2H+1)^2 > 100000000"
-    refusals = {
-        # each domain refusal that an argv can reach
-        2: {
-            ("fiber-eqs", "--alphas=1,-1,2", "--r", "2", "--s", "2"):
-                "error: x-coordinates must have pairwise distinct r-th powers\n",
-            ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=0,0,0"):
-                "error: all projective coordinates are zero\n",
-            ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,1"):
-                "error: expected 3 coordinates, got 4\n",
-            ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,2"):
-                "error: point does not satisfy the fiber equations\n",
-            ("map-inverse", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--point=1,1,1"):
-                "error: trivial fiber point: recovered a=0, b=1\n",
-            **read("off-curve.json", "error: point 1 (2, 4) is not on the curve\n"),
-            **read("base-y-0.json", "error: forward map needs a first point with y != 0\n", ("map",)),
-            **read("base-y-0.json", "error: base point (-1, 0) cannot define a twist\n", ("twist",)),
-            ("param-conic", "--alpha", "0", "--beta", "1", "--u", "2"):
-                "error: conic coefficients alpha, beta must be nonzero\n",
-            ("param-conic", "--alpha", "1", "--beta", "-1", "--u", "1"):
-                "error: parameter u=1 collapses to the zero vector\n",
-            ("cubic-to-weierstrass", "--alpha", "2", "--beta", "0", "--point", "1,1,1"):
-                "error: cubic coefficients alpha, beta must be nonzero\n",
-            ("cubic-to-weierstrass", "--alpha", "1", "--beta", "-1", "--point", "1,1,1"):
-                "error: alpha + beta must be nonzero (gamma != 0)\n",
-            ("cubic-to-weierstrass", "--alpha", "8", "--beta", "-7", "--point", "1,0,2"):
-                "error: the map is defined only where X*Y*Z != 0\n",
-            ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1,2"):
-                "error: [1 : 1 : 2] is not on the cubic\n",
-            ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1"):
-                "error: cubic points live in P^2\n",
-        },
-        64: {
-            ("genus", "--n", "16"): "error: the following arguments are required: --s\n",
-            ("frobnicate",): None,
-            ("fiber-eqz", "--alphas", "0,1,2"): None,
-            ("genus", "--n", "x", "--s", "2"): "error: argument --n: invalid int value: 'x'\n",
-            # the parser keeps argparse's rules: a token is a value unless it
-            # starts with "-", is longer than that, is no negative number and
-            # has no space
-            ("genus", "--n", "-5", "--s", "2"): "error: need n >= 2 and s >= 2\n",
-            ("genus", "--n", "-1.5", "--s", "2"): "error: argument --n: invalid int value: '-1.5'\n",
-            ("genus", "--n", "-1 2", "--s", "2"): "error: argument --n: invalid int value: '-1 2'\n",
-            ("genus", "--n", "-", "--s", "2"): "error: argument --n: invalid int value: '-'\n",
-            ("genus", "--n", "", "--s", "2"): "error: argument --n: invalid int value: ''\n",
-            ("genus", "--n", "-x", "--s", "2"): "error: argument --n: expected one argument\n",
-            ("genus", "--n", "--s=2 3"): "error: argument --n: invalid int value: '--s=2 3'\n",
-            ("genus", "--n", "-h"): "error: argument --n: expected one argument\n",
-            ("genus", "--s", "2", "--n"): "error: argument --n: expected one argument\n",
-            # "--" is never a value, in either form (Python 3.11's argparse read
-            # --flag=-- as an empty list, which ended in a traceback)
-            ("genus", "--n", "--", "2", "--s", "2"): "error: argument --n: expected one argument\n",
-            ("genus", "--n=--", "--s", "2"): "error: argument --n: expected one argument\n",
-            ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"): None,
-            ("map", "--input=--"): None,
-            # the leftmost bad value first, then the missing flags in table
-            # order, then the unrecognized tokens
-            ("genus", "--s", "y", "--n", "x", "extra"): "error: argument --s: invalid int value: 'y'\n",
-            ("genus", "--n=2", "--s", "2", "--format", "xml", "--n", "x"):
-                "error: argument --format: invalid choice: 'xml' (choose from 'json', 'table')\n",
-            (*search, "--mode", "pairs"): "error: argument --mode: invalid choice: 'pairs'"
-                                          " (choose from 'curve-box', 'fiber-pairs')\n",
-            ("verify-point", "extra", "--format", "table"):
-                "error: the following arguments are required: --alphas, --r, --s, --point\n",
-            ("--bogus",): "error: the following arguments are required: command\n",
-            ("genus", "--n", "2", "--s", "2", "--mode", "x", "-5"):
-                "error: unrecognized arguments: --mode x -5\n",
-            ("--bogus", "genus", "--n", "2", "--s", "2", "extra"):
-                "error: unrecognized arguments: --bogus extra\n",
-            # "--" ends the flags, and it and what follows are unrecognized
-            ("genus", "--n", "2", "--", "--s", "2"):
-                "error: the following arguments are required: --s\n",
-            ("genus", "--n", "2", "--s", "2", "--"): "error: unrecognized arguments: --\n",
-            ("genus", "--n", "2", "--s", "2", "--", "--n", "3"):
-                "error: unrecognized arguments: -- --n 3\n",
-            # flags are spelled in full
-            ("genus", "--n", "2", "--s", "2", "--form=table"):
-                "error: unrecognized arguments: --form=table\n",
-            (*search, "--work", "2"): "error: unrecognized arguments: --work 2\n",
-            ("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0"): None,
-            **{(*search, *workers): "error: need 0 <= worker_index < worker_count\n"
-               for workers in (("--workers", "3", "--worker-index", "3"), ("--workers", "0"),
-                               ("--workers", "-3"), ("--workers", "1", "--worker-index", "7"))},
-            ("param-conic", "--alpha=1", "--beta=-1", "--u="): "error: not a rational: ''\n",
-            # an empty comma item is an empty rational, not a skipped one
-            ("fiber-eqs", "--alphas=0,1,,2", "--r", "2", "--s", "2"): "error: not a rational: ''\n",
-            ("fiber-eqs", "--alphas=", "--r", "2", "--s", "2"): "error: not a rational: ''\n",
-            ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,"):
-                "error: not a rational: ''\n",
-            ("fiber-eqs", "--alphas=" + "7" * 5000 + ",1,2", "--r", "2", "--s", "2"):
-                f"error: not a rational: '{'7' * 20}...' (more than {limit} digits)\n",
-            **{argv: zero_denominator(token) for argv, token in (
-                (("fiber-eqs", "--alphas=1/0,2,3", "--r", "2", "--s", "2"), "1/0"),
-                (("search", "--alphas=0/0,2,3", "--r", "2", "--s", "2", "--height", "3"), "0/0"),
-                (("verify-point", "--alphas=0,2,-1", "--r", "2", "--s", "2", "--point", "1/0,3,0"),
-                 "1/0"),
-                (("map-inverse", "--alphas=0,2,-1", "--r", "2", "--s", "2", "--point", "1/0,3,0"),
-                 "1/0"),
-                (("param-conic", "--alpha", "3", "--beta", "-1", "--u", "1/0"), "1/0"))},
-            **read("b-over-0.json", zero_denominator("1/0")),
-            **read("y-over-0.json", zero_denominator("1/0")),
-            # inputs within the rules whose printed values would not be: a point of
-            # 2,536-digit u, a b of about 4,800 digits from 8,000-bit coordinates, and
-            # the fiber point of big-image.json
-            ("param-conic", "--alpha", "3", "--beta", "-1", "--u", str(7 ** 3000)):
-                f"error: point exceeds {limit} digits\n",
-            ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", f"--point={big_point}"):
-                f"error: curve a or b exceeds {limit} digits\n",
-            **read("big-image.json", f"error: point exceeds {limit} digits\n", ("map",)),
-            # A_2 = 2^16000 of 4,817 digits, and the values of the files and X, Y, Z above
-            ("fiber-eqs", f"--alphas=0,1,{2 ** 8000}", "--r", "2", "--s", "2"):
-                f"error: fiber equation exceeds {limit} digits\n",
-            **read("big-c0.json", f"error: twist c0, a or b exceeds {limit} digits\n", ("twist",)),
-            **read("big-twisted.json", f"error: point exceeds {limit} digits\n", ("twist",)),
-            ("cubic-to-weierstrass", "--alpha", str(Z ** 3 - Y ** 3), "--beta", str(X ** 3 - Z ** 3),
-             "--point", f"{X},{Y},{Z}"): f"error: Weierstrass point exceeds {limit} digits\n",
-            **read("not-utf8.json", "error: malformed --input JSON: 'utf-8' codec can't decode"
-                   " byte 0xff in position 11: invalid start byte\n", ("map",)),
-            **read("not-json.json", "error: malformed --input JSON: Expecting value: line 1 column 1"
-                   " (char 0)\n", ("map",)),
-            **read("long-int.json",
-                   f"error: malformed --input JSON: an integer of more than {limit} digits\n",
-                   ("twist",)),
-            **read("no-points.json", "error: need at least one point\n", ("map",)),
-            **read("r-float.json", not_integer("r", 3.9)),
-            **read("r-true.json", not_integer("r", True)),
-            **read("s-text.json", not_integer("s", "2")),
-            **read("base-float.json", not_integer("base_index", 0.7)),
-            **read("base-false.json", not_integer("base_index", False)),
-            **read("a-true.json", "error: not a rational: True\n"),
-            **read("y-false.json", "error: not a rational: False\n"),
-            **read("a-exponent.json",
-                   "error: not a rational: '1e300000000' (exponent notation is not accepted)\n"),
-            **read("r-huge.json", f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
-            **read("s-huge.json", f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
-            # the three genus formulas share one refusal, checked before their size
-            ("genus", "--n", "100000000", "--s", "-3"): "error: need n >= 2 and s >= 2\n",
-            ("genus", "--n", "3", "--s", "1"): "error: need n >= 2 and s >= 2\n",
-            ("genus", "--n", "1", "--s", "2"): "error: need n >= 2 and s >= 2\n",
-            # an r below 2 is refused by XCoordinates in FamilyParams' words,
-            # before s is read; every fiber command answers a bad --s with the
-            # one FamilyParams line, and a zero coordinate to a negative power
-            # used to escape as ZeroDivisionError
-            **{(command, a_4, "--r", "1", "--s", "2", *rest):
-               "error: exponents must be >= 2, got r=1\n" for command, *rest in fiber},
-            **{(command, a_4, "--r", "3", *rest, "--s", s):
-               f"error: exponents must be >= 2, got r=3, s={s}\n"
-               for s in ("1", "0") for command, *rest in fiber},
-            **{(command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1"):
-               "error: exponents must be >= 2, got r=2, s=-1\n"
-               for command in ("verify-point", "map-inverse")},
-            # heights past the candidate cap; a box curve raises cross-check's
-            # fiber bound to its pair height, past the cap, and the line names
-            # that bound, not a height the user gave
-            **{("search", a_4, "--r", "3", "--s", "2", "--height", "100000000000", "--mode", mode):
-               f"error: height bound 100000000000 {cap}\n" for mode in ("curve-box", "fiber-pairs")},
-            # the box curve y^2 = 2x^2 + 1
-            ("cross-check", "--alphas=80782,470832,2744210", "--r", "2", "--height", "2", "--s", "2"):
-                f"error: fiber bound 665857, raised from height 2 to cover the box curves, {cap}\n",
-            ("cross-check", "--alphas=0,532,1", "--r", "3", "--height", "5", "--s", "2"):
-                f"error: fiber bound 13719, raised from height 5 to cover the box curves, {cap}\n",
-            # an over-long token is shown by its first 20 characters, then ...
-            ("genus", "--n", "7" * 5000, "--s", "2"):
-                f"error: argument --n: invalid int value: '{'7' * 20}...'\n",
-            (*search, "--mode", "x" * 5000):
-                f"error: argument --mode: invalid choice: '{'x' * 20}...'"
-                " (choose from 'curve-box', 'fiber-pairs')\n",
-            ("x" * 5000,): None,
-            # an unrecognized token with whitespace was echoed whole (5,032 bytes)
-            ("genus", "--n", "2", "--s", "2", "x " * 2500):
-                "error: unrecognized arguments: x x x x x x x x x x ...\n",
-            # and a line break in an echoed token is escaped
-            ("genus", "--n", "2", "--s", "2", "x" * 30 + "\n"):
-                f"error: unrecognized arguments: {'x' * 20}...\n",
-            ("genus", "--n", "2", "--s", "2", "x\ny", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
-                r"error: unrecognized arguments: x\ny \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" "\n",
-            ("genus", "--n", "2\n" + "7" * 30, "--s", "2"):
-                "error: argument --n: invalid int value: '2\\n777777777777777777...'\n",
-            ("x\n" * 30,): "error: argument command: invalid choice: '" + "x\\n" * 10
-                           + "...' (choose from " + ", ".join(map(repr, FLAGS)) + ")\n",
-            ("param-conic", "--alpha", "1", "--beta", "2", "--u", "x" * 5000):
-                f"error: not a rational: '{'x' * 20}...'\n",
-            **read("long-r.json", "error: malformed --input JSON: TypeError: r must be an integer,"
-                   f" got '{'x' * 20}...'\n", ("twist",)),
-        },
-        74: {
-            ("map", "--input", "/nonexistent/cwp.json"):
-                "error: [Errno 2] No such file or directory: '/nonexistent/cwp.json'\n",
-            # an empty manifest path is a file that cannot be written
-            ("genus", "--n", "2", "--s", "2", "--manifest="):
-                "error: [Errno 2] No such file or directory: ''\n",
-        },
-    }
-    for code, rows in refusals.items():
-        for argv, message in rows.items():
-            got, out, err = run_main(*argv)
-            assert (got, out) == (code, ""), argv
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
-            assert len(err.encode()) < 300, argv
-            for python_words in ("Traceback", "Invalid literal", "set_int_max_str_digits"):
-                assert python_words not in err, argv
-            assert message is None or err == message, (argv, err)
+    def work(kernel, height, seconds, admitted):  # the work cap's line
+        return (f"error: {kernel} search at height {height} needs about {seconds} s of root tests,"
+                f" past the 60 s work cap: this tuple and s admit heights up to {admitted}\n")
+
+    rows = [
+    # each domain refusal that an argv can reach
+        (2, ("fiber-eqs", "--alphas=1,-1,2", "--r", "2", "--s", "2"),
+            "error: x-coordinates must have pairwise distinct r-th powers\n"),
+        (2, ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=0,0,0"),
+            "error: all projective coordinates are zero\n"),
+        (2, ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,1"),
+            "error: expected 3 coordinates, got 4\n"),
+        (2, ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,2"),
+            "error: point does not satisfy the fiber equations\n"),
+        (2, ("map-inverse", "--alphas=0,2,-1", "--r", "3", "--s", "2", "--point=1,1,1"),
+            "error: trivial fiber point: recovered a=0, b=1\n"),
+        *read(2, "off-curve.json", "error: point 1 (2, 4) is not on the curve\n"),
+        *read(2, "base-y-0.json", "error: forward map needs a first point with y != 0\n", ("map",)),
+        *read(2, "base-y-0.json", "error: base point (-1, 0) cannot define a twist\n", ("twist",)),
+        (2, ("param-conic", "--alpha", "0", "--beta", "1", "--u", "2"),
+            "error: conic coefficients alpha, beta must be nonzero\n"),
+        (2, ("param-conic", "--alpha", "1", "--beta", "-1", "--u", "1"),
+            "error: parameter u=1 collapses to the zero vector\n"),
+        (2, ("cubic-to-weierstrass", "--alpha", "2", "--beta", "0", "--point", "1,1,1"),
+            "error: cubic coefficients alpha, beta must be nonzero\n"),
+        (2, ("cubic-to-weierstrass", "--alpha", "1", "--beta", "-1", "--point", "1,1,1"),
+            "error: alpha + beta must be nonzero (gamma != 0)\n"),
+        (2, ("cubic-to-weierstrass", "--alpha", "8", "--beta", "-7", "--point", "1,0,2"),
+            "error: the map is defined only where X*Y*Z != 0\n"),
+        (2, ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1,2"),
+            "error: [1 : 1 : 2] is not on the cubic\n"),
+        (2, ("cubic-to-weierstrass", "--alpha", "1", "--beta", "1", "--point", "1,1"),
+            "error: cubic points live in P^2\n"),
+        (64, ("genus", "--n", "16"), "error: the following arguments are required: --s\n"),
+        (64, ("frobnicate",), None),
+        (64, ("fiber-eqz", "--alphas", "0,1,2"), None),
+        (64, ("genus", "--n", "x", "--s", "2"), "error: argument --n: invalid int value: 'x'\n"),
+        # the parser keeps argparse's rules: a token is a value unless it
+        # starts with "-", is longer than that, is no negative number and
+        # has no space
+        (64, ("genus", "--n", "-5", "--s", "2"), "error: need n >= 2 and s >= 2\n"),
+        (64, ("genus", "--n", "-1.5", "--s", "2"),
+            "error: argument --n: invalid int value: '-1.5'\n"),
+        (64, ("genus", "--n", "-1 2", "--s", "2"),
+            "error: argument --n: invalid int value: '-1 2'\n"),
+        (64, ("genus", "--n", "-", "--s", "2"), "error: argument --n: invalid int value: '-'\n"),
+        (64, ("genus", "--n", "", "--s", "2"), "error: argument --n: invalid int value: ''\n"),
+        (64, ("genus", "--n", "-x", "--s", "2"), "error: argument --n: expected one argument\n"),
+        (64, ("genus", "--n", "--s=2 3"), "error: argument --n: invalid int value: '--s=2 3'\n"),
+        (64, ("genus", "--n", "-h"), "error: argument --n: expected one argument\n"),
+        (64, ("genus", "--s", "2", "--n"), "error: argument --n: expected one argument\n"),
+        # "--" is never a value, in either form (Python 3.11's argparse read
+        # --flag=-- as an empty list, which ended in a traceback)
+        (64, ("genus", "--n", "--", "2", "--s", "2"),
+            "error: argument --n: expected one argument\n"),
+        (64, ("genus", "--n=--", "--s", "2"), "error: argument --n: expected one argument\n"),
+        (64, ("fiber-eqs", "--alphas=--", "--r", "2", "--s", "2"), None),
+        (64, ("map", "--input=--"), None),
+        # the leftmost bad value first, then the missing flags in table
+        # order, then the unrecognized tokens
+        (64, ("genus", "--s", "y", "--n", "x", "extra"),
+            "error: argument --s: invalid int value: 'y'\n"),
+        (64, ("genus", "--n=2", "--s", "2", "--format", "xml", "--n", "x"),
+            "error: argument --format: invalid choice: 'xml' (choose from 'json', 'table')\n"),
+        (64, (*search, "--mode", "pairs"), "error: argument --mode: invalid choice: 'pairs'"
+                                           " (choose from 'curve-box', 'fiber-pairs')\n"),
+        (64, ("verify-point", "extra", "--format", "table"),
+            "error: the following arguments are required: --alphas, --r, --s, --point\n"),
+        (64, ("--bogus",), "error: the following arguments are required: command\n"),
+        (64, ("genus", "--n", "2", "--s", "2", "--mode", "x", "-5"),
+            "error: unrecognized arguments: --mode x -5\n"),
+        (64, ("--bogus", "genus", "--n", "2", "--s", "2", "extra"),
+            "error: unrecognized arguments: --bogus extra\n"),
+        # "--" ends the flags, and it and what follows are unrecognized
+        (64, ("genus", "--n", "2", "--", "--s", "2"),
+            "error: the following arguments are required: --s\n"),
+        (64, ("genus", "--n", "2", "--s", "2", "--"), "error: unrecognized arguments: --\n"),
+        (64, ("genus", "--n", "2", "--s", "2", "--", "--n", "3"),
+            "error: unrecognized arguments: -- --n 3\n"),
+        # flags are spelled in full
+        (64, ("genus", "--n", "2", "--s", "2", "--form=table"),
+            "error: unrecognized arguments: --form=table\n"),
+        (64, (*search, "--work", "2"), "error: unrecognized arguments: --work 2\n"),
+        (64, ("param-conic", "--alpha", "zzz", "--beta", "1", "--u", "0"), None),
+        *[(64, (*search, *workers), "error: need 0 <= worker_index < worker_count\n")
+          for workers in (("--workers", "3", "--worker-index", "3"), ("--workers", "0"),
+                          ("--workers", "-3"), ("--workers", "1", "--worker-index", "7"))],
+        (64, ("param-conic", "--alpha=1", "--beta=-1", "--u="), "error: not a rational: ''\n"),
+        # an empty comma item is an empty rational, not a skipped one
+        (64, ("fiber-eqs", "--alphas=0,1,,2", "--r", "2", "--s", "2"),
+            "error: not a rational: ''\n"),
+        (64, ("fiber-eqs", "--alphas=", "--r", "2", "--s", "2"), "error: not a rational: ''\n"),
+        (64, ("verify-point", "--alphas=0,1,2", "--r", "2", "--s", "2", "--point=1,1,1,"),
+            "error: not a rational: ''\n"),
+        (64, ("fiber-eqs", "--alphas=" + "7" * 5000 + ",1,2", "--r", "2", "--s", "2"),
+            f"error: not a rational: '{'7' * 20}...' (more than {limit} digits)\n"),
+        *[(64, argv, zero_denominator(token)) for argv, token in (
+            (("fiber-eqs", "--alphas=1/0,2,3", "--r", "2", "--s", "2"), "1/0"),
+            (("search", "--alphas=0/0,2,3", "--r", "2", "--s", "2", "--height", "3"), "0/0"),
+            (("verify-point", "--alphas=0,2,-1", "--r", "2", "--s", "2", "--point", "1/0,3,0"),
+             "1/0"),
+            (("map-inverse", "--alphas=0,2,-1", "--r", "2", "--s", "2", "--point", "1/0,3,0"),
+             "1/0"),
+            (("param-conic", "--alpha", "3", "--beta", "-1", "--u", "1/0"), "1/0"))],
+        *read(64, "b-over-0.json", zero_denominator("1/0")),
+        *read(64, "y-over-0.json", zero_denominator("1/0")),
+        # inputs within the rules whose printed values would not be: a point of
+        # 2,536-digit u, a b of about 4,800 digits from 8,000-bit coordinates, and
+        # the fiber point of big-image.json
+        (64, ("param-conic", "--alpha", "3", "--beta", "-1", "--u", str(7 ** 3000)),
+            f"error: point exceeds {limit} digits\n"),
+        (64, ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "2", f"--point={big_point}"),
+            f"error: curve a or b exceeds {limit} digits\n"),
+        *read(64, "big-image.json", f"error: point exceeds {limit} digits\n", ("map",)),
+        # A_2 = 2^16000 of 4,817 digits, and the values of the files and X, Y, Z above
+        (64, ("fiber-eqs", f"--alphas=0,1,{2 ** 8000}", "--r", "2", "--s", "2"),
+            f"error: fiber equation exceeds {limit} digits\n"),
+        *read(64, "big-c0.json", f"error: twist c0, a or b exceeds {limit} digits\n", ("twist",)),
+        *read(64, "big-twisted.json", f"error: point exceeds {limit} digits\n", ("twist",)),
+        (64, ("cubic-to-weierstrass", "--alpha", str(Z ** 3 - Y ** 3),
+              "--beta", str(X ** 3 - Z ** 3), "--point", f"{X},{Y},{Z}"),
+            f"error: Weierstrass point exceeds {limit} digits\n"),
+        *read(64, "not-utf8.json", "error: malformed --input JSON: 'utf-8' codec can't decode"
+                  " byte 0xff in position 11: invalid start byte\n", ("map",)),
+        *read(64, "not-json.json", "error: malformed --input JSON: Expecting value: line 1 column 1"
+                  " (char 0)\n", ("map",)),
+        *read(64, "long-int.json",
+                  f"error: malformed --input JSON: an integer of more than {limit} digits\n",
+                  ("twist",)),
+        *read(64, "no-points.json", "error: need at least one point\n", ("map",)),
+        *read(64, "r-float.json", not_integer("r", 3.9)),
+        *read(64, "r-true.json", not_integer("r", True)),
+        *read(64, "s-text.json", not_integer("s", "2")),
+        *read(64, "base-float.json", not_integer("base_index", 0.7)),
+        *read(64, "base-false.json", not_integer("base_index", False)),
+        *read(64, "a-true.json", "error: not a rational: True\n"),
+        *read(64, "y-false.json", "error: not a rational: False\n"),
+        *read(64, "a-exponent.json",
+                  "error: not a rational: '1e300000000' (exponent notation is not accepted)\n"),
+        *read(64, "r-huge.json", f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
+        *read(64, "s-huge.json", f"error: point 0: x^r or y^s exceeds {limit} digits\n"),
+        # the three genus formulas share one refusal, checked before their size
+        (64, ("genus", "--n", "100000000", "--s", "-3"), "error: need n >= 2 and s >= 2\n"),
+        (64, ("genus", "--n", "3", "--s", "1"), "error: need n >= 2 and s >= 2\n"),
+        (64, ("genus", "--n", "1", "--s", "2"), "error: need n >= 2 and s >= 2\n"),
+        # an r below 2 is refused by XCoordinates in FamilyParams' words,
+        # before s is read; every fiber command answers a bad --s with the
+        # one FamilyParams line, and a zero coordinate to a negative power
+        # used to escape as ZeroDivisionError
+        *[(64, (command, a_4, "--r", "1", "--s", "2", *rest),
+           "error: exponents must be >= 2, got r=1\n") for command, *rest in fiber],
+        *[(64, (command, a_4, "--r", "3", *rest, "--s", s),
+           f"error: exponents must be >= 2, got r=3, s={s}\n")
+          for s in ("1", "0") for command, *rest in fiber],
+        *[(64, (command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1"),
+           "error: exponents must be >= 2, got r=2, s=-1\n")
+          for command in ("verify-point", "map-inverse")],
+        # searches past the work cap, each refused before its first candidate
+        *[(64, ("search", a_4, "--r", "3", "--s", "2", "--height", "100000000000", "--mode", mode),
+           work(mode, 100000000000, seconds, admitted))
+          for mode, seconds, admitted in (("curve-box", "3.0e+16", 5138),
+                                          ("fiber-pairs", "1.1e+16", 8925))],
+        # radicands of about 154,000 bits: a root test took 0.71 ms, so 6 h in all
+        (64, ("search", f"--alphas=0,1,{2 ** 5700}", "--r", "3", "--s", "9", "--height", "4999",
+              "--mode", "fiber-pairs"), work("fiber-pairs", 4999, "6.0e+6", 15)),
+        (64, ("cross-check", f"--alphas=0,1,{2 ** 5700}", "--r", "3", "--s", "9", "--height", "4999"),
+            work("fiber-pairs", 4999, "6.0e+6", 15)),
+        # a Fraction base radicand per candidate: about 5 min
+        (64, ("search", "--alphas=1/2,2/3,3/5", "--r", "3", "--s", "3", "--height", "4999"),
+            work("curve-box", 4999, "2.2e+3", 838)),
+        # a box curve raises cross-check's fiber bound to its pair height, past
+        # the cap, and the line names that bound, not a height the user gave
+        # (the box curve y^2 = 2x^2 + 1 in the first)
+        (64, ("cross-check", "--alphas=80782,470832,2744210", "--r", "2", "--height", "2", "--s", "2"),
+            work("fiber-pairs", 665857, "6.1e+5", 6869)),
+        (64, ("cross-check", "--alphas=0,532,1", "--r", "3", "--height", "5", "--s", "2"),
+            work("fiber-pairs", 13719, "2.0e+2", 7522)),
+        # an over-long token is shown by its first 20 characters, then ...
+        (64, ("genus", "--n", "7" * 5000, "--s", "2"),
+            f"error: argument --n: invalid int value: '{'7' * 20}...'\n"),
+        (64, (*search, "--mode", "x" * 5000),
+            f"error: argument --mode: invalid choice: '{'x' * 20}...'"
+            " (choose from 'curve-box', 'fiber-pairs')\n"),
+        (64, ("x" * 5000,), None),
+        # an unrecognized token with whitespace was echoed whole (5,032 bytes)
+        (64, ("genus", "--n", "2", "--s", "2", "x " * 2500),
+            "error: unrecognized arguments: x x x x x x x x x x ...\n"),
+        # and a line break in an echoed token is escaped
+        (64, ("genus", "--n", "2", "--s", "2", "x" * 30 + "\n"),
+            f"error: unrecognized arguments: {'x' * 20}...\n"),
+        (64, ("genus", "--n", "2", "--s", "2", "x\ny", "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            r"error: unrecognized arguments: x\ny \r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" "\n"),
+        (64, ("genus", "--n", "2\n" + "7" * 30, "--s", "2"),
+            "error: argument --n: invalid int value: '2\\n777777777777777777...'\n"),
+        (64, ("x\n" * 30,), "error: argument command: invalid choice: '" + "x\\n" * 10
+                            + "...' (choose from " + ", ".join(map(repr, FLAGS)) + ")\n"),
+        (64, ("param-conic", "--alpha", "1", "--beta", "2", "--u", "x" * 5000),
+            f"error: not a rational: '{'x' * 20}...'\n"),
+        *read(64, "long-r.json", "error: malformed --input JSON: TypeError: r must be an integer,"
+                  f" got '{'x' * 20}...'\n", ("twist",)),
+        (74, ("map", "--input", "/nonexistent/cwp.json"),
+            "error: [Errno 2] No such file or directory: '/nonexistent/cwp.json'\n"),
+        # an empty manifest path is a file that cannot be written
+        (74, ("genus", "--n", "2", "--s", "2", "--manifest="),
+            "error: [Errno 2] No such file or directory: ''\n"),
+    ]
+    argvs = [argv for _, argv, _ in rows]
+    assert len(set(argvs)) == len(argvs), [argv for argv in argvs if argvs.count(argv) > 1]
+    for code, argv, message in rows:
+        start = time.perf_counter()
+        got, out, err = run_main(*argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (got, out) == (code, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+        assert len(err.encode()) < 300, argv
+        for python_words in ("Traceback", "Invalid literal", "set_int_max_str_digits"):
+            assert python_words not in err, argv
+        assert message is None or err == message, (argv, err)
 
 
 def test_flags_keep_argparse_rules():

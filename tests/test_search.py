@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -31,8 +32,7 @@ from superfiber.maps import (
     phi_inverse,
 )
 from superfiber.search import (
-    MAX_CANDIDATES,
-    MAX_RADICAND_BITS,
+    MAX_WORK,
     SearchConfig,
     cross_check,
     curve_census_entries,
@@ -43,7 +43,7 @@ from superfiber.search import (
     pair_height,
     search_fiber_points,
 )
-from helpers_roundtrip import admissible_x_coordinates
+from helpers_roundtrip import SMALL_FRACTIONS, admissible_x_coordinates
 
 
 def test_search_config_validation():
@@ -382,30 +382,81 @@ def test_reduced_pair_and_height():
     assert pair_height(normalize_projective([2, 6, 1])) == 3
 
 
-def test_search_config_refuses_heights_past_the_candidate_cap():
-    # (2*4999 + 1)^2 = 9999^2 < 10^8 < 10001^2
-    assert MAX_CANDIDATES == 10 ** 8
-    assert SearchConfig(4999).height_bound == 4999
-    with pytest.raises(ValueError, match="exceeds the candidate cap"):
-        SearchConfig(5000)
+def test_searches_refuse_work_past_the_cap_at_once():
+    # SearchConfig bounds no height; each kernel refuses its own work, whatever
+    # the partition, and names the largest height it admits (a_4's box admits
+    # H = 5138; a bound on (2H+1)^2 alone stopped every search at 4999)
+    assert MAX_WORK == 60 * 10 ** 9
+    assert SearchConfig(10 ** 11, (1, 2)).height_bound == 10 ** 11
+    a_4 = XCoordinates((0, 4, -5, -6, 6), 3)
+    for kernel, search, admitted in (("curve-box", enumerate_curves, 5138),
+                                     ("fiber-pairs", search_fiber_points, 8925)):
+        for partition in ((0, 1), (1, 2)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as refused:
+                search(a_4, 2, SearchConfig(admitted + 1, partition))
+            assert time.perf_counter() - start < 1
+            assert re.fullmatch(f"{kernel} search at height {admitted + 1} needs about [0-9.e+]+ s"
+                                " of root tests, past the 60 s work cap: this tuple and s admit"
+                                f" heights up to {admitted}", str(refused.value)), refused.value
 
 
-def test_pair_search_refuses_radicands_past_the_cap_before_building_them():
-    # 0,2,3 at r = 3 gives (c0, c1, ci) = (19, -27, 8): 5 bits, so at H = 1 the cap
-    # admits s*(1 + 5) <= 2^20, s <= 174762
-    assert MAX_RADICAND_BITS == 2 ** 20 == 6 * 174762 + 4
+def test_pair_search_refuses_work_past_the_cap_before_building_it():
+    # 0,2,3 at r = 3 gives (c0, c1, ci) = (19, -27, 8): 5 bits, so at H = 1 the
+    # cap admits the 4 candidates of s = 583328, whose radicands have about
+    # 6*s bits, and refuses the 6 of s = 583329 before it forms ci^(s-1)
     a_2 = XCoordinates([0, 2, 3], 3)
-    assert search_fiber_points(a_2, 174762, SearchConfig(1)) == [normalize_projective([1, 1, 1])]
-    with pytest.raises(ValueError, match="exceed the radicand cap"):
-        search_fiber_points(a_2, 174763, SearchConfig(1))
-    with pytest.raises(ValueError, match="exceed the radicand cap"):
-        cross_check(a_2, 174763, 1)
+    assert search_fiber_points(a_2, 583328, SearchConfig(1)) == [normalize_projective([1, 1, 1])]
+    refused = ("fiber-pairs search at height 1 needs about 90 s of root tests, past the 60 s work"
+               " cap: this tuple and s admit heights up to 0")
+    for call in (lambda: search_fiber_points(a_2, 583329, SearchConfig(1)),
+                 lambda: cross_check(a_2, 583329, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as error:
+            call()
+        assert time.perf_counter() - start < 1
+        assert str(error.value) == refused
+
+
+def _admits(refuse, a_n: XCoordinates, s: int, height: int) -> bool:
+    try:
+        refuse(a_n, s, height)
+    except ValueError:
+        return False
+    return True
+
+
+@given(a_n=admissible_x_coordinates(st.one_of(
+           SMALL_FRACTIONS, st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 3)))),
+       s=st.integers(2, 40), height=st.integers(1, 10 ** 6), larger=st.integers(1, 10 ** 6),
+       k=st.integers(1, 5))
+@example(a_n=XCoordinates((0, 4, -5, -6, 6), 3), s=2, height=10 ** 5, larger=1, k=1)
+@example(a_n=XCoordinates(("1/2", "2/3", "3/5"), 3), s=3, height=4999, larger=1, k=1)
+def test_the_work_cap_admits_the_heights_up_to_the_one_it_names(a_n, s, height, larger, k):
+    # for each kernel's refusal (the pair one is _pair_search_equations'): the
+    # height a refusal names is admitted and the next one refused, no height
+    # above a refused one is admitted, and scaling the alphas by t, prime to
+    # their denominators, keeps the fiber equations and grows every |alpha^r|,
+    # so it admits no height that was refused
+    t = k * math.lcm(*(alpha.denominator for alpha in a_n.alphas)) + 1
+    scaled = XCoordinates([t * alpha for alpha in a_n.alphas], a_n.r)
+    for refuse in (search._refuse_box_work, search._pair_search_equations):
+        try:
+            refuse(a_n, s, height)
+            continue
+        except ValueError as refused:
+            named = int(re.search("admit heights up to ([0-9]+)$", str(refused))[1])
+        assert named < height
+        assert named == 0 or _admits(refuse, a_n, s, named)
+        assert not _admits(refuse, a_n, s, named + 1)
+        assert not _admits(refuse, a_n, s, height + larger)
+        assert not _admits(refuse, scaled, s, named + 1)
 
 
 def test_values_refuse_the_powers_they_would_form_at_once():
     # each call used to form its power first (2^(10^6) and more, 3^(10^8) for a
-    # fiber point) or, at s = 10^8, meet the radicand cap instead; cross_check
-    # ran its whole box (13 s) first
+    # fiber point) or, at s = 10^8, meet the work cap instead; cross_check ran
+    # its whole box (13 s) first
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     a_2 = XCoordinates((0, 1, 2), 2)
     calls = (
@@ -426,7 +477,7 @@ def test_values_refuse_the_powers_they_would_form_at_once():
         assert time.perf_counter() - start < 1, what
         assert str(refused.value) == f"{what} exceeds {limit} digits"
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^fiber-pair radicands at s=1000, height 1500 exceed"):
+    with pytest.raises(ValueError, match="^fiber-pairs search at height 1500 needs about"):
         cross_check(XCoordinates((2 ** 100, 0, 1), 11), 1000, 1500)
     assert time.perf_counter() - start < 1
 
