@@ -20,13 +20,7 @@ from . import __version__
 from .errors import DomainError
 from .exact import clip, digit_limit, normalize_projective, printed, shown
 from .family import CurveWithPoints, twist
-from .fiber import (
-    XCoordinates,
-    fiber_contains,
-    fiber_equation_triples,
-    fiber_equations,
-    geometry_report,
-)
+from .fiber import Fiber, XCoordinates, fiber_contains, geometry_report
 from .elkies import ELKIES, dataset_self_check, verify_reproduction
 from .maps import (
     ConicSpec,
@@ -52,15 +46,12 @@ def _cmd_repro_elkies(args):
 
 
 def _cmd_fiber_eqs(args):
-    a_n = _alphas(args)
-    eqs = fiber_equations(a_n, args.s)
-    c, pairs = fiber_equation_triples(a_n, args.s)
+    fiber = Fiber(_alphas(args), args.s)
     return {
-        **a_n.to_obj(),
-        "s": args.s,
-        "equations": [eq.to_obj() for eq in eqs],
-        "solved_form": {"c": printed([c], "solved form")[0],
-                        "pairs": [printed(pair, "solved form") for pair in pairs]},
+        **fiber.to_obj(),
+        "equations": [eq.to_obj() for eq in fiber.equations],
+        "solved_form": {"c": printed([fiber.c], "solved form")[0],
+                        "pairs": [printed(pair, "solved form") for pair in fiber.pairs]},
     }
 
 
@@ -125,7 +116,7 @@ def _cmd_map(args):
 def _cmd_map_inverse(args):
     a_n = _alphas(args)
     point = normalize_projective(args.point.split(","))
-    cwp = phi_inverse(a_n, point.coords, args.s)
+    cwp = phi_inverse(Fiber(a_n, args.s), point.coords)
     if not cwp.curve.is_smooth:
         curve = cwp.curve.to_obj()
         raise DomainError(f"trivial fiber point: recovered a={curve['a']}, b={curve['b']}")
@@ -144,13 +135,15 @@ def _cmd_search(args):
     # looked up per call, so a rebinding of the module names (perfbench/tracer.py) applies
     census = {"curve-box": curve_census_entries, "fiber-pairs": fiber_census_entries}[args.mode]
     cfg = SearchConfig(args.height, (args.worker_index, args.workers))
+    fiber = Fiber(_alphas(args), args.s)
     # one point per alpha, and CurveWithPoints enforces distinct x
     return [{"curve": cwp.curve.to_obj(), "fiber_point": phi_forward(cwp)[1].to_obj(),
-             "distinct_x_count": len(cwp.points)} for cwp in census(_alphas(args), args.s, cfg)]
+             "distinct_x_count": len(cwp.points)} for cwp in census(fiber, cfg)]
 
 
 def _cmd_cross_check(args):
-    return cross_check(_alphas(args), args.s, args.height)
+    a_n, box = _alphas(args), SearchConfig(args.height)
+    return cross_check(Fiber(a_n, args.s), box)
 
 
 def _render(command: str, payload, fmt: str) -> str:

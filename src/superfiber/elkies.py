@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .exact import normalize_projective, record
-from .fiber import XCoordinates, fiber_contains, fiber_equation_triples, fiber_genus
+from .fiber import Fiber, XCoordinates, fiber_contains, fiber_genus
 
 R = 3
 S = 2
@@ -114,8 +114,8 @@ def verify_reproduction(dataset: ElkiesDataset = ELKIES) -> dict:
     membership, the shared coefficient c, the fifteen (A_i, B_i) pairs,
     the y-vector lying on the fiber, and the genus.
     """
-    a_n = dataset.x_coordinates()
-    c, pairs = fiber_equation_triples(a_n, S)
+    fiber = Fiber(dataset.x_coordinates(), S)
+    c, pairs = fiber.c, fiber.pairs
     expected_c, expected = dataset.expected_c, dataset.expected_equations
 
     coefficient = [f"c: computed {c}, expected {expected_c}"] if c != expected_c else []
@@ -128,7 +128,7 @@ def verify_reproduction(dataset: ElkiesDataset = ELKIES) -> dict:
                   for i, ((A, B), (eA, eB)) in enumerate(zip(pairs, expected))
                   if (A, B) != (eA, eB)]
 
-    on_fiber = fiber_contains(a_n, S, normalize_projective(dataset.y_vector()).coords)
+    on_fiber = fiber_contains(fiber.x, S, normalize_projective(dataset.y_vector()).coords)
     g = fiber_genus(len(dataset.points) - 1, S)
 
     checks = [

@@ -90,68 +90,73 @@ class FiberEquation:
         return {"i": self.i, "c0": c0, "c1": c1, "ci": ci}
 
 
-def fiber_equation_triples(a_n: XCoordinates, s: int) -> tuple[Fraction, list[tuple[Fraction, Fraction]]]:
-    """Equations rewritten as c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s.
+@record
+class Fiber:
+    """The fiber of the admissible tuple x at exponent s, and its solved form
+    c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s, i = 2..n, computed once: c = w_1 - w_0
+    and pairs, the raw (A_i, B_i) = (w_i - w_0, w_i - w_1) without any gcd
+    reduction (the golden-table layout).  params, FamilyParams(x.r, s), is the
+    one check of s.  Since x and s fix all three, none of them is a field."""
 
-    Returns the shared pivot coefficient c = w_1 - w_0 and the raw pairs
-    (A_i, B_i) = (w_i - w_0, w_i - w_1) for i = 2..n, without any gcd
-    reduction, which is the layout used for golden-table comparison.
-    """
-    FamilyParams(a_n.r, s)  # refuses s < 2
-    w = a_n.rth_powers()
-    c = w[1] - w[0]
-    pairs = [(w[i] - w[0], w[i] - w[1]) for i in range(2, a_n.n + 1)]
-    return c, pairs
+    x: XCoordinates
+    s: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", FamilyParams(self.x.r, self.s))
+        w = self.x.rth_powers()
+        object.__setattr__(self, "c", w[1] - w[0])
+        object.__setattr__(self, "pairs", tuple((w[i] - w[0], w[i] - w[1])
+                                                for i in range(2, self.x.n + 1)))
+
+    @property
+    def equations(self) -> list[FiberEquation]:
+        """The n-1 defining equations, for i = 2..n: the solved form's
+        (B_i, -A_i, c) in canonical integer form, normalized at each read."""
+        equations = []
+        for i, (A, B) in enumerate(self.pairs, start=2):
+            # c = w_1 - w_0 != 0 leads, so the normalization leaves ci > 0
+            ci, c0, c1 = normalize_projective([self.c, B, -A]).coords
+            equations.append(FiberEquation(i, c0, c1, ci))
+        return equations
+
+    def to_obj(self) -> dict:
+        return {**self.x.to_obj(), "s": self.s}
 
 
-def fiber_equations(a_n: XCoordinates, s: int) -> list[FiberEquation]:
-    """The n-1 defining equations of the fiber, for i = 2..n: the solved
-    form's (B_i, -A_i, c) in canonical integer form."""
-    c, pairs = fiber_equation_triples(a_n, s)
-    equations = []
-    for i, (A, B) in enumerate(pairs, start=2):
-        # c = w_1 - w_0 != 0 leads, so the normalization leaves ci > 0
-        ci, c0, c1 = normalize_projective([c, B, -A]).coords
-        equations.append(FiberEquation(i, c0, c1, ci))
-    return equations
-
-
-def fiber_equation_determinant(
-    a_n: XCoordinates, s: int, i: int, Y: Sequence[RationalLike]
-) -> Fraction:
+def fiber_equation_determinant(fiber: Fiber, i: int, Y: Sequence[RationalLike]) -> Fraction:
     """Evaluate equation i at Y via the symmetric determinant form.
 
     det [[1, 1, 1], [w_0, w_1, w_i], [Y_0^s, Y_1^s, Y_i^s]] expanded by
     cofactors along the first row; identical to evaluating the raw
     difference form.
     """
-    FamilyParams(a_n.r, s)  # refuses s < 2
-    if not 2 <= i <= a_n.n:
-        raise ValueError(f"equation index must be in 2..{a_n.n}, got {i}")
-    w = a_n.rth_powers()
+    if not 2 <= i <= fiber.x.n:
+        raise ValueError(f"equation index must be in 2..{fiber.x.n}, got {i}")
+    w, s = fiber.x.rth_powers(), fiber.s
     ys = [rational(c) for c in Y]
     z0, z1, zi = ys[0] ** s, ys[1] ** s, ys[i] ** s
     w0, w1, wi = w[0], w[1], w[i]
     return (w1 * zi - wi * z1) - (w0 * zi - wi * z0) + (w0 * z1 - w1 * z0)
 
 
-def fiber_coordinates(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> list[Fraction]:
-    """The coordinates of a candidate point of a_n's fiber, as rationals:
+def fiber_coordinates(fiber: Fiber, Y: Sequence[RationalLike]) -> list[Fraction]:
+    """The coordinates of a candidate point of the fiber, as rationals:
     refuses Y^s past the digit rule (exact.refuse_power), then a length
     other than n + 1."""
     coords = [rational(c) for c in Y]
-    refuse_power(coords, s, "Y^s")
-    if len(coords) != a_n.n + 1:
-        raise DomainError(f"expected {a_n.n + 1} coordinates, got {len(coords)}")
+    refuse_power(coords, fiber.s, "Y^s")
+    if len(coords) != fiber.x.n + 1:
+        raise DomainError(f"expected {fiber.x.n + 1} coordinates, got {len(coords)}")
     return coords
 
 
 def fiber_contains(a_n: XCoordinates, s: int, Y: Sequence[RationalLike]) -> bool:
-    """True iff c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s for every i = 2..n."""
-    coords = fiber_coordinates(a_n, Y, s)
-    c, pairs = fiber_equation_triples(a_n, s)
-    z = [y ** s for y in coords]
-    return all(c * z[i] == A * z[1] - B * z[0] for i, (A, B) in enumerate(pairs, start=2))
+    """True iff c * Y_i^s = A_i * Y_1^s - B_i * Y_0^s for every i = 2..n;
+    Fiber(a_n, s) refuses s before the point is read."""
+    fiber = Fiber(a_n, s)
+    z = [y ** s for y in fiber_coordinates(fiber, Y)]
+    c = fiber.c
+    return all(c * z[i] == A * z[1] - B * z[0] for i, (A, B) in enumerate(fiber.pairs, start=2))
 
 
 def canonical_fiber_point(Y: Sequence[RationalLike], s: int) -> ProjectivePoint:

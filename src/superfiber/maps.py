@@ -42,8 +42,8 @@ from .exact import (
     record,
     sth_root_exact,
 )
-from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import XCoordinates, fiber_coordinates, fiber_equations
+from .family import AffinePoint, Curve, CurveWithPoints
+from .fiber import Fiber, XCoordinates, fiber_coordinates
 
 
 def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, ProjectivePoint]:
@@ -60,21 +60,19 @@ def phi_forward(cwp: CurveWithPoints) -> tuple[XCoordinates, ProjectivePoint]:
     return a_n, normalize_projective([p.y for p in cwp.points])
 
 
-def phi_inverse(a_n: XCoordinates, Y: Sequence[RationalLike], s: int) -> CurveWithPoints:
+def phi_inverse(fiber: Fiber, Y: Sequence[RationalLike]) -> CurveWithPoints:
     """Recover the curve and its points from a fiber point; the curve is
     smooth exactly when the point is nontrivial (a*b != 0)."""
-    coords = fiber_coordinates(a_n, Y, s)
-    params = FamilyParams(a_n.r, s)
-    w = a_n.rth_powers()
+    coords = fiber_coordinates(fiber, Y)
+    w, s = fiber.x.rth_powers(), fiber.s
     z0, z1 = coords[0] ** s, coords[1] ** s
-    denom = w[1] - w[0]  # nonzero: the tuple is admissible
-    a = (z1 - z0) / denom
-    b = (w[1] * z0 - w[0] * z1) / denom
-    points = tuple(AffinePoint(alpha, y) for alpha, y in zip(a_n.alphas, coords))
+    a = (z1 - z0) / fiber.c  # c = w_1 - w_0 is nonzero: the tuple is admissible
+    b = (w[1] * z0 - w[0] * z1) / fiber.c
+    points = tuple(AffinePoint(alpha, y) for alpha, y in zip(fiber.x.alphas, coords))
     try:
         # the per-point check a*alpha_i^r + b = Y_i^s is the fiber equation set, and
         # a point off the curve is the one DomainError it can raise here
-        return CurveWithPoints(Curve(params, a, b), points, base_index=0)
+        return CurveWithPoints(Curve(fiber.params, a, b), points, base_index=0)
     except DomainError:
         raise DomainError("point does not satisfy the fiber equations") from None
 
@@ -246,13 +244,13 @@ def diagonal_to_weierstrass(spec: CubicSpec, dp: DiagonalCubicPoint) -> Weierstr
 # quartic model of the n = 3, s = 2 fiber
 
 
-def lift_quartic_parameter(a_3: XCoordinates, u: RationalLike) -> ProjectivePoint | None:
+def lift_quartic_parameter(fiber: Fiber, u: RationalLike) -> ProjectivePoint | None:
     """Fiber point [X(u) : Y(u) : Z(u) : v] of an n = 3, s = 2 fiber: X, Y, Z
     parameterize the first quadric as conic_param does, and the second gives
     v^2 = q(u), a quartic in u.  None when q(u) is not a rational square."""
-    if a_3.n != 3:
+    if (fiber.x.n, fiber.s) != (3, 2):
         raise DomainError("quartic model needs n = 3 and s = 2")
-    eq2, eq3 = fiber_equations(a_3, 2)
+    eq2, eq3 = fiber.equations
     # v from the unnormalized X(u), Y(u): normalizing may flip their signs, not v's
     X, Y, Z = _conic_values(ConicSpec(eq2.c0, eq2.c1), rational(u))
     v = sth_root_exact((-eq3.c0 * X ** 2 - eq3.c1 * Y ** 2) / eq3.ci, 2)

@@ -56,8 +56,8 @@ from fractions import Fraction
 
 from .exact import (ProjectivePoint, normalize_projective, record, refuse_power, shown,
                     sth_root_exact)
-from .family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from .fiber import FiberEquation, XCoordinates, fiber_equations
+from .family import AffinePoint, Curve, CurveWithPoints
+from .fiber import Fiber
 from .maps import phi_forward, phi_inverse
 
 
@@ -65,7 +65,7 @@ from .maps import phi_forward, phi_inverse
 # anything sized by H or s: its candidates at height H times _root_test_ns at
 # its largest radicand.  Measured on the calibration host (Python 3.11.7, a
 # shared 2-core host), the bound is at least the time per candidate at every
-# point of a grid of s = 2..999 and radicands of 13 to 1,030,000 bits, so an
+# point of a grid of s = 2..999 and radicands of 13 to 1,025,000 bits, so an
 # accepted search's root tests take at most MAX_WORK ns there, 60 s.
 MAX_WORK = 60 * 10 ** 9
 
@@ -123,8 +123,7 @@ def _rows(rows: Sequence[int], partition: tuple[int, int]) -> Sequence[int]:
     return rows[index::count]
 
 
-def curve_roots_over(a_n: XCoordinates, s: int, a: Fraction,
-                     b: Fraction) -> list[Fraction] | None:
+def curve_roots_over(fiber: Fiber, a: Fraction, b: Fraction) -> list[Fraction] | None:
     """Membership test of the curve-box census with its witness: the s-th
     roots of a*alpha_i^r + b, non-negative for even s, which are the
     curve's fiber point [y_0 : ... : y_n].  None when a*b = 0, some value
@@ -132,8 +131,8 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Fraction,
     if a == 0 or b == 0:
         return None
     roots = []
-    for w in a_n.rth_powers():
-        root = sth_root_exact(a * w + b, s)
+    for w in fiber.x.rth_powers():
+        root = sth_root_exact(a * w + b, fiber.s)
         if root is None:
             return None
         roots.append(root)
@@ -142,33 +141,33 @@ def curve_roots_over(a_n: XCoordinates, s: int, a: Fraction,
     return roots
 
 
-def _refuse_box_work(a_n: XCoordinates, s: int, H: int) -> None:
+def _refuse_box_work(fiber: Fiber, H: int) -> None:
     # the work cap on the (2H)^2 candidates, whatever the partition, whose base
     # radicands have at most bits(H) + bits(max |w|) bits, w = alpha_i^r as a
     # height, at FRACTION_FACTOR times the cost where alpha_0^r is a Fraction
-    powers = a_n.rth_powers()
+    powers, s = fiber.x.rth_powers(), fiber.s
     w_bits = max(max(abs(w.numerator), w.denominator).bit_length() for w in powers)
     factor = 1 if powers[0].denominator == 1 else FRACTION_FACTOR
     _refuse_work("curve-box", H,
                  lambda h: factor * (2 * h) ** 2 * _root_test_ns(s, h.bit_length() + w_bits))
 
 
-def enumerate_curves(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[Curve]:
+def enumerate_curves(fiber: Fiber, cfg: SearchConfig) -> list[Curve]:
     """All census curves with coefficients in the (a, b) box of height H,
     in (a, b) order: the box is the product of a sorted value list."""
-    params = FamilyParams(a_n.r, s)
     H = cfg.height_bound
-    _refuse_box_work(a_n, s, H)
+    _refuse_box_work(fiber, H)
     values = [v for v in range(-H, H + 1) if v != 0]
+    s, params = fiber.s, fiber.params
     # bound here, not at definition, so that a wrapper installed on either
     # name before the call is the one that runs
-    rth_powers, root = a_n.rth_powers, sth_root_exact
+    rth_powers, root = fiber.x.rth_powers, sth_root_exact
     found = []
     for a in _rows(values, cfg.partition):
         for b in values:
             # the base root alone rejects most candidates; a zero one is
             # refused by curve_roots_over too
-            if root(a * rth_powers()[0] + b, s) and curve_roots_over(a_n, s, a, b) is not None:
+            if root(a * rth_powers()[0] + b, s) and curve_roots_over(fiber, a, b) is not None:
                 found.append(Curve(params, a, b))
     return found
 
@@ -207,30 +206,30 @@ def _pair_rows(height: int, s: int,
             yield p, list(itertools.compress(range(-height, height + 1), keep[:0:-1] + keep))
 
 
-def _pair_search_equations(a_n: XCoordinates, s: int, H: int) -> list[FiberEquation]:
-    # the pair search's refusals, in order: height^s, s < 2 (fiber_equations),
-    # then the work cap on the row masks' (H + 1)^2 candidates (even s) or
-    # (H + 1)(2H + 1) (odd s), whose radicands k0*Y_0^s + k1*Y_1^s have about
-    # s*(bits(H) + bits(c)) bits, c the equations' coefficients
+def _refuse_pair_work(fiber: Fiber, H: int) -> None:
+    # the pair search's refusals, in order: height^s, then the work cap on the
+    # row masks' (H + 1)^2 candidates (even s) or (H + 1)(2H + 1) (odd s), whose
+    # radicands k0*Y_0^s + k1*Y_1^s, (k0, k1) = -ci^(s-1)*(c0, c1), have at most
+    # (s-1)*bits(ci) + max(bits(c0), bits(c1)) + 1 + s*bits(H) bits
+    s = fiber.s
     refuse_power([H], s, "height^s")
-    equations = fiber_equations(a_n, s)
-    c_bits = max(abs(c).bit_length() for eq in equations for c in (eq.c0, eq.c1, eq.ci))
+    k_bits = max((s - 1) * eq.ci.bit_length() + max(abs(eq.c0), abs(eq.c1)).bit_length() + 1
+                 for eq in fiber.equations)
     _refuse_work("fiber-pairs", H, lambda h: (h + 1) * (h + 1 if s % 2 == 0 else 2 * h + 1)
-                 * _root_test_ns(s, s * (h.bit_length() + c_bits)))
-    return equations
+                 * _root_test_ns(s, k_bits + s * h.bit_length()))
 
 
-def search_fiber_points(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[ProjectivePoint]:
+def search_fiber_points(fiber: Fiber, cfg: SearchConfig) -> list[ProjectivePoint]:
     """All fiber points whose reduced (Y_0, Y_1) pair has height <= H,
-    as canonical representatives, sorted; refuses H^s, then s < 2, then
-    work past the work cap, before any pair.  The rows reach each point
-    once, with Y_0 >= 0 and, for even s, every coordinate >= 0, so its
+    as canonical representatives, sorted; refuses H^s, then work past the
+    work cap, before any pair.  The rows reach each point once, with
+    Y_0 >= 0 and, for even s, every coordinate >= 0, so its
     normalize_projective is its canonical_fiber_point."""
-    H = cfg.height_bound
-    equations = _pair_search_equations(a_n, s, H)
+    H, s = cfg.height_bound, fiber.s
+    _refuse_pair_work(fiber, H)
     # (ci*Y_i)^s = k0*Y_0^s + k1*Y_1^s with (k0, k1) = -ci^(s-1)*(c0, c1)
     scaled = []
-    for eq in equations:
+    for eq in fiber.equations:
         scale = eq.ci ** (s - 1)
         scaled.append((eq.ci, -eq.c0 * scale, -eq.c1 * scale))
     (c2, k0, k1), *later = scaled
@@ -281,26 +280,26 @@ def integer_class_representatives(a: Fraction, b: Fraction, s: int,
             if m and sth_root_exact(m / lam, s) is not None]
 
 
-def curve_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CurveWithPoints]:
+def curve_census_entries(fiber: Fiber, cfg: SearchConfig) -> list[CurveWithPoints]:
     """Curve-box census: each curve with its points (alpha_i, y_i), y_i the
     roots that admit it, so base y_0 != 0 and y_i >= 0 for even s."""
     entries = []
-    for curve in enumerate_curves(a_n, s, cfg):
-        roots = curve_roots_over(a_n, s, curve.a, curve.b)
-        entries.append(CurveWithPoints(curve, tuple(map(AffinePoint, a_n.alphas, roots))))
+    for curve in enumerate_curves(fiber, cfg):
+        roots = curve_roots_over(fiber, curve.a, curve.b)
+        entries.append(CurveWithPoints(curve, tuple(map(AffinePoint, fiber.x.alphas, roots))))
     return entries
 
 
-def fiber_census_entries(a_n: XCoordinates, s: int, cfg: SearchConfig) -> list[CurveWithPoints]:
+def fiber_census_entries(fiber: Fiber, cfg: SearchConfig) -> list[CurveWithPoints]:
     """Fiber-pair census: phi_inverse of each point, whose points are the
     fiber point's coordinates; trivial and base-vanishing points are skipped
     since they recover no census curve."""
-    cwps = (phi_inverse(a_n, P.coords, s) for P in search_fiber_points(a_n, s, cfg)
+    cwps = (phi_inverse(fiber, P.coords) for P in search_fiber_points(fiber, cfg)
             if P.coords[0] != 0)
     return [cwp for cwp in cwps if cwp.curve.is_smooth]
 
 
-def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
+def cross_check(fiber: Fiber, box: SearchConfig) -> dict:
     """Run both enumerations at compatible bounds and match them up;
     returns the report that `cross-check` prints.
 
@@ -315,25 +314,25 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
     correspondence; cutoff_fiber_points have a curve class with no integer
     representative inside the box (height-cutoff asymmetry).
     unmatched_curves / unmatched_fiber_points are genuine failures and
-    should always be empty; ok says that they are.  The height meets the
+    should always be empty; ok says that they are.  The box height meets the
     refusals of `search --mode fiber-pairs`, in its order, before the box
     (the fiber bound only grows from it); the pair search at a raised bound
     past the work cap refuses that bound in the same line.
     """
-    box = SearchConfig(height)
-    _pair_search_equations(a_n, s, height)
+    height = box.height_bound
+    _refuse_pair_work(fiber, height)
     groups: dict[tuple[int, ...], list[Curve]] = {}
     fiber_bound = height
-    for cwp in curve_census_entries(a_n, s, box):
+    for cwp in curve_census_entries(fiber, box):
         _, image = phi_forward(cwp)
         groups.setdefault(image.coords, []).append(cwp.curve)
         fiber_bound = max(fiber_bound, pair_height(image))
 
-    report = {**a_n.to_obj(), "s": s, "curve_height": height, "fiber_height": fiber_bound,
+    report = {**fiber.to_obj(), "curve_height": height, "fiber_height": fiber_bound,
               "matched": [], "trivial_points": [], "base_vanishing_points": [],
               "cutoff_fiber_points": [], "unmatched_curves": [], "unmatched_fiber_points": []}
-    for P in search_fiber_points(a_n, s, SearchConfig(fiber_bound)):
-        cwp = phi_inverse(a_n, P.coords, s)
+    for P in search_fiber_points(fiber, SearchConfig(fiber_bound)):
+        cwp = phi_inverse(fiber, P.coords)
         if not cwp.curve.is_smooth:
             bucket = "trivial_points"
         elif P.coords[0] == 0:
@@ -347,7 +346,7 @@ def cross_check(a_n: XCoordinates, s: int, height: int) -> dict:
                 "recovered_b": recovered["b"],
             })
             continue
-        elif integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height):
+        elif integer_class_representatives(cwp.curve.a, cwp.curve.b, fiber.s, height):
             bucket = "unmatched_fiber_points"
         else:
             bucket = "cutoff_fiber_points"

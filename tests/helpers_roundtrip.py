@@ -34,7 +34,7 @@ from superfiber.elkies import ELKIES
 from superfiber.errors import DomainError
 from superfiber.exact import normalize_projective
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from superfiber.fiber import XCoordinates, fiber_equations
+from superfiber.fiber import Fiber, XCoordinates
 from superfiber.maps import ConicSpec, CubicSpec, conic_param, phi_inverse
 
 S4_SEEDS = (
@@ -101,7 +101,7 @@ def random_cubic_instance(rng: random.Random) -> tuple[CubicSpec, tuple[Fraction
 def _inverse_of(a_n: XCoordinates, coords, s: int) -> CurveWithPoints | None:
     if coords[0] == 0:
         return None
-    cwp = phi_inverse(a_n, coords, s)
+    cwp = phi_inverse(Fiber(a_n, s), coords)
     return cwp if cwp.curve.is_smooth else None
 
 
@@ -110,7 +110,7 @@ def conic_cwp(rng: random.Random, r: int | None = None) -> CurveWithPoints:
     r = r or rng.randint(2, 5)
     while True:
         a_2 = random_admissible_alphas(rng, r, 3)
-        eq = fiber_equations(a_2, 2)[0]
+        eq = Fiber(a_2, 2).equations[0]
         spec = ConicSpec(Fraction(eq.c0), Fraction(eq.c1))
         for _ in range(12):
             u = random_rational(rng, 9)
@@ -128,7 +128,7 @@ def cubic_tangent_cwp(rng: random.Random, r: int | None = None) -> CurveWithPoin
     r = r or rng.randint(2, 5)
     while True:
         a_2 = random_admissible_alphas(rng, r, 3)
-        eq = fiber_equations(a_2, 3)[0]
+        eq = Fiber(a_2, 3).equations[0]
         c = (Fraction(eq.c0), Fraction(eq.c1), Fraction(eq.ci))
         directions = ((c[1], -c[0], 0), (c[2], 0, -c[0]), (0, c[2], -c[1]))
         for D in directions:

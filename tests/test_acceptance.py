@@ -11,11 +11,11 @@ from fractions import Fraction
 from superfiber.elkies import ELKIES, verify_reproduction
 from superfiber.exact import sth_root_exact
 from superfiber.fiber import (
+    Fiber,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,
     fiber_equation_determinant,
-    fiber_equations,
     fiber_genus,
     gonality_lower_bound,
     n0_threshold,
@@ -30,7 +30,7 @@ from superfiber.maps import (
     phi_forward,
     phi_inverse,
 )
-from superfiber.search import cross_check
+from superfiber.search import SearchConfig, cross_check
 from helpers_roundtrip import (random_admissible_alphas, random_cubic_instance, random_cwp,
                               random_rational)
 
@@ -114,7 +114,7 @@ def test_criterion_3_identity_suites():
         assert 2 <= params.r <= 5 and 2 <= params.s <= 5
         assert 2 <= len(cwp.points) - 1 <= 6
         a_n, image = phi_forward(cwp)
-        back = phi_inverse(a_n, image.coords, params.s)
+        back = phi_inverse(Fiber(a_n, params.s), image.coords)
         assert cwp_equivalent(cwp, back)
 
     # (d) determinant form vs expanded form on 500 random evaluations
@@ -131,7 +131,7 @@ def test_criterion_3_identity_suites():
             + (w[0] - w[i]) * Ycoords[1] ** s
             + (w[1] - w[0]) * Ycoords[i] ** s
         )
-        assert fiber_equation_determinant(a_n, s, i, Ycoords) == expanded
+        assert fiber_equation_determinant(Fiber(a_n, s), i, Ycoords) == expanded
 
     _report(3, "2496 conic + 500 cubic-chain + 200 round-trip + 500 determinant identities",
             started, 30.0)
@@ -141,7 +141,7 @@ def test_criterion_4_dual_enumeration_equivalence():
     started = time.perf_counter()
 
     a_2 = XCoordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, 2)
+    report = cross_check(Fiber(a_2, 2), SearchConfig(2))
     assert report["ok"]
     (match,) = report["matched"]
     assert match["fiber_point"] == ["1", "3", "0"]
@@ -154,7 +154,7 @@ def test_criterion_4_dual_enumeration_equivalence():
     rng = random.Random(41)
     for _ in range(10):
         a_4 = random_admissible_alphas(rng, 3, 5, height=5)
-        outcome = cross_check(a_4, 2, 20)
+        outcome = cross_check(Fiber(a_4, 2), SearchConfig(20))
         assert outcome["unmatched_curves"] == []
         assert outcome["unmatched_fiber_points"] == []
     _report(4, "exact bijection at H=2 plus 10 random a_4 cross-checks at H=20",
@@ -164,7 +164,7 @@ def test_criterion_4_dual_enumeration_equivalence():
 def test_criterion_5_low_genus_infinitude_witness():
     started = time.perf_counter()
     a_2 = XCoordinates([0, 2, -1], 3)
-    eq = fiber_equations(a_2, 2)[0]
+    eq = Fiber(a_2, 2).equations[0]
     spec = ConicSpec(Fraction(eq.c0), Fraction(eq.c1))
 
     points = set()
@@ -172,7 +172,7 @@ def test_criterion_5_low_genus_infinitude_witness():
     for u in range(2, 102):  # u = 1 is the trivial point; 2..101 are not
         canonical = canonical_fiber_point(conic_param(spec, u).coords, 2)
         points.add(canonical)
-        cwp = phi_inverse(a_2, canonical.coords, 2)
+        cwp = phi_inverse(Fiber(a_2, 2), canonical.coords)
         assert cwp.curve.is_smooth
         for alpha in a_2.alphas:
             value = cwp.curve.a * alpha ** 3 + cwp.curve.b

@@ -146,7 +146,7 @@ def test_huge_exponent_flags_end_at_once():
     huge = ("--s", "100000000")
     box = ("--alphas=0,4,-5,-6,6", "--r", "3", *huge, "--height", "3")
     tiny = ("--alphas=0,2,3", "--r", "3", *huge, "--height", "1")
-    radicands = ("error: fiber-pairs search at height 1 needs about 1.8e+6 s of root tests, past"
+    radicands = ("error: fiber-pairs search at height 1 needs about 1.2e+6 s of root tests, past"
                  " the 60 s work cap: this tuple and s admit heights up to 0\n")
     cases = (
         (("fiber-eqs", "--alphas=2,3,5", "--r", "100000000", "--s", "2"), "alpha^r"),
@@ -481,16 +481,19 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         *[(64, (command, "--alphas=0,1,2", "--r", "2", "--s", "-1", "--point=0,1,1"),
            "error: exponents must be >= 2, got r=2, s=-1\n")
           for command in ("verify-point", "map-inverse")],
+        # the Fiber refuses s before the point's Y^s and length are read
+        (64, ("map-inverse", "--alphas=0,1,2", "--r", "2", "--s", "1", "--point=1,1"),
+         "error: exponents must be >= 2, got r=2, s=1\n"),
         # searches past the work cap, each refused before its first candidate
         *[(64, ("search", a_4, "--r", "3", "--s", "2", "--height", "100000000000", "--mode", mode),
            work(mode, 100000000000, seconds, admitted))
           for mode, seconds, admitted in (("curve-box", "3.0e+16", 5138),
                                           ("fiber-pairs", "1.1e+16", 8925))],
-        # radicands of about 154,000 bits: a root test took 0.71 ms, so 6 h in all
+        # radicands of about 17,200 bits: a root test took 0.71 ms, so 6 h in all
         (64, ("search", f"--alphas=0,1,{2 ** 5700}", "--r", "3", "--s", "9", "--height", "4999",
-              "--mode", "fiber-pairs"), work("fiber-pairs", 4999, "6.0e+6", 15)),
+              "--mode", "fiber-pairs"), work("fiber-pairs", 4999, "6.9e+4", 147)),
         (64, ("cross-check", f"--alphas=0,1,{2 ** 5700}", "--r", "3", "--s", "9", "--height", "4999"),
-            work("fiber-pairs", 4999, "6.0e+6", 15)),
+            work("fiber-pairs", 4999, "6.9e+4", 147)),
         # a Fraction base radicand per candidate: about 5 min
         (64, ("search", "--alphas=1/2,2/3,3/5", "--r", "3", "--s", "3", "--height", "4999"),
             work("curve-box", 4999, "2.2e+3", 838)),
@@ -498,9 +501,9 @@ def test_every_bad_input_leaves_through_one_error_line(tmp_path):
         # the cap, and the line names that bound, not a height the user gave
         # (the box curve y^2 = 2x^2 + 1 in the first)
         (64, ("cross-check", "--alphas=80782,470832,2744210", "--r", "2", "--height", "2", "--s", "2"),
-            work("fiber-pairs", 665857, "6.1e+5", 6869)),
+            work("fiber-pairs", 665857, "6.0e+5", 6957)),
         (64, ("cross-check", "--alphas=0,532,1", "--r", "3", "--height", "5", "--s", "2"),
-            work("fiber-pairs", 13719, "2.0e+2", 7522)),
+            work("fiber-pairs", 13719, "2.0e+2", 7494)),
         # an over-long token is shown by its first 20 characters, then ...
         (64, ("genus", "--n", "7" * 5000, "--s", "2"),
             f"error: argument --n: invalid int value: '{'7' * 20}...'\n"),

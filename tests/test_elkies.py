@@ -6,7 +6,7 @@ from helpers_rank import (add, certified_rank, combination, cubic, descent_rank,
                           kummer_rows, rung_image, rung_roots)
 from superfiber.elkies import ELKIES, ElkiesDataset, dataset_self_check, verify_reproduction
 from superfiber.errors import DomainError
-from superfiber.fiber import XCoordinates, fiber_equations
+from superfiber.fiber import Fiber, XCoordinates
 from superfiber.maps import CubicSpec, fermat_to_weierstrass, phi_inverse
 from superfiber.search import SearchConfig, search_fiber_points
 
@@ -142,10 +142,10 @@ def test_s3_rung_search_points_certify_a_rank(alphas, r, rank):
     # fermat_to_weierstrass sends its points with X*Y*Z != 0 to the Mordell
     # curve S^2 = T^3 - D: the H = 60 search points bound its rank from below
     a_n = XCoordinates(alphas, r)
-    equation = fiber_equations(a_n, 3)[0]
+    equation = Fiber(a_n, 3).equations[0]
     spec = CubicSpec(equation.c0, equation.c1)
     images = [fermat_to_weierstrass(spec, P.coords)
-              for P in search_fiber_points(a_n, 3, SearchConfig(60)) if 0 not in P.coords]
+              for P in search_fiber_points(Fiber(a_n, 3), SearchConfig(60)) if 0 not in P.coords]
     points = [(image.T, image.S) for image in images]
     assert certified_rank(-images[0].discriminant_term, points, 101) == rank
 
@@ -161,8 +161,9 @@ def test_s2_rung_search_points_certify_a_rank_by_halving(alphas, r, rank):
     roots = rung_roots(w)
     x_t, y_t = rung_image(w, (1, 1, 1, 1), 0)
     images = []
-    for P in search_fiber_points(a_n, 2, SearchConfig(300)):
-        curve = phi_inverse(a_n, P.coords, 2).curve
+    fiber = Fiber(a_n, 2)
+    for P in search_fiber_points(fiber, SearchConfig(300)):
+        curve = phi_inverse(fiber, P.coords).curve
         if curve.is_smooth:
             images.append(add(rung_image(w, P.coords, curve.a), (x_t, -y_t), cubic(roots)))
     halves = [halve(Q, roots) for Q in images]

@@ -19,9 +19,9 @@ from superfiber.exact import (
     sth_root_exact,
 )
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
-from superfiber.fiber import XCoordinates
+from superfiber.fiber import Fiber, XCoordinates
 from superfiber.maps import DiagonalCubicPoint, WeierstrassPoint
-from superfiber.search import SearchConfig, enumerate_curves
+from superfiber.search import SearchConfig
 
 
 def test_normalize_clears_denominators_and_content():
@@ -350,8 +350,7 @@ def test_int_fields_refuse_non_integers():
     for call, message in (
         (lambda: FamilyParams(3, 2.5), "s must be an integer, got 2.5"),
         (lambda: SearchConfig(True), "height_bound must be an integer, got True"),
-        (lambda: enumerate_curves(XCoordinates((0, 1, 2), 3), 2.0, SearchConfig(3)),
-         "s must be an integer, got 2.0"),
+        (lambda: Fiber(XCoordinates((0, 1, 2), 3), 2.0), "s must be an integer, got 2.0"),
         (lambda: XCoordinates((0, 1, 2), 2.5), "r must be an integer, got 2.5"),
         (lambda: SearchConfig(3, (0.5, 1)), "partition must be an integer, got 0.5"),
         (lambda: SearchConfig(3, (0, True)), "partition must be an integer, got True"),
@@ -362,12 +361,21 @@ def test_int_fields_refuse_non_integers():
 
 
 def test_xcoordinates_powers_are_not_a_field():
-    a, b = XCoordinates((0, 1, 2), 3), XCoordinates((0, 1, 2), 3)
-    object.__setattr__(b, "_powers", ())
-    assert a == b and hash(a) == hash(b)
-    assert hash(a) == hash((a.alphas, 3))
-    assert "_powers" not in repr(a)
-    assert a.rth_powers() == (0, 1, 8)
+    # what __post_init__ derives from the fields is none of equality, hash or repr
+    x = XCoordinates((0, 1, 2), 3)
+    for make, fields, shown, derived in (
+            (lambda: XCoordinates((0, 1, 2), 3), (x.alphas, 3), f"XCoordinates(alphas={x.alphas!r}, r=3)",
+             ("_powers",)),
+            (lambda: Fiber(x, 2), (x, 2), f"Fiber(x={x!r}, s=2)", ("c", "pairs", "params"))):
+        a, b = make(), make()
+        for name in derived:
+            object.__setattr__(b, name, ())
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(fields)
+        assert repr(a) == repr(b) == shown
+    assert x.rth_powers() == (0, 1, 8)
+    fiber = Fiber(x, 2)
+    assert (fiber.c, fiber.pairs, fiber.params) == (1, ((8, 7),), FamilyParams(3, 2))
 
 
 def test_record_runs_post_init_bound_after_import(monkeypatch):

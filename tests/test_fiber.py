@@ -12,12 +12,11 @@ from superfiber.elkies import ELKIES
 from superfiber.errors import DomainError
 from superfiber.exact import normalize_projective
 from superfiber.fiber import (
+    Fiber,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,
     fiber_equation_determinant,
-    fiber_equation_triples,
-    fiber_equations,
     fiber_genus,
     gonality_lower_bound,
     lazarsfeld_bound,
@@ -58,15 +57,15 @@ def test_stored_powers_leave_the_value_alone():
     assert ints != XCoordinates([0, 4, -5], 5)
 
 
-def test_fiber_equations_small_example():
+def test_canonical_equations_small_example():
     a_2 = XCoordinates([0, 1, 2], 2)
-    eqs = fiber_equations(a_2, 2)
+    eqs = Fiber(a_2, 2).equations
     assert len(eqs) == 1
     eq = eqs[0]
     assert (eq.i, eq.c0, eq.c1, eq.ci) == (2, 3, -4, 1)
 
 
-def test_fiber_equations_canonical_form():
+def test_canonical_equations_have_gcd_1_and_ci_positive():
     rng = random.Random(11)
     for _ in range(60):
         r = rng.randint(2, 5)
@@ -74,7 +73,7 @@ def test_fiber_equations_canonical_form():
         a_n = random_admissible_alphas(rng, r, n + 1)
         s = rng.randint(2, 5)
         w = a_n.rth_powers()
-        for eq in fiber_equations(a_n, s):
+        for eq in Fiber(a_n, s).equations:
             assert eq.c0 + eq.c1 + eq.ci == 0
             assert eq.ci > 0
             assert math.gcd(eq.c0, eq.c1, eq.ci) == 1
@@ -84,33 +83,31 @@ def test_fiber_equations_canonical_form():
             assert eq.c1 * raw[2] == eq.ci * raw[1]
 
 
-def test_fiber_equations_clear_denominators():
+def test_canonical_equations_clear_denominators():
     a_2 = XCoordinates([Fraction(1, 2), 0, 1], 2)
-    eq = fiber_equations(a_2, 2)[0]
+    eq = Fiber(a_2, 2).equations[0]
     # raw differences (1, -3/4, -1/4) scale to ci > 0, gcd 1
     assert (eq.c0, eq.c1, eq.ci) == (-4, 3, 1)
 
 
 def test_elkies_equation_i2_canonical_and_raw():
-    a_16 = ELKIES.x_coordinates()
-    eq2 = fiber_equations(a_16, 2)[0]
+    a_16 = Fiber(ELKIES.x_coordinates(), 2)
+    eq2 = a_16.equations[0]
     A2, B2 = ELKIES.expected_equations[0]
     c = ELKIES.expected_c
     # the raw i = 2 row has content 8; the canonical equation divides it out
     g = 8
     assert (eq2.c0, eq2.c1, eq2.ci) == (B2 // g, -A2 // g, c // g)
-    raw_c, raw_pairs = fiber_equation_triples(a_16, 2)
-    assert raw_c == c
-    assert raw_pairs[0] == (A2, B2)
+    assert a_16.c == c
+    assert a_16.pairs[0] == (A2, B2)
 
 
-def test_fiber_equation_triples_match_embedded_table():
-    a_16 = ELKIES.x_coordinates()
-    c, pairs = fiber_equation_triples(a_16, 2)
-    assert c == ELKIES.expected_c
-    assert tuple(pairs) == ELKIES.expected_equations
-    for A, B in pairs:
-        assert A - B == c
+def test_solved_form_matches_embedded_table():
+    a_16 = Fiber(ELKIES.x_coordinates(), 2)
+    assert a_16.c == ELKIES.expected_c
+    assert a_16.pairs == ELKIES.expected_equations
+    for A, B in a_16.pairs:
+        assert A - B == a_16.c
 
 
 def test_determinant_vanishes_on_equal_columns():
@@ -119,20 +116,20 @@ def test_determinant_vanishes_on_equal_columns():
         a_n = random_admissible_alphas(rng, rng.randint(2, 4), rng.randint(3, 6))
         ones = [1] * (a_n.n + 1)
         for i in range(2, a_n.n + 1):
-            assert fiber_equation_determinant(a_n, 2, i, ones) == 0
+            assert fiber_equation_determinant(Fiber(a_n, 2), i, ones) == 0
 
 
 def test_determinant_small_example():
-    a_2 = XCoordinates([0, 1, 2], 2)
-    assert fiber_equation_determinant(a_2, 2, 2, [1, 3, 0]) == -33
+    a_2 = Fiber(XCoordinates([0, 1, 2], 2), 2)
+    assert fiber_equation_determinant(a_2, 2, [1, 3, 0]) == -33
 
 
 def test_determinant_index_validated():
     a_2 = XCoordinates([0, 1, 2], 2)
     with pytest.raises(ValueError):
-        fiber_equation_determinant(a_2, 2, 3, [1, 1, 1])
+        fiber_equation_determinant(Fiber(a_2, 2), 3, [1, 1, 1])
     with pytest.raises(ValueError):
-        fiber_equation_determinant(a_2, 1, 2, [1, 1, 1])
+        fiber_equation_determinant(Fiber(a_2, 1), 2, [1, 1, 1])
 
 
 def test_fiber_contains():
@@ -158,7 +155,8 @@ def test_fiber_contains_is_every_determinant_vanishing(seed, on_fiber, height):
         s = rng.randint(2, 5)
         a_n = random_admissible_alphas(rng, rng.randint(2, 5), rng.randint(3, 6))
         Y = [random_rational(rng, height) for _ in range(a_n.n + 1)]
-    vanishing = all(fiber_equation_determinant(a_n, s, i, Y) == 0 for i in range(2, a_n.n + 1))
+    fiber = Fiber(a_n, s)
+    vanishing = all(fiber_equation_determinant(fiber, i, Y) == 0 for i in range(2, a_n.n + 1))
     assert fiber_contains(a_n, s, Y) == vanishing
     assert vanishing or not on_fiber
 

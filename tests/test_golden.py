@@ -112,18 +112,19 @@ def test_stdout_matches_golden(name):
 
 
 def corpus_argvs():
-    """The corpus in order, each argv once, with every file it reads
+    """The corpus in order, each argv once with the workload operations that
+    run it (none for a fuzz or batch argv), and with every file it reads
     written under WORK (relative to the working directory)."""
     WORK.mkdir()
-    argvs = []
-    for name in workloads.NAMES:
-        for seed in range(3):
-            workload = workloads.build(name, seed, workloads.STANDARD_HEIGHTS,
-                                       WORK / f"{name}-{seed}")
-            argvs += [list(op.argv) for op in workload.ops]
+    ops = [op for name in workloads.NAMES for seed in range(3)
+           for op in workloads.build(name, seed, workloads.STANDARD_HEIGHTS,
+                                     WORK / f"{name}-{seed}").ops]
+    argvs = [list(op.argv) for op in ops]
     argvs += fuzz_argvs(random.Random(14), WORK, 500)
     argvs += batch_argvs(random.Random(15), WORK)
-    unique = {json.dumps(argv): argv for argv in argvs}
+    unique = {json.dumps(argv): (argv, []) for argv in argvs}
+    for op in ops:
+        unique[json.dumps(list(op.argv))][1].append(op)
     return list(unique.values())
 
 
@@ -193,14 +194,15 @@ def batch_argvs(rng, directory):
 
 def corpus_runs():
     """(argv, code, stdout, stderr, manifest) of each corpus argv, where
-    manifest is the bytes of the run manifest it wrote, or None."""
-    for argv in corpus_argvs():
+    manifest is the bytes of the run manifest it wrote, or None, with the
+    workload operations that run the argv."""
+    for argv, ops in corpus_argvs():
         code, out, err = run_main(*argv)
         manifest = None
         if MANIFEST.exists():
             manifest = MANIFEST.read_bytes()
             MANIFEST.unlink()
-        yield argv, code, out, err, manifest
+        yield (argv, code, out, err, manifest), ops
 
 
 def _sha256(raw: bytes) -> str:
@@ -224,7 +226,8 @@ def test_corpus_keeps_the_contract_and_matches_parity_file(monkeypatch, tmp_path
     monkeypatch.chdir(tmp_path)
     expected = CORPUS.read_text(encoding="utf-8").splitlines()
     actual = []
-    for argv, code, out, err, manifest in corpus_runs():
+    for run, ops in corpus_runs():
+        argv, code, out, err, _ = run
         # the contract before the bytes, so that regenerated bytes cannot hide
         # a broken one: main returns a documented code for any argv, and a
         # refusal is one error line of under 300 bytes, none of the
@@ -236,7 +239,11 @@ def test_corpus_keeps_the_contract_and_matches_parity_file(monkeypatch, tmp_path
             assert "Traceback" not in err and "set_int_max_str_digits" not in err, argv
         else:
             assert err == "", argv
-        actual.append(parity_line(argv, code, out, err, manifest))
+        # a workload operation's validator, which re-derives its output with
+        # the library calls of the benchmark
+        for op in ops:
+            assert workloads.verdict(op, code, out, err)[0] is None, argv
+        actual.append(parity_line(*run))
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
@@ -248,6 +255,6 @@ if __name__ == "__main__":
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        lines = [parity_line(*run) for run in corpus_runs()]
+        lines = [parity_line(*run) for run, _ in corpus_runs()]
         os.chdir(here)
     CORPUS.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -11,7 +11,7 @@ from superfiber.elkies import ELKIES
 from superfiber.errors import DomainError
 from superfiber.exact import digit_limit, normalize_projective, sth_root_exact
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams, rescale
-from superfiber.fiber import XCoordinates, canonical_fiber_point, fiber_contains, fiber_equations
+from superfiber.fiber import Fiber, XCoordinates, canonical_fiber_point, fiber_contains
 from superfiber.maps import (
     ConicSpec,
     CubicSpec,
@@ -82,29 +82,29 @@ def test_phi_forward_not_admissible():
 
 def test_phi_inverse_example():
     a_2 = XCoordinates([0, 2, -1], 3)
-    cwp = phi_inverse(a_2, [1, 3, 0], 2)
+    cwp = phi_inverse(Fiber(a_2, 2), [1, 3, 0])
     assert cwp.curve == Curve(FamilyParams(3, 2), 1, 1)
     assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0))
 
 
 def test_phi_inverse_trivial_point():
     a_2 = XCoordinates([0, 2, -1], 3)
-    cwp = phi_inverse(a_2, [1, 1, 1], 2)
+    cwp = phi_inverse(Fiber(a_2, 2), [1, 1, 1])
     assert cwp.curve == Curve(FamilyParams(3, 2), 0, 1) and not cwp.curve.is_smooth
     assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 1), AffinePoint(-1, 1))
 
 
 def test_phi_inverse_rejects_off_fiber_and_bad_dimension():
-    a_2 = XCoordinates([0, 1, 2], 2)
+    a_2 = Fiber(XCoordinates([0, 1, 2], 2), 2)
     with pytest.raises(DomainError, match="point does not satisfy the fiber equations"):
-        phi_inverse(a_2, [1, 1, 2], 2)
+        phi_inverse(a_2, [1, 1, 2])
     with pytest.raises(DomainError, match="expected 3 coordinates, got 4"):
-        phi_inverse(a_2, [1, 1, 1, 1], 2)
+        phi_inverse(a_2, [1, 1, 1, 1])
 
 
 def test_phi_inverse_elkies_point_recovers_curve():
     a_16 = ELKIES.x_coordinates()
-    cwp = phi_inverse(a_16, ELKIES.y_vector(), 2)
+    cwp = phi_inverse(Fiber(a_16, 2), ELKIES.y_vector())
     assert cwp.curve == Curve(FamilyParams(3, 2), 1, ELKIES.b0)
     assert tuple((p.x, p.y) for p in cwp.points) == ELKIES.points
 
@@ -115,9 +115,10 @@ def test_phi_inverse_scaling_covariance():
         cwp = random_cwp(rng)
         s = cwp.curve.params.s
         a_n, Y = phi_forward(cwp)
-        base = phi_inverse(a_n, Y.coords, s)
+        fiber = Fiber(a_n, s)
+        base = phi_inverse(fiber, Y.coords)
         lam = random_rational(rng, 5, nonzero=True)
-        scaled = phi_inverse(a_n, [lam * c for c in Y.coords], s)
+        scaled = phi_inverse(fiber, [lam * c for c in Y.coords])
         assert scaled.curve.a == lam ** s * base.curve.a
         assert scaled.curve.b == lam ** s * base.curve.b
         assert all(q.y == lam * p.y for p, q in zip(base.points, scaled.points))
@@ -134,7 +135,7 @@ def test_phi_round_trip_raw_representative_scale():
         y0 = cwp.base.y
         raw = [p.y * y0 ** (s - 1) for p in cwp.points]
         a_n = XCoordinates([p.x for p in cwp.points], r)
-        back = phi_inverse(a_n, raw, s)
+        back = phi_inverse(Fiber(a_n, s), raw)
         lam = y0 ** (s * (s - 1))
         mu = y0 ** (s - 1)
         assert back.curve.a == lam * cwp.curve.a
@@ -220,7 +221,7 @@ def test_quartic_golden_coefficients():
     a_3 = XCoordinates([0, 1, 2, 3], 2)
     lifted = {}
     for u in {Fraction(num, den) for num in range(-30, 31) for den in range(1, 8)}:
-        P = lift_quartic_parameter(a_3, u)
+        P = lift_quartic_parameter(Fiber(a_3, 2), u)
         square = sth_root_exact(sum(c * u ** k for k, c in enumerate(q)), 2) is not None
         assert (P is not None) == square, u
         if square:
@@ -235,13 +236,15 @@ def test_quartic_trivial_point_consistency():
     for _ in range(25):
         a_3 = random_admissible_alphas(rng, rng.randint(2, 4), 4)
         # u = 1 is the conic's distinguished point, which lifts to the trivial point
-        P = lift_quartic_parameter(a_3, 1)
+        P = lift_quartic_parameter(Fiber(a_3, 2), 1)
         assert canonical_fiber_point(P.coords, 2).coords == (1, 1, 1, 1)
 
 
 def test_quartic_wrong_shape():
     with pytest.raises(DomainError, match="quartic model needs n = 3 and s = 2"):
-        lift_quartic_parameter(XCoordinates([0, 1, 2], 2), 0)
+        lift_quartic_parameter(Fiber(XCoordinates([0, 1, 2], 2), 2), 0)
+    with pytest.raises(DomainError, match="quartic model needs n = 3 and s = 2"):
+        lift_quartic_parameter(Fiber(XCoordinates([0, 1, 2, 3], 2), 3), 0)
 
 
 def test_quartic_lift_round_trip():
@@ -249,7 +252,7 @@ def test_quartic_lift_round_trip():
     lifted = 0
     for num in range(-12, 13):
         for den in (1, 2, 3):
-            P = lift_quartic_parameter(a_3, Fraction(num, den))
+            P = lift_quartic_parameter(Fiber(a_3, 2), Fraction(num, den))
             if P is not None:
                 assert fiber_contains(a_3, 2, P.coords)
                 lifted += 1
@@ -258,7 +261,7 @@ def test_quartic_lift_round_trip():
 
 def test_quartic_lift_none_when_not_square():
     a_3 = XCoordinates([0, 1, 2, 3], 2)
-    assert lift_quartic_parameter(a_3, 3) is None  # q(3) = 1129 is not a square
+    assert lift_quartic_parameter(Fiber(a_3, 2), 3) is None  # q(3) = 1129 is not a square
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +360,10 @@ def test_chord_tangent_points_lie_on_the_fiber_and_round_trip(alphas, regenerate
     # three rounds from the H = 12 search points reach 60-86 digits, and
     # regenerate every point that the search finds at H = 300
     a_2 = XCoordinates(alphas, 3)
-    eq = fiber_equations(a_2, 3)[0]
+    fiber = Fiber(a_2, 3)
+    eq = fiber.equations[0]
     points = chord_tangent_points((eq.c0, eq.c1, eq.ci),
-                                  search_fiber_points(a_2, 3, SearchConfig(12))[:12], 3)
+                                  search_fiber_points(fiber, SearchConfig(12))[:12], 3)
     # at r = s the trivial points are [1 : 1 : 1] (a = 0) and [alphas] (b = 0)
     trivial = {normalize_projective([1, 1, 1]), normalize_projective(alphas)}
     for P in points:
@@ -367,22 +371,22 @@ def test_chord_tangent_points_lie_on_the_fiber_and_round_trip(alphas, regenerate
         if 0 in P.coords:
             continue
         if P in trivial:
-            assert not phi_inverse(a_2, P.coords, 3).curve.is_smooth
+            assert not phi_inverse(fiber, P.coords).curve.is_smooth
         else:
-            assert phi_forward(phi_inverse(a_2, P.coords, 3)) == (a_2, P)
+            assert phi_forward(phi_inverse(fiber, P.coords)) == (a_2, P)
     low = {P for P in points if pair_height(P) <= 300}
-    assert low <= set(search_fiber_points(a_2, 3, SearchConfig(300)))
+    assert low <= set(search_fiber_points(fiber, SearchConfig(300)))
     assert len(low) == regenerated
 
 
 def test_tangents_past_the_digit_rule_are_refused_at_once():
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    a_2 = XCoordinates((0, 2, 3), 3)
-    eq = fiber_equations(a_2, 3)[0]
+    fiber = Fiber(XCoordinates((0, 2, 3), 3), 3)
+    eq = fiber.equations[0]
     P = normalize_projective([4, 2, -5])
     while 3 * (max(abs(y) for y in P.coords).bit_length() - 1) <= 4 * limit:
         P = cubic_third_point((eq.c0, eq.c1, eq.ci), P.coords, P.coords)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"^Y\\^s exceeds {limit} digits$"):
-        phi_inverse(a_2, P.coords, 3)
+        phi_inverse(fiber, P.coords)
     assert time.perf_counter() - start < 1

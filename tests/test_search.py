@@ -14,10 +14,10 @@ from superfiber.elkies import ELKIES
 from superfiber.exact import int_nth_root, normalize_projective, sth_root_exact
 from superfiber.family import AffinePoint, Curve, CurveWithPoints, FamilyParams
 from superfiber.fiber import (
+    Fiber,
     XCoordinates,
     canonical_fiber_point,
     fiber_contains,
-    fiber_equations,
     fiber_genus,
     geometry_report,
 )
@@ -56,22 +56,22 @@ def test_search_config_validation():
 
 def test_enumerate_curves_empty_box():
     a_2 = XCoordinates([1, 2, 3], 3)
-    assert enumerate_curves(a_2, 2, SearchConfig(1)) == []
+    assert enumerate_curves(Fiber(a_2, 2), SearchConfig(1)) == []
 
 
 def test_curve_membership_predicate_on_elkies_data():
-    a_16 = ELKIES.x_coordinates()
-    assert curve_roots_over(a_16, 2, Fraction(1), Fraction(ELKIES.b0)) is not None
+    a_16 = Fiber(ELKIES.x_coordinates(), 2)
+    assert curve_roots_over(a_16, Fraction(1), Fraction(ELKIES.b0)) is not None
     # consecutive integers are never both squares above 0
-    assert curve_roots_over(a_16, 2, Fraction(1), Fraction(ELKIES.b0 + 1)) is None
-    assert curve_roots_over(a_16, 2, Fraction(0), Fraction(ELKIES.b0)) is None
+    assert curve_roots_over(a_16, Fraction(1), Fraction(ELKIES.b0 + 1)) is None
+    assert curve_roots_over(a_16, Fraction(0), Fraction(ELKIES.b0)) is None
     # 1*x^3 + 2 is 2 at x = 0, so a_2 has no curve (1, 2)
-    assert curve_roots_over(XCoordinates([0, 2, -1], 3), 2, Fraction(1), Fraction(2)) is None
+    assert curve_roots_over(Fiber(XCoordinates([0, 2, -1], 3), 2), 1, 2) is None
 
 
 def test_even_s_sign_closure_before_canonicalization():
     a_2 = XCoordinates([0, 2, -1], 3)
-    pts = search_fiber_points(a_2, 2, SearchConfig(5))
+    pts = search_fiber_points(Fiber(a_2, 2), SearchConfig(5))
     rng = random.Random(3)
     for P in pts:
         signs = [rng.choice((1, -1)) * c for c in P.coords]
@@ -89,11 +89,12 @@ def test_even_s_sign_closure_before_canonicalization():
 @example(a_n=XCoordinates([0, Fraction(1, 2), Fraction(3, 4)], 3), s=3, height=12, count=1)
 @example(a_n=XCoordinates([0, 2, 3], 3), s=5, height=12, count=3)
 def test_worker_slices_union_to_full_result(a_n, s, height, count):
+    fiber = Fiber(a_n, s)
     for runner, key in ((enumerate_curves, lambda c: (c.a, c.b)),
                         (search_fiber_points, lambda P: P.coords)):
-        full = runner(a_n, s, SearchConfig(height))
+        full = runner(fiber, SearchConfig(height))
         merged = [item for index in range(count)
-                  for item in runner(a_n, s, SearchConfig(height, (index, count)))]
+                  for item in runner(fiber, SearchConfig(height, (index, count)))]
         assert sorted(merged, key=key) == full
         assert len({key(item) for item in merged}) == len(merged)  # no item in two slices
     # merged now holds the pair kernel's slices, which keep normalize_projective
@@ -117,7 +118,7 @@ def _box_candidates(monkeypatch, a_n, height, partition):
     assert w_0 > 2 * height
     radicands = []
     monkeypatch.setattr(search, "sth_root_exact", lambda x, s: radicands.append(x))
-    assert enumerate_curves(a_n, 2, SearchConfig(height, partition)) == []
+    assert enumerate_curves(Fiber(a_n, 2), SearchConfig(height, partition)) == []
     return [(round(x / w_0), x - round(x / w_0) * w_0) for x in radicands]
 
 
@@ -180,7 +181,7 @@ def test_fiber_pairs_root_test_every_coprime_pair(monkeypatch, alphas, s, height
     monkeypatch.setattr(search, "sth_root_exact",
                         lambda x, s: calls.append(x) or sth_root_exact(x, s))
     a_n = XCoordinates(alphas, 3)
-    search_fiber_points(a_n, s, SearchConfig(height))
+    search_fiber_points(Fiber(a_n, s), SearchConfig(height))
     assert sum(len(qs) for _, qs in search._pair_rows(height, s, (0, 1))) == pairs
     assert len(calls) == root_tests
 
@@ -200,22 +201,23 @@ def test_curve_box_root_tests_every_base_radicand(monkeypatch, alphas, s, height
     monkeypatch.setattr(search, "sth_root_exact",
                         lambda x, s: radicands.append(x) or sth_root_exact(x, s))
 
-    def roots_over(a_n, s, a, b):
+    def roots_over(fiber, a, b):
         called.append((a, b))
         before = len(radicands)
-        roots = curve_roots_over(a_n, s, a, b)
+        roots = curve_roots_over(fiber, a, b)
         del radicands[before:]  # the membership test's own root tests
         return roots
 
     monkeypatch.setattr(search, "curve_roots_over", roots_over)
-    curves = enumerate_curves(a_n, s, SearchConfig(height))
+    fiber = Fiber(a_n, s)
+    curves = enumerate_curves(fiber, SearchConfig(height))
     w_0 = a_n.rth_powers()[0]
     values = [v for v in range(-height, height + 1) if v != 0]
     assert radicands == [a * w_0 + b for a in values for b in values]
     assert called == [(a, b) for a in values for b in values if sth_root_exact(a * w_0 + b, s)]
     assert len(called) == members
     assert [(c.a, c.b) for c in curves] == [ab for ab in called
-                                           if curve_roots_over(a_n, s, *ab) is not None]
+                                           if curve_roots_over(fiber, *ab) is not None]
     assert len(curves) == found
 
 
@@ -244,7 +246,7 @@ def _reference_curves(a_n, s, height):
 
 def _reference_fiber_points(a_n, s, height):
     """The fiber-pair stream in Fraction arithmetic: Y_i^s = -(c0*z0 + c1*z1)/ci."""
-    equations = fiber_equations(a_n, s)
+    equations = Fiber(a_n, s).equations
     found = set()
     for p in range(height + 1):
         if s % 2 == 0:
@@ -281,13 +283,13 @@ def test_search_kernels_match_the_fraction_reference(a_n, s, height):
     # kernels must find at any height: [1 : ... : 1] from H = 1 on, and a box
     # at H inside the box at any larger H
     assert a_n.rth_powers() == tuple(x ** a_n.r for x in a_n.alphas)
-    cfg = SearchConfig(height)
-    curves = enumerate_curves(a_n, s, cfg)
+    cfg, fiber = SearchConfig(height), Fiber(a_n, s)
+    curves = enumerate_curves(fiber, cfg)
     assert all(type(c.a) is Fraction and type(c.b) is Fraction for c in curves)
     # the kernel tests int box values; the roots it sees are those of int a, b
-    assert [(c.a, c.b, curve_roots_over(a_n, s, int(c.a), int(c.b))) for c in curves] \
+    assert [(c.a, c.b, curve_roots_over(fiber, int(c.a), int(c.b))) for c in curves] \
         == _reference_curves(a_n, s, height)
-    assert search_fiber_points(a_n, s, cfg) == _reference_fiber_points(a_n, s, height)
+    assert search_fiber_points(fiber, cfg) == _reference_fiber_points(a_n, s, height)
 
 
 @given(a_n=admissible_x_coordinates(st.integers(-6, 6), max_size=3),
@@ -299,9 +301,10 @@ def test_search_kernels_match_the_fraction_reference(a_n, s, height):
 def test_fiber_points_lie_on_their_conic_or_cubic(a_n, s, height):
     # an oracle that takes no root: for n = 2 the fiber is the one curve
     # c0*X^s + c1*Y^s + c2*Z^s = 0, whose coefficients sum to zero
-    (eq,) = fiber_equations(a_n, s)
+    fiber = Fiber(a_n, s)
+    (eq,) = fiber.equations
     assert eq.c0 + eq.c1 + eq.ci == 0
-    for P in search_fiber_points(a_n, s, SearchConfig(height)):
+    for P in search_fiber_points(fiber, SearchConfig(height)):
         if s == 2:
             spec = ConicSpec(eq.c0, eq.c1)
             X, Y, Z = P.coords
@@ -324,12 +327,13 @@ def test_rung_model_images_are_found_by_the_pair_search(a_n, height):
     # s = 2 oracles that share no code with the kernel: the conic parameterization
     # of F_2 and the quartic model of F_3; each image of pair height <= H must
     # be a census point
-    found = set(search_fiber_points(a_n, 2, SearchConfig(height)))
+    fiber = Fiber(a_n, 2)
+    found = set(search_fiber_points(fiber, SearchConfig(height)))
     if a_n.n == 2:
-        (eq,) = fiber_equations(a_n, 2)
+        (eq,) = fiber.equations
         images = [conic_param(ConicSpec(eq.c0, eq.c1), u) for u in MODEL_PARAMETERS]
     else:
-        images = [lift_quartic_parameter(a_n, u) for u in MODEL_PARAMETERS]
+        images = [lift_quartic_parameter(fiber, u) for u in MODEL_PARAMETERS]
     reached = [canonical_fiber_point(P.coords, 2) for P in images if P is not None]
     reached = [P for P in reached if pair_height(P) <= height]
     assert set(reached) <= found
@@ -388,13 +392,13 @@ def test_searches_refuse_work_past_the_cap_at_once():
     # H = 5138; a bound on (2H+1)^2 alone stopped every search at 4999)
     assert MAX_WORK == 60 * 10 ** 9
     assert SearchConfig(10 ** 11, (1, 2)).height_bound == 10 ** 11
-    a_4 = XCoordinates((0, 4, -5, -6, 6), 3)
+    a_4 = Fiber(XCoordinates((0, 4, -5, -6, 6), 3), 2)
     for kernel, search, admitted in (("curve-box", enumerate_curves, 5138),
                                      ("fiber-pairs", search_fiber_points, 8925)):
         for partition in ((0, 1), (1, 2)):
             start = time.perf_counter()
             with pytest.raises(ValueError) as refused:
-                search(a_4, 2, SearchConfig(admitted + 1, partition))
+                search(a_4, SearchConfig(admitted + 1, partition))
             assert time.perf_counter() - start < 1
             assert re.fullmatch(f"{kernel} search at height {admitted + 1} needs about [0-9.e+]+ s"
                                 " of root tests, past the 60 s work cap: this tuple and s admit"
@@ -402,15 +406,16 @@ def test_searches_refuse_work_past_the_cap_at_once():
 
 
 def test_pair_search_refuses_work_past_the_cap_before_building_it():
-    # 0,2,3 at r = 3 gives (c0, c1, ci) = (19, -27, 8): 5 bits, so at H = 1 the
-    # cap admits the 4 candidates of s = 583328, whose radicands have about
-    # 6*s bits, and refuses the 6 of s = 583329 before it forms ci^(s-1)
+    # 0,2,3 at r = 3 gives (c0, c1, ci) = (19, -27, 8), so at H = 1 the cap
+    # admits the 4 candidates of s = 695420, whose radicands have about
+    # 4*(s-1) + 5 + 1 + s bits, and refuses the 6 of s = 695421 before it
+    # forms ci^(s-1)
     a_2 = XCoordinates([0, 2, 3], 3)
-    assert search_fiber_points(a_2, 583328, SearchConfig(1)) == [normalize_projective([1, 1, 1])]
-    refused = ("fiber-pairs search at height 1 needs about 90 s of root tests, past the 60 s work"
+    assert search_fiber_points(Fiber(a_2, 695420), SearchConfig(1)) == [normalize_projective([1, 1, 1])]
+    refused = ("fiber-pairs search at height 1 needs about 89 s of root tests, past the 60 s work"
                " cap: this tuple and s admit heights up to 0")
-    for call in (lambda: search_fiber_points(a_2, 583329, SearchConfig(1)),
-                 lambda: cross_check(a_2, 583329, 1)):
+    for call in (lambda: search_fiber_points(Fiber(a_2, 695421), SearchConfig(1)),
+                 lambda: cross_check(Fiber(a_2, 695421), SearchConfig(1))):
         start = time.perf_counter()
         with pytest.raises(ValueError) as error:
             call()
@@ -418,9 +423,9 @@ def test_pair_search_refuses_work_past_the_cap_before_building_it():
         assert str(error.value) == refused
 
 
-def _admits(refuse, a_n: XCoordinates, s: int, height: int) -> bool:
+def _admits(refuse, fiber: Fiber, height: int) -> bool:
     try:
-        refuse(a_n, s, height)
+        refuse(fiber, height)
     except ValueError:
         return False
     return True
@@ -433,24 +438,25 @@ def _admits(refuse, a_n: XCoordinates, s: int, height: int) -> bool:
 @example(a_n=XCoordinates((0, 4, -5, -6, 6), 3), s=2, height=10 ** 5, larger=1, k=1)
 @example(a_n=XCoordinates(("1/2", "2/3", "3/5"), 3), s=3, height=4999, larger=1, k=1)
 def test_the_work_cap_admits_the_heights_up_to_the_one_it_names(a_n, s, height, larger, k):
-    # for each kernel's refusal (the pair one is _pair_search_equations'): the
+    # for each kernel's refusal (the pair one is _refuse_pair_work): the
     # height a refusal names is admitted and the next one refused, no height
     # above a refused one is admitted, and scaling the alphas by t, prime to
     # their denominators, keeps the fiber equations and grows every |alpha^r|,
     # so it admits no height that was refused
     t = k * math.lcm(*(alpha.denominator for alpha in a_n.alphas)) + 1
-    scaled = XCoordinates([t * alpha for alpha in a_n.alphas], a_n.r)
-    for refuse in (search._refuse_box_work, search._pair_search_equations):
+    fiber = Fiber(a_n, s)
+    scaled = Fiber(XCoordinates([t * alpha for alpha in a_n.alphas], a_n.r), s)
+    for refuse in (search._refuse_box_work, search._refuse_pair_work):
         try:
-            refuse(a_n, s, height)
+            refuse(fiber, height)
             continue
         except ValueError as refused:
             named = int(re.search("admit heights up to ([0-9]+)$", str(refused))[1])
         assert named < height
-        assert named == 0 or _admits(refuse, a_n, s, named)
-        assert not _admits(refuse, a_n, s, named + 1)
-        assert not _admits(refuse, a_n, s, height + larger)
-        assert not _admits(refuse, scaled, s, named + 1)
+        assert named == 0 or _admits(refuse, fiber, named)
+        assert not _admits(refuse, fiber, named + 1)
+        assert not _admits(refuse, fiber, height + larger)
+        assert not _admits(refuse, scaled, named + 1)
 
 
 def test_values_refuse_the_powers_they_would_form_at_once():
@@ -463,10 +469,10 @@ def test_values_refuse_the_powers_they_would_form_at_once():
         (lambda: XCoordinates((2, 3, 5), 10 ** 6), "alpha^r"),
         (lambda: CurveWithPoints(Curve(FamilyParams(10 ** 6, 2), 1, 1), [AffinePoint(2, 3)]),
          "point 0: x^r or y^s"),
-        (lambda: search_fiber_points(XCoordinates((0, 4, -5, -6, 6), 3), 10 ** 8, SearchConfig(3)),
-         "height^s"),
+        (lambda: search_fiber_points(Fiber(XCoordinates((0, 4, -5, -6, 6), 3), 10 ** 8),
+                                     SearchConfig(3)), "height^s"),
         (lambda: fiber_contains(a_2, 10 ** 8, (2, 3, 5)), "Y^s"),
-        (lambda: phi_inverse(a_2, (2, 3, 5), 10 ** 8), "Y^s"),
+        (lambda: phi_inverse(Fiber(a_2, 10 ** 8), (2, 3, 5)), "Y^s"),
         (lambda: geometry_report(10 ** 100, 10 ** 100),
          f"genus report for n={10 ** 100}, s={10 ** 100}"),
     )
@@ -478,25 +484,26 @@ def test_values_refuse_the_powers_they_would_form_at_once():
         assert str(refused.value) == f"{what} exceeds {limit} digits"
     start = time.perf_counter()
     with pytest.raises(ValueError, match="^fiber-pairs search at height 1500 needs about"):
-        cross_check(XCoordinates((2 ** 100, 0, 1), 11), 1000, 1500)
+        cross_check(Fiber(XCoordinates((2 ** 100, 0, 1), 11), 1000), SearchConfig(1500))
     assert time.perf_counter() - start < 1
 
 
 def test_census_entries_hold_images():
     a_2 = XCoordinates([0, 2, -1], 3)
-    entries = curve_census_entries(a_2, 2, SearchConfig(2))
+    fiber = Fiber(a_2, 2)
+    entries = curve_census_entries(fiber, SearchConfig(2))
     assert len(entries) == 1
     cwp = entries[0]
     assert (cwp.curve.a, cwp.curve.b) == (1, 1)
     assert cwp.points == (AffinePoint(0, 1), AffinePoint(2, 3), AffinePoint(-1, 0))
     assert cwp.base_index == 0 and len(cwp.points) == 3
-    assert [p.y for p in cwp.points] == curve_roots_over(a_2, 2, cwp.curve.a, cwp.curve.b)
+    assert [p.y for p in cwp.points] == curve_roots_over(fiber, cwp.curve.a, cwp.curve.b)
     _, image = phi_forward(cwp)
     assert image.coords == (1, 3, 0)
     assert fiber_contains(a_2, 2, image.coords)
     assert canonical_fiber_point(image.coords, 2) == image
 
-    fiber_entries = fiber_census_entries(a_2, 2, SearchConfig(5))
+    fiber_entries = fiber_census_entries(fiber, SearchConfig(5))
     assert [(e.curve.a, e.curve.b) for e in fiber_entries] == [(1, 1)]
 
 
@@ -515,13 +522,14 @@ def test_census_entries_hold_images():
 @example(a_n=XCoordinates([-2, 0, Fraction(3, 2)], 3), s=3, height=8,
          census=fiber_census_entries)
 def test_census_images_are_forward_map_images(a_n, s, height, census):
-    for cwp in census(a_n, s, SearchConfig(height)):
+    fiber = Fiber(a_n, s)
+    for cwp in census(fiber, SearchConfig(height)):
         assert [p.x for p in cwp.points] == list(a_n.alphas) and cwp.base_index == 0
         _, image = phi_forward(cwp)
         # the printed point is the canonical point of the curve's s-th roots
         ys = [sth_root_exact(cwp.curve.rhs(x), s) for x in a_n.alphas]
         assert image == canonical_fiber_point(ys, s)
-        recovered = phi_inverse(a_n, image.coords, s)
+        recovered = phi_inverse(fiber, image.coords)
         if census is fiber_census_entries:
             assert cwp == recovered
         else:
@@ -537,17 +545,18 @@ def test_census_images_are_forward_map_images(a_n, s, height, census):
 @example(a_n=XCoordinates([0, 2, -1], 3), s=2, height=4)
 @example(a_n=XCoordinates([-2, 0, Fraction(3, 2)], 3), s=3, height=8)
 def test_cross_check_partitions_both_censuses(a_n, s, height):
-    report = cross_check(a_n, s, height)
+    fiber = Fiber(a_n, s)
+    report = cross_check(fiber, SearchConfig(height))
     assert (report["alphas"], report["r"]) == (a_n.to_obj()["alphas"], a_n.r)
     curves = [c for m in report["matched"] for c in m["curves"]] + report["unmatched_curves"]
     assert sorted(map(Curve.from_obj, curves), key=lambda c: (c.a, c.b)) \
-        == [cwp.curve for cwp in curve_census_entries(a_n, s, SearchConfig(height))]
+        == [cwp.curve for cwp in curve_census_entries(fiber, SearchConfig(height))]
     buckets = ("trivial_points", "base_vanishing_points", "cutoff_fiber_points",
                "unmatched_fiber_points")
     points = [m["fiber_point"] for m in report["matched"]] + [
         P for key in buckets for P in report[key]]
     assert sorted(points) == sorted(P.to_obj() for P in search_fiber_points(
-        a_n, s, SearchConfig(report["fiber_height"])))
+        fiber, SearchConfig(report["fiber_height"])))
     assert report["ok"] is (report["unmatched_curves"] == report["unmatched_fiber_points"] == [])
 
 
@@ -577,22 +586,23 @@ def test_curve_box_is_the_fiber_census_below_a_bound_it_does_not_choose(a_n, s, 
     w = a_n.rth_powers()[:2]
     D = math.lcm(*(Fraction(x).denominator for x in w))
     fiber_height = max(_floor_root(int(D ** s * height * (abs(x) + 1)), s) for x in w)
-    union = sorted(pair for cwp in fiber_census_entries(a_n, s, SearchConfig(fiber_height))
+    fiber = Fiber(a_n, s)
+    union = sorted(pair for cwp in fiber_census_entries(fiber, SearchConfig(fiber_height))
                    for pair in integer_class_representatives(cwp.curve.a, cwp.curve.b, s, height))
-    assert union == [(c.a, c.b) for c in enumerate_curves(a_n, s, SearchConfig(height))]
+    assert union == [(c.a, c.b) for c in enumerate_curves(fiber, SearchConfig(height))]
 
 
 def test_cross_check_sorts_base_vanishing_points():
     # with alpha_0 = 0 the point [0:1:2] recovers b = 0: the triviality test
     # comes first, so it is trivial although its base coordinate vanishes
-    report = cross_check(XCoordinates([0, 1, 2], 2), 2, 4)
+    report = cross_check(Fiber(XCoordinates([0, 1, 2], 2), 2), SearchConfig(4))
     assert report["trivial_points"] == [["0", "1", "2"], ["1", "1", "1"]]
     assert report["base_vanishing_points"] == []
 
 
 def test_cross_check_trivial_only_fiber():
     a_2 = XCoordinates([1, 2, 3], 3)
-    report = cross_check(a_2, 2, 1)
+    report = cross_check(Fiber(a_2, 2), SearchConfig(1))
     assert report["matched"] == []
     assert report["trivial_points"] == [["1", "1", "1"]]
     assert report["ok"]
@@ -601,7 +611,7 @@ def test_cross_check_trivial_only_fiber():
 def test_cross_check_groups_equivalent_curves():
     # (1, 1) and (4, 4) are the same class; both sit in an H = 4 box
     a_2 = XCoordinates([0, 2, -1], 3)
-    report = cross_check(a_2, 2, 4)
+    report = cross_check(Fiber(a_2, 2), SearchConfig(4))
     classes = {tuple(m["fiber_point"]): [(c["a"], c["b"]) for c in m["curves"]]
                for m in report["matched"]}
     assert classes[("1", "3", "0")] == [("1", "1"), ("4", "4")]
@@ -617,19 +627,19 @@ def test_census_stability_observed_above_threshold():
     for a_4, label in ((empty_fiber, "empty"), (rich_fiber, "rich")):
         sizes = {}
         for H in (17, 30, 45):
-            entries = fiber_census_entries(a_4, 2, SearchConfig(H))
+            entries = fiber_census_entries(Fiber(a_4, 2), SearchConfig(H))
             sizes[H] = len(entries)
         assert sizes[17] <= sizes[30] <= sizes[45]
         assert sizes[30] == sizes[45]
         print(f"census sizes on {label} n=4 fiber as H grows: {sizes} (observed stable)")
-    entries = fiber_census_entries(rich_fiber, 2, SearchConfig(17))
+    entries = fiber_census_entries(Fiber(rich_fiber, 2), SearchConfig(17))
     assert [(e.curve.a, e.curve.b) for e in entries] == [(1, 225)]
     assert phi_forward(entries[0])[1].coords == (15, 17, 10, 3, 21)
 
 
 def test_cross_check_matches_rich_fiber_once_box_reaches_curve():
     a_4 = XCoordinates([0, 4, -5, -6, 6], 3)
-    report = cross_check(a_4, 2, 225)
+    report = cross_check(Fiber(a_4, 2), SearchConfig(225))
     assert report["ok"]
     assert len(report["matched"]) == 1
     match = report["matched"][0]
@@ -645,7 +655,7 @@ def test_genus_ladder_of_a4():
     # never shrink as H grows
     rungs = ([0, 4, -5], [0, 4, -5, -6], [0, 4, -5, -6, 6])
     assert [fiber_genus(len(alphas) - 1, 2) for alphas in rungs] == [0, 1, 5]
-    counts = {H: [len(search_fiber_points(XCoordinates(alphas, 3), 2, SearchConfig(H)))
+    counts = {H: [len(search_fiber_points(Fiber(XCoordinates(alphas, 3), 2), SearchConfig(H)))
                   for alphas in rungs]
               for H in (30, 300)}
     assert counts == {30: [11, 2, 2], 300: [110, 4, 2]}
@@ -658,4 +668,4 @@ def test_curve_roots_over_refuses_a_vanishing_base_root():
     # x^2 - 1 is 0, -1 and 8 at alphas 1, 0, 3: every value is a cube, but
     # the base root is 0
     assert [sth_root_exact(v, 3) for v in (0, -1, 8)] == [0, -1, 2]
-    assert curve_roots_over(XCoordinates((1, 0, 3), 2), 3, 1, -1) is None
+    assert curve_roots_over(Fiber(XCoordinates((1, 0, 3), 2), 3), 1, -1) is None
